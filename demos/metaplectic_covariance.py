@@ -34,8 +34,8 @@ print(f"scale:2 S = {symplectic_matrix('scale:2').tolist()}")
 # The rotation by S maps the point (x_j, p_i) to (-p_i, x_j), which on this
 # grid is again a lattice point; compare the two fields directly.
 gauss = catalog_state("gaussian:2", grid.x_grid)
-base = wigner(gauss, grid).field.values
-rotated = wigner(apply_metaplectic(gauss, "fourier"), grid).field.values
+base = wigner(gauss, grid).values
+rotated = wigner(apply_metaplectic(gauss, "fourier"), grid).values
 n = grid.n_points
 rows = np.arange(n // 4, 3 * n // 4)
 cols = np.arange(n // 2)
@@ -47,9 +47,9 @@ print(f"\nfourier remap deviation on the central block: {dev:.2e}")
 # drops to a quarter while the uncertainty product is unchanged.
 h0 = catalog_state("hermite:0", grid.x_grid)
 verdict = [modulation_norm(h0, 2.0, grid)]
-before = covariance(wigner(h0, grid).field, verdict).sigma
+before = covariance(wigner(h0, grid), verdict).sigma
 wide = apply_metaplectic(h0, "scale:2")
-scaled_field = wigner(wide, grid).field
+scaled_field = wigner(wide, grid)
 after = covariance(scaled_field, [modulation_norm(wide, 2.0, grid)]).sigma
 print(f"\nXX before {before[0, 0]:.6f} -> after {after[0, 0]:.6f}")
 print(f"PP before {before[1, 1]:.6f} -> after {after[1, 1]:.6f}")

@@ -56,7 +56,6 @@ from .moments import (
     marginals,
 )
 from .wigner import (
-    WignerResult,
     apply_metaplectic,
     cross_wigner,
     hermiticity_residual,
@@ -82,7 +81,6 @@ __all__ = [
     "PositionGrid",
     "SampledState",
     "WeightedNormReport",
-    "WignerResult",
     "apply_metaplectic",
     "build_A",
     "catalog_state",

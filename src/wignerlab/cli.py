@@ -31,9 +31,10 @@ from .grid import (
     PhaseSpaceGrid,
     SampledState,
     catalog_state,
+    hermite_functions,
     make_grid,
     make_self_reciprocal_grid,
-    state_norm,
+    trapezoid_norm,
     write_state_csv,
 )
 from .io import (
@@ -95,6 +96,17 @@ class RunConfig:
         return os.path.join(self.output_dir, name)
 
 
+def _finite_float(raw: str) -> float:
+    """Parse a flag value, rejecting NaN and infinities."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {raw!r}")
+    return value
+
+
 def _extract_tol_flags(argv: list[str]) -> tuple[dict, list[str]]:
     overrides: dict = {}
     rest: list[str] = []
@@ -114,7 +126,10 @@ def _extract_tol_flags(argv: list[str]) -> tuple[dict, list[str]]:
                 if i >= len(argv):
                     raise ValueError(f"--tol.{name} needs a value")
                 raw = argv[i]
-            overrides[name] = float(raw)
+            try:
+                overrides[name] = _finite_float(raw)
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"--tol.{name}: {exc}") from None
         else:
             rest.append(token)
         i += 1
@@ -159,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("modnorm", help="weighted modulation norm ladder")
     _add_common(p)
     p.add_argument("--state", required=True)
-    p.add_argument("--s", type=float, default=0.0)
+    p.add_argument("--s", type=_finite_float, default=0.0)
     p.add_argument("--window", default="hermite:0")
 
     p = sub.add_parser("diagnose", help="integrability verdict for a state")
@@ -174,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--ensemble", required=True)
     p.add_argument("--ensemble2", required=True)
-    p.add_argument("--s", type=float, default=0.0)
+    p.add_argument("--s", type=_finite_float, default=0.0)
 
     p = sub.add_parser("ensemble-spectral", help="eigen-ensemble of a density matrix")
     _add_common(p)
@@ -216,14 +231,14 @@ def cmd_wigner(ns: argparse.Namespace, cfg: RunConfig) -> int:
     state = catalog_state(ns.state, grid.x_grid, cfg.hbar)
     if ns.apply:
         state = apply_metaplectic(state, ns.apply)
-    result = wigner(state, grid)
-    write_field_csv(cfg.out("wigner_field.csv"), result.field)
-    meta = field_metadata(result.field)
+    field = wigner(state, grid)
+    write_field_csv(cfg.out("wigner_field.csv"), field)
+    meta = field_metadata(field)
     meta.update(
         {
             "config": cfg.as_dict(),
             "source": state.label,
-            "max_abs": float(np.abs(result.field.values).max()),
+            "max_abs": float(np.abs(field.values).max()),
         }
     )
     write_json(cfg.out("wigner_field.json"), meta)
@@ -235,14 +250,14 @@ def cmd_cross_wigner(ns: argparse.Namespace, cfg: RunConfig) -> int:
     grid = cfg.grid()
     psi = catalog_state(ns.state, grid.x_grid, cfg.hbar)
     phi = catalog_state(ns.state2, grid.x_grid, cfg.hbar)
-    result = cross_wigner(psi, phi, grid)
-    write_field_csv(cfg.out("cross_wigner_field.csv"), result.field)
-    meta = field_metadata(result.field)
+    field = cross_wigner(psi, phi, grid)
+    write_field_csv(cfg.out("cross_wigner_field.csv"), field)
+    meta = field_metadata(field)
     meta.update(
         {
             "config": cfg.as_dict(),
-            "sources": list(result.source_labels),
-            "overlap_residual": overlap_identity_check(psi, phi, grid),
+            "sources": [psi.label, phi.label],
+            "overlap_residual": overlap_identity_check(psi, phi, field),
         }
     )
     write_json(cfg.out("cross_wigner_field.json"), meta)
@@ -385,9 +400,10 @@ def cmd_ensemble_equiv(ns: argparse.Namespace, cfg: RunConfig) -> int:
     closure = feichtinger_closure_check(
         e1,
         e2,
+        a,
+        a_prime,
         grid,
         s=ns.s,
-        dim=cfg.dim,
         density_tol=cfg.tolerances["density_match"],
         field_tol=cfg.tolerances["field_match"],
     )
@@ -449,15 +465,12 @@ def cmd_ensemble_spectral(ns: argparse.Namespace, cfg: RunConfig) -> int:
 def _combination_state(
     grid: PhaseSpaceGrid, coeffs: dict[int, float], label: str
 ) -> SampledState:
-    from .grid import hermite_functions, trapezoid_weights
-
     k_max = max(coeffs)
     basis = hermite_functions(k_max, grid.x_grid.points(), grid.hbar)
     vals = np.zeros(grid.n_points, dtype=complex)
     for k, c in coeffs.items():
         vals += c * basis[k]
-    w = trapezoid_weights(grid.n_points)
-    vals /= math.sqrt(float(np.sum(w * np.abs(vals) ** 2)) * grid.dx)
+    vals /= trapezoid_norm(vals, grid.x_grid)
     return SampledState(grid.x_grid, vals, label, grid.hbar)
 
 

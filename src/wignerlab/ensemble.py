@@ -23,6 +23,7 @@ from .grid import (
     SampledState,
     hermite_functions,
     state_norm,
+    trapezoid_norm,
     trapezoid_weights,
 )
 from .modspace import modulation_norm
@@ -63,8 +64,8 @@ class Ensemble:
         grid = members[0][0].grid
         hbar = members[0][0].hbar
         for st, w in members:
-            if w <= 0:
-                raise ValueError(f"weights must be positive, got {w}")
+            if not (math.isfinite(w) and w > 0):
+                raise ValueError(f"weights must be positive and finite, got {w}")
             if st.grid != grid or st.hbar != hbar:
                 raise ValueError("all ensemble members must share one grid and hbar")
             nrm = state_norm(st)
@@ -171,8 +172,7 @@ def hermite_basis(grid: PositionGrid, dim: int, hbar: float = 1.0) -> np.ndarray
     if dim > MAX_BASIS_DIM:
         raise ValueError(f"dim must be <= {MAX_BASIS_DIM}, got {dim}")
     basis = hermite_functions(dim - 1, grid.points(), hbar)
-    w = trapezoid_weights(grid.n_points)
-    top_norm = math.sqrt(float(np.sum(w * basis[-1] ** 2)) * grid.dx)
+    top_norm = trapezoid_norm(basis[-1], grid)
     if abs(top_norm - 1.0) > 1e-3:
         raise ValueError(
             f"grid too coarse for basis dimension {dim}: "
@@ -245,13 +245,10 @@ def spectral_ensemble(rho: DensityMatrix, grid: PositionGrid) -> Ensemble:
     eigvals = np.clip(eigvals[keep], 0.0, None)
     eigvecs = eigvecs[:, keep]
     basis = hermite_basis(grid, rho.dim, rho.hbar)
-    w = trapezoid_weights(grid.n_points)
-    dx = grid.dx
     members = []
     for j in range(eigvals.size):
         vals = eigvecs[:, j] @ basis
-        nrm = math.sqrt(float(np.sum(w * np.abs(vals) ** 2)) * dx)
-        state = SampledState(grid, vals / nrm, f"spectral:{j}", rho.hbar)
+        state = SampledState(grid, vals / trapezoid_norm(vals, grid), f"spectral:{j}", rho.hbar)
         members.append((state, float(eigvals[j])))
     return Ensemble(tuple(members), "spectral")
 
@@ -297,15 +294,13 @@ def find_partial_isometry(
     return PartialIsometry(u, rank, defect)
 
 
-def mixed_wigner(
-    ensemble: Ensemble, grid: PhaseSpaceGrid, row_block: int = 256
-) -> PhaseSpaceField:
+def mixed_wigner(ensemble: Ensemble, grid: PhaseSpaceGrid) -> PhaseSpaceField:
     """Weighted sum of the members' Wigner transforms."""
     if ensemble.grid != grid.x_grid or abs(ensemble.hbar - grid.hbar) > 1e-12 * grid.hbar:
         raise ValueError("ensemble is not sampled on the given phase-space grid")
     total = np.zeros((grid.n_points, grid.n_points // 2))
     for state, weight in ensemble.members:
-        total += weight * wigner(state, grid, row_block).field.values
+        total += weight * wigner(state, grid).values
     return PhaseSpaceField(grid, total, grid.wigner_p_points())
 
 
@@ -331,22 +326,25 @@ class ClosureReport:
 def feichtinger_closure_check(
     e1: Ensemble,
     e2: Ensemble,
+    a1: EnsembleOperator,
+    a2: EnsembleOperator,
     grid: PhaseSpaceGrid,
     s: float = 0.0,
-    dim: int = 32,
     density_tol: float = 1e-6,
     field_tol: float = 1e-5,
 ) -> ClosureReport:
     """Check that equal mixtures keep the integrability class of their members.
 
-    Equality of the two mixed states is verified both ways before any
-    verdicts are taken: through the truncated density matrices (within
-    density_tol) and pointwise through the mixed Wigner fields (within
-    field_tol).  Then modulation_norm(member, s) runs on every member of
-    both ensembles.
+    a1 and a2 are the operators build_A made of e1 and e2.  Equality of the
+    two mixed states is verified both ways before any verdicts are taken:
+    through the truncated density matrices (within density_tol) and
+    pointwise through the mixed Wigner fields (within field_tol).  Then
+    modulation_norm(member, s) runs on every member of both ensembles.
     """
-    rho1 = density_matrix(build_A(e1, dim)).matrix
-    rho2 = density_matrix(build_A(e2, dim)).matrix
+    if a1.dim != a2.dim:
+        raise ValueError(f"operator dimensions differ: {a1.dim} vs {a2.dim}")
+    rho1 = density_matrix(a1).matrix
+    rho2 = density_matrix(a2).matrix
     density_residual = float(np.linalg.norm(rho1 - rho2))
     if density_residual > density_tol:
         raise CheckError(

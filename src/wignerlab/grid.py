@@ -161,10 +161,26 @@ def trapezoid_weights(n: int) -> np.ndarray:
     return w
 
 
+def trapezoid_norm(values: np.ndarray, grid: PositionGrid) -> float:
+    """L2 norm of samples on the grid by trapezoid quadrature."""
+    w = trapezoid_weights(grid.n_points)
+    return math.sqrt(float(np.sum(w * np.abs(values) ** 2)) * grid.dx)
+
+
 def state_norm(state: SampledState) -> float:
     """L2 norm by trapezoid quadrature."""
-    w = trapezoid_weights(state.grid.n_points)
-    return math.sqrt(float(np.sum(w * np.abs(state.values) ** 2)) * state.grid.dx)
+    return trapezoid_norm(state.values, state.grid)
+
+
+def centered_fft(values: np.ndarray, scale: float) -> np.ndarray:
+    """scale * (-1)^k * FFT[(-1)^j values] over every axis of values.
+
+    The alternating signs put index n/2 at the origin of both the input and
+    the output lattice without fftshift copies; the leftover phase
+    exp(-i*pi*n/2) per axis is 1 because n is a power of two >= 8.
+    """
+    sign = math.prod(np.ix_(*(1.0 - 2.0 * (np.arange(n) & 1) for n in values.shape)))
+    return scale * sign * np.fft.fftn(sign * values)
 
 
 def state_overlap(psi: SampledState, phi: SampledState) -> complex:
@@ -244,8 +260,7 @@ def write_state_csv(path: str, x: np.ndarray, values: np.ndarray) -> None:
 
 
 def _normalized(values: np.ndarray, grid: PositionGrid, what: str) -> np.ndarray:
-    w = trapezoid_weights(grid.n_points)
-    nrm = math.sqrt(float(np.sum(w * np.abs(values) ** 2)) * grid.dx)
+    nrm = trapezoid_norm(values, grid)
     if nrm == 0.0:
         raise ValueError(f"{what}: state has zero norm on this grid")
     return values / nrm
@@ -279,13 +294,12 @@ def catalog_state(
         if k < 0:
             raise ValueError(f"hermite order must be >= 0, got {k}")
         vals = hermite_functions(k, x, hbar)[k].astype(complex)
-        w = trapezoid_weights(grid.n_points)
-        raw = math.sqrt(float(np.sum(w * np.abs(vals) ** 2)) * grid.dx)
+        raw = trapezoid_norm(vals, grid)
         if abs(raw - 1.0) > 1e-3:
             raise ValueError(
                 f"grid too coarse or narrow for {spec}: norm deviates by {abs(raw - 1.0):.2e}"
             )
-        return SampledState(grid, _normalized(vals, grid, spec), spec, hbar)
+        return SampledState(grid, vals / raw, spec, hbar)
 
     if name == "gaussian":
         try:

@@ -208,13 +208,18 @@ def load_ensemble_json(
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict) or "members" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("members"), list):
         raise ValueError(f"{path}: expected an object with a 'members' list")
     members = []
     for idx, entry in enumerate(doc["members"]):
         if not isinstance(entry, dict) or "weight" not in entry or "state" not in entry:
             raise ValueError(f"{path}: member {idx} needs 'weight' and 'state'")
-        weight = float(entry["weight"])
+        try:
+            weight = float(entry["weight"])
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(
+                f"{path}: member {idx} weight must be a number, got {entry['weight']!r}"
+            ) from None
         desc = str(entry["state"])
         if ":" not in desc:
             desc = f"file:{desc}"

@@ -160,8 +160,7 @@ def modulation_norm(
     if s < 0:
         raise ValueError(f"weight exponent s must be >= 0, got {s}")
     win = catalog_state(window, grid.x_grid, grid.hbar)
-    result = cross_wigner(psi, win, grid)
-    return _ladder_report(result.field, s, window, tail_tol, growth_threshold)
+    return _ladder_report(cross_wigner(psi, win, grid), s, window, tail_tol, growth_threshold)
 
 
 def feichtinger_diagnostic(
@@ -183,8 +182,7 @@ def feichtinger_diagnostic(
         raise ValueError(
             f"diagnostic requires a unit-norm state, got norm {nrm:.8f} for {psi.label}"
         )
-    result = wigner(psi, grid)
-    return _ladder_report(result.field, 0.0, "self", tail_tol, growth_threshold)
+    return _ladder_report(wigner(psi, grid), 0.0, "self", tail_tol, growth_threshold)
 
 
 def diagnostic_grid_warning(psi: SampledState, grid: PhaseSpaceGrid) -> str | None:

@@ -19,6 +19,7 @@ from .grid import (
     PhaseSpaceField,
     PhaseSpaceGrid,
     PositionGrid,
+    centered_fft,
     field_integral,
     trapezoid_weights,
 )
@@ -87,27 +88,15 @@ def characteristic_function(field: PhaseSpaceField) -> PhaseSpaceField:
     padded = np.zeros((n, n), dtype=np.complex128)
     off = (n - n_p) // 2
     padded[:, off : off + n_p] = field.values
-    sign = 1.0 - 2.0 * (np.arange(n) & 1)
-    checker = np.outer(sign, sign)
-    # Centered 2-D transform; the two center phases exp(-i*pi*n/2) multiply
-    # to 1 for even n.
-    values = (
-        grid.dx * grid.dp / (2.0 * math.pi * grid.hbar)
-        * checker
-        * np.fft.fft2(checker * padded)
-    )
+    values = centered_fft(padded, grid.dx * grid.dp / (2.0 * math.pi * grid.hbar))
     out_grid = PhaseSpaceGrid(PositionGrid(n, 0.5 * n * grid.dp), grid.hbar)
     return PhaseSpaceField(out_grid, values, out_grid.p_points())
 
 
 def _fourier_side_density(values: np.ndarray, grid: PhaseSpaceGrid, n_p: int) -> np.ndarray:
     """Momentum densities |F psi|^2 of state samples, on the central p lattice."""
-    n = grid.n_points
-    sign = 1.0 - 2.0 * (np.arange(n) & 1)
-    transformed = (
-        grid.dx / math.sqrt(2.0 * math.pi * grid.hbar) * sign * np.fft.fft(sign * values)
-    )
-    off = (n - n_p) // 2
+    transformed = centered_fft(values, grid.dx / math.sqrt(2.0 * math.pi * grid.hbar))
+    off = (grid.n_points - n_p) // 2
     return np.abs(transformed[off : off + n_p]) ** 2
 
 

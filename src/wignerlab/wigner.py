@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,12 +11,12 @@ from .grid import (
     PhaseSpaceField,
     PhaseSpaceGrid,
     SampledState,
+    centered_fft,
     field_integral,
     state_overlap,
 )
 
 __all__ = [
-    "WignerResult",
     "cross_wigner",
     "wigner",
     "overlap_identity_check",
@@ -25,13 +24,6 @@ __all__ = [
     "apply_metaplectic",
     "symplectic_matrix",
 ]
-
-
-@dataclass(frozen=True)
-class WignerResult:
-    field: PhaseSpaceField
-    source_labels: tuple[str, str]
-    hbar: float
 
 
 def _check_inputs(psi: SampledState, phi: SampledState, grid: PhaseSpaceGrid) -> None:
@@ -81,7 +73,7 @@ def cross_wigner(
     phi: SampledState,
     grid: PhaseSpaceGrid,
     row_block: int = 256,
-) -> WignerResult:
+) -> PhaseSpaceField:
     """Discrete cross-Wigner transform of a pair of states.
 
     Evaluates, for every grid point x and every momentum sample of the
@@ -102,39 +94,53 @@ def cross_wigner(
     for start in range(0, n, row_block):
         rows = np.arange(start, min(start + row_block, n))
         out[rows] = wigner_rows(psi.values, phi.values, grid, rows)
-    field = PhaseSpaceField(grid, out, grid.wigner_p_points())
-    return WignerResult(field, (psi.label, phi.label), grid.hbar)
+    return PhaseSpaceField(grid, out, grid.wigner_p_points())
 
 
-def wigner(psi: SampledState, grid: PhaseSpaceGrid, row_block: int = 256) -> WignerResult:
+def wigner(psi: SampledState, grid: PhaseSpaceGrid) -> PhaseSpaceField:
     """Wigner transform: the diagonal cross-Wigner, returned real-valued."""
-    result = cross_wigner(psi, psi, grid, row_block)
-    vals = result.field.values
-    scale = float(np.abs(vals).max())
-    imag_max = float(np.abs(vals.imag).max())
+    field = cross_wigner(psi, psi, grid)
+    scale = float(np.abs(field.values).max())
+    imag_max = float(np.abs(field.values.imag).max())
     if scale > 0.0 and imag_max > 1e-10 * scale:
         raise CheckError(
             f"wigner: imaginary part {imag_max:.3e} exceeds 1e-10 of max {scale:.3e}"
         )
-    field = PhaseSpaceField(grid, vals.real, result.field.p_axis)
-    return WignerResult(field, result.source_labels, result.hbar)
+    return PhaseSpaceField(grid, field.values.real, field.p_axis)
 
 
 def overlap_identity_check(
-    psi: SampledState, phi: SampledState, grid: PhaseSpaceGrid
+    psi: SampledState, phi: SampledState, field: PhaseSpaceField
 ) -> float:
-    """|integral of W(psi, phi) - <psi, phi>| with trapezoid quadrature."""
-    result = cross_wigner(psi, phi, grid)
-    total = field_integral(result.field)
-    return abs(total - state_overlap(psi, phi))
+    """|integral of the cross field W(psi, phi) - <psi, phi>| by trapezoid quadrature."""
+    if field.grid.x_grid != psi.grid:
+        raise ValueError("overlap_identity_check: field and states are on different grids")
+    return abs(field_integral(field) - state_overlap(psi, phi))
 
 
-def hermiticity_residual(forward: WignerResult, swapped: WignerResult) -> float:
-    """max |W(psi, phi) - conj(W(phi, psi))| for a swapped pair of results."""
-    a, b = forward.field, swapped.field
-    if a.values.shape != b.values.shape or a.grid != b.grid:
+def hermiticity_residual(forward: PhaseSpaceField, swapped: PhaseSpaceField) -> float:
+    """max |W(psi, phi) - conj(W(phi, psi))| for a swapped pair of cross fields."""
+    if forward.values.shape != swapped.values.shape or forward.grid != swapped.grid:
         raise ValueError("hermiticity_residual: fields are not comparable")
-    return float(np.abs(a.values - np.conj(b.values)).max())
+    return float(np.abs(forward.values - np.conj(swapped.values)).max())
+
+
+def _parse_metaplectic(op: str) -> tuple[str, float]:
+    """Split a descriptor into ``fourier`` or ``scale`` and its factor (1 for fourier)."""
+    name, _, rest = op.partition(":")
+    if name == "fourier":
+        if rest:
+            raise ValueError(f"fourier takes no parameter, got {op!r}")
+        return name, 1.0
+    if name == "scale":
+        try:
+            lam = float(rest)
+        except ValueError:
+            raise ValueError(f"bad scale factor in {op!r}") from None
+        if not (math.isfinite(lam) and lam != 0.0 and math.isfinite(1.0 / lam)):
+            raise ValueError(f"scale factor must be finite and nonzero, got {op!r}")
+        return name, lam
+    raise ValueError(f"unknown metaplectic descriptor {op!r}")
 
 
 def symplectic_matrix(op: str) -> np.ndarray:
@@ -143,31 +149,20 @@ def symplectic_matrix(op: str) -> np.ndarray:
     fourier maps (x, p) to (p, -x); scale:lam maps (x, p) to (lam*x, p/lam).
     The transformed Wigner function samples the original at S^(-1) z.
     """
-    name, _, rest = op.partition(":")
+    name, lam = _parse_metaplectic(op)
     if name == "fourier":
         return np.array([[0.0, 1.0], [-1.0, 0.0]])
-    if name == "scale":
-        lam = float(rest)
-        if lam == 0.0:
-            raise ValueError("scale factor must be nonzero")
-        return np.array([[lam, 0.0], [0.0, 1.0 / lam]])
-    raise ValueError(f"unknown metaplectic descriptor {op!r}")
+    return np.array([[lam, 0.0], [0.0, 1.0 / lam]])
 
 
 def _fourier_state(psi: SampledState) -> np.ndarray:
-    n = psi.grid.n_points
-    dx = psi.grid.dx
-    dp = 2.0 * math.pi * psi.hbar / (n * dx)
-    if abs(dx - dp) > 1e-9 * dp:
+    grid = PhaseSpaceGrid(psi.grid, psi.hbar)
+    if not grid.is_self_reciprocal:
         raise ValueError(
             "fourier requires a self-reciprocal grid (dx == dp); "
-            f"got dx={dx:.6g}, dp={dp:.6g}"
+            f"got dx={grid.dx:.6g}, dp={grid.dp:.6g}"
         )
-    k = np.arange(n)
-    sign = 1.0 - 2.0 * (k & 1)
-    # Centered unitary transform; the leftover center phase exp(-i*pi*n/2)
-    # is 1 because n is a power of two >= 8.
-    return dx / math.sqrt(2.0 * math.pi * psi.hbar) * sign * np.fft.fft(sign * psi.values)
+    return centered_fft(psi.values, grid.dx / math.sqrt(2.0 * math.pi * psi.hbar))
 
 
 def _scaled_state(psi: SampledState, lam: float) -> np.ndarray:
@@ -204,21 +199,9 @@ def apply_metaplectic(psi: SampledState, op: str) -> SampledState:
     (2*pi*hbar)^(-1/2) * integral e^(-i*x*p/hbar) psi(x) dx, evaluated by a
     centered FFT (requires dx == dp so the momentum lattice can be read back
     as the position lattice), and ``scale:lam`` for
-    psi(x) -> |lam|^(-1/2) * psi(x/lam) with lam != 0.
+    psi(x) -> |lam|^(-1/2) * psi(x/lam) with lam and 1/lam finite and nonzero.
+    symplectic_matrix accepts and rejects exactly the same descriptors.
     """
-    name, _, rest = op.partition(":")
-    if name == "fourier":
-        if rest:
-            raise ValueError(f"fourier takes no parameter, got {op!r}")
-        vals = _fourier_state(psi)
-    elif name == "scale":
-        try:
-            lam = float(rest)
-        except ValueError:
-            raise ValueError(f"bad scale factor in {op!r}") from None
-        if lam == 0.0:
-            raise ValueError("scale factor must be nonzero")
-        vals = _scaled_state(psi, lam)
-    else:
-        raise ValueError(f"unknown metaplectic descriptor {op!r}")
+    name, lam = _parse_metaplectic(op)
+    vals = _fourier_state(psi) if name == "fourier" else _scaled_state(psi, lam)
     return SampledState(psi.grid, vals, f"{op}({psi.label})", psi.hbar)

@@ -28,7 +28,7 @@ def quartet_fields_g51(g51):
     specs = ("hermite:0", "hermite:1", "hermite:2", "box:-0.5:0.5")
     states = [catalog_state(s, g51.x_grid) for s in specs]
     fields = {
-        (i, j): cross_wigner(states[i], states[j], g51).field
+        (i, j): cross_wigner(states[i], states[j], g51)
         for i in range(4)
         for j in range(4)
     }
@@ -44,7 +44,7 @@ def wide_box_report():
 
 def test_ground_state_wigner_matches_gaussian(g512):
     h0 = catalog_state("hermite:0", g512.x_grid)
-    field = wigner(h0, g512).field
+    field = wigner(h0, g512)
     x = field.x_axis[:, None]
     p = field.p_axis[None, :]
     exact = np.exp(-(x**2) - p**2) / math.pi
@@ -55,7 +55,7 @@ def test_ground_state_wigner_matches_gaussian(g512):
 
 def test_first_excited_wigner_matches_laguerre_form(g512):
     h1 = catalog_state("hermite:1", g512.x_grid)
-    field = wigner(h1, g512).field
+    field = wigner(h1, g512)
     x = field.x_axis[:, None]
     p = field.p_axis[None, :]
     r2 = x**2 + p**2
@@ -158,8 +158,8 @@ def test_cross_wigner_integral_matches_overlap(g51, quartet_fields_g51):
 
 def test_fourier_rotates_field_and_scaling_maps_covariance(sr1024, sr2048):
     h1 = catalog_state("hermite:1", sr1024.x_grid)
-    base = wigner(h1, sr1024).field.values
-    rotated = wigner(apply_metaplectic(h1, "fourier"), sr1024).field.values
+    base = wigner(h1, sr1024).values
+    rotated = wigner(apply_metaplectic(h1, "fourier"), sr1024).values
     n = sr1024.n_points
     rows = np.arange(n // 4, 3 * n // 4)
     cols = np.arange(n // 2)
@@ -169,9 +169,9 @@ def test_fourier_rotates_field_and_scaling_maps_covariance(sr1024, sr2048):
 
     h0 = catalog_state("hermite:0", sr2048.x_grid)
     scaled = apply_metaplectic(h0, "scale:2")
-    sigma = covariance(wigner(h0, sr2048).field, modulation_norm(h0, 2.0, sr2048)).sigma
+    sigma = covariance(wigner(h0, sr2048), modulation_norm(h0, 2.0, sr2048)).sigma
     sigma_scaled = covariance(
-        wigner(scaled, sr2048).field, modulation_norm(scaled, 2.0, sr2048)
+        wigner(scaled, sr2048), modulation_norm(scaled, 2.0, sr2048)
     ).sigma
     xx_gap = abs(sigma_scaled[0, 0] - 4.0 * sigma[0, 0])
     print(

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -74,6 +75,10 @@ def test_bad_descriptor_is_usage_error(tmp_path, capsys):
     args = ["wigner", "--state", "nope:1", "--out", str(tmp_path)] + SMALL
     assert main(args) == 2
     assert "error" in capsys.readouterr().err
+    args = ["wigner", "--state", "hermite:0", "--apply", "scale:inf", "--out", str(tmp_path)]
+    assert main(args + SMALL) == 2
+    assert "scale factor" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "wigner_field.csv")
 
 
 def test_cross_wigner_artifacts(tmp_path):
@@ -206,3 +211,71 @@ def test_reproduce_tight_tolerance_fails(tmp_path, capsys):
     assert doc["config"]["tolerances"]["route_agreement"] == 1e-9
     assert len(doc["checks"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "body, member",
+    [
+        ('{"members": 5}', None),
+        ('{"members": [{"weight": null, "state": "hermite:0"}]}', 0),
+        ('{"members": [{"weight": 1%s, "state": "hermite:0"}]}' % ("0" * 400), 0),
+    ],
+    ids=["members-not-a-list", "null-weight", "weight-overflows-float"],
+)
+def test_ensemble_file_shape_errors_are_usage_errors(tmp_path, capsys, body, member):
+    path = tmp_path / "bad.json"
+    path.write_text(body)
+    args = ["ensemble-build", "--ensemble", str(path), "--out", str(tmp_path)] + SMALL
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err
+    if member is not None:
+        assert f"member {member}" in err
+
+
+@pytest.mark.parametrize(
+    "flag_args, flag",
+    [
+        (["--tol.convergent_tail", "nan"], "--tol.convergent_tail"),
+        (["--tol.diverging_growth=inf"], "--tol.diverging_growth"),
+        (["--s", "inf"], "--s"),
+        (["--s", "nan"], "--s"),
+    ],
+    ids=["tol-nan", "tol-inf-inline", "s-inf", "s-nan"],
+)
+def test_non_finite_flag_values_rejected_at_parse_time(tmp_path, capsys, flag_args, flag):
+    argv = ["modnorm", "--state", "hermite:0", "--out", str(tmp_path)] + flag_args
+    assert main(argv + SMALL) == 2
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def count_calls(monkeypatch, fn):
+    """Count calls to fn through every wignerlab module that imported it by name."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "wignerlab" and getattr(mod, fn.__name__, None) is fn:
+            monkeypatch.setattr(mod, fn.__name__, counted)
+    return calls
+
+
+def test_each_command_computes_each_object_once(tmp_path, monkeypatch):
+    from wignerlab.ensemble import build_A
+    from wignerlab.wigner import cross_wigner
+
+    transforms = count_calls(monkeypatch, cross_wigner)
+    args = ["cross-wigner", "--state", "hermite:0", "--state2", "hermite:1", "--out", str(tmp_path)]
+    assert main(args + SMALL) == 0
+    assert len(transforms) == 1
+
+    grid = make_grid(512, 10.0, 1.0)
+    eigen, rotated = write_pair_files(tmp_path, grid)
+    operators = count_calls(monkeypatch, build_A)
+    args = ["ensemble-equiv", "--ensemble", eigen, "--ensemble2", rotated, "--out", str(tmp_path)]
+    assert main(args + SMALL) == 0
+    assert len(operators) == 2

@@ -31,6 +31,10 @@ def test_ensemble_validation(g512):
         Ensemble(((h0, 0.5), (h1, 0.4)), "short")
     with pytest.raises(ValueError):
         Ensemble(((h0, 1.5), (h1, -0.5)), "signed")
+    # A NaN weight passes both "w <= 0" and the sum-to-1 comparison.
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            Ensemble(((h0, bad),), "non-finite")
     dim = SampledState(g512.x_grid, 0.9 * h0.values, "dim")
     with pytest.raises(ValueError):
         Ensemble(((dim, 1.0),), "dim")
@@ -151,7 +155,7 @@ def test_mixed_wigner_is_weighted_sum(g512, hadamard_pair_512):
     field = mixed_wigner(e1, g512)
     total = np.zeros_like(field.values)
     for state, weight in e1.members:
-        total += weight * wigner(state, g512).field.values
+        total += weight * wigner(state, g512).values
     np.testing.assert_allclose(field.values, total, atol=1e-15)
     other = make_grid(512, 9.0)
     with pytest.raises(ValueError):
@@ -160,7 +164,7 @@ def test_mixed_wigner_is_weighted_sum(g512, hadamard_pair_512):
 
 def test_closure_check_on_equivalent_pair(g512, hadamard_pair_512):
     e1, e2 = hadamard_pair_512
-    report = feichtinger_closure_check(e1, e2, g512, s=0.0, dim=16)
+    report = feichtinger_closure_check(e1, e2, build_A(e1, 16), build_A(e2, 16), g512, s=0.0)
     assert report.density_residual <= 1e-12
     assert report.field_residual <= 1e-12
     assert report.implication_holds
@@ -175,7 +179,7 @@ def test_closure_check_rejects_unequal_densities(g512):
     e1 = Ensemble(((h0, 1.0),), "pure0")
     e2 = Ensemble(((h1, 1.0),), "pure1")
     with pytest.raises(CheckError):
-        feichtinger_closure_check(e1, e2, g512, dim=8)
+        feichtinger_closure_check(e1, e2, build_A(e1, 8), build_A(e2, 8), g512)
 
 
 def test_seeded_combination_round_trip(g1024):

@@ -66,7 +66,7 @@ def test_complex_matrix_pairs_round_trip():
 
 def test_real_field_csv_round_trip(tmp_path, g512):
     h0 = catalog_state("hermite:0", g512.x_grid)
-    field = wigner(h0, g512).field
+    field = wigner(h0, g512)
     path = str(tmp_path / "field.csv")
     write_field_csv(path, field)
     header = open(path).readline().strip()
@@ -80,7 +80,7 @@ def test_real_field_csv_round_trip(tmp_path, g512):
 def test_complex_field_csv_round_trip(tmp_path, g512):
     h0 = catalog_state("hermite:0", g512.x_grid)
     h1 = catalog_state("hermite:1", g512.x_grid)
-    field = cross_wigner(h0, h1, g512).field
+    field = cross_wigner(h0, h1, g512)
     path = str(tmp_path / "cross.csv")
     write_field_csv(path, field)
     header = open(path).readline().strip()
@@ -92,7 +92,7 @@ def test_complex_field_csv_round_trip(tmp_path, g512):
 
 def test_field_metadata_keys(g512):
     h0 = catalog_state("hermite:0", g512.x_grid)
-    field = wigner(h0, g512).field
+    field = wigner(h0, g512)
     meta = field_metadata(field)
     assert meta["n"] == 512
     assert meta["hbar"] == 1.0
@@ -107,7 +107,7 @@ def test_report_dicts_serialize(g512, eigen_pair_1024, mix_field_1024):
     assert doc["verdict"] == "convergent"
     assert doc["s"] == 2.0
     assert len(doc["partials"]) == 4
-    cov_report = covariance(wigner(h0, g512).field, norm_report)
+    cov_report = covariance(wigner(h0, g512), norm_report)
     cov_doc = covariance_report_to_dict(cov_report)
     assert len(cov_doc["sigma"]) == 2
     marg_doc = marginal_report_to_dict(marginals(mix_field_1024, eigen_pair_1024))

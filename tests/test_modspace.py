@@ -17,7 +17,7 @@ from wignerlab.wigner import apply_metaplectic, wigner
 
 def test_weighted_norm_analytic_values(g51):
     h0 = catalog_state("hermite:0", g51.x_grid)
-    field = wigner(h0, g51).field
+    field = wigner(h0, g51)
     top = cutoff_ladder(field)[-1]
     # The ground-state field is a unit-mass Gaussian, so the full s=0 mass
     # is 1 and the s=2 weight adds its second moment: 1 + <x^2 + p^2> = 2.
@@ -31,7 +31,7 @@ def test_weighted_norm_analytic_values(g51):
 
 def test_weighted_norm_first_excited_value(sr1024):
     h1 = catalog_state("hermite:1", sr1024.x_grid)
-    field = wigner(h1, sr1024).field
+    field = wigner(h1, sr1024)
     top = cutoff_ladder(field)[-1]
     value = weighted_l1_norm(field, 0.0, top, region="ball")
     assert value == pytest.approx(4.0 * math.exp(-0.5) - 1.0, abs=5e-4)
@@ -39,7 +39,7 @@ def test_weighted_norm_first_excited_value(sr1024):
 
 def test_weighted_norm_argument_validation(g512):
     h0 = catalog_state("hermite:0", g512.x_grid)
-    field = wigner(h0, g512).field
+    field = wigner(h0, g512)
     band = -float(field.p_axis[0])
     with pytest.raises(ValueError):
         weighted_l1_norm(field, -1.0, 1.0)
@@ -51,7 +51,7 @@ def test_weighted_norm_argument_validation(g512):
 
 def test_slab_contains_ball(g512):
     h1 = catalog_state("hermite:1", g512.x_grid)
-    field = wigner(h1, g512).field
+    field = wigner(h1, g512)
     for cut in cutoff_ladder(field):
         slab = weighted_l1_norm(field, 0.0, cut, region="slab")
         ball = weighted_l1_norm(field, 0.0, cut, region="ball")
@@ -60,7 +60,7 @@ def test_slab_contains_ball(g512):
 
 def test_cutoff_ladder_geometry(g512):
     h0 = catalog_state("hermite:0", g512.x_grid)
-    field = wigner(h0, g512).field
+    field = wigner(h0, g512)
     ladder = cutoff_ladder(field)
     band = -float(field.p_axis[0])
     assert ladder[-1] == pytest.approx(band / 2.0)

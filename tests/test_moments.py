@@ -35,7 +35,7 @@ def test_covariance_requires_convergent_s2(cov_inputs_sr2048):
 
 def test_oscillator_eigenstate_covariances(sr2048, cov_inputs_sr2048):
     h0 = catalog_state("hermite:0", sr2048.x_grid)
-    field = wigner(h0, sr2048).field
+    field = wigner(h0, sr2048)
     report = covariance(field, modulation_norm(h0, 2.0, sr2048))
     np.testing.assert_allclose(report.sigma, 0.5 * np.eye(2), atol=1e-10)
     np.testing.assert_allclose(report.mean, [0.0, 0.0], atol=1e-10)
@@ -63,7 +63,7 @@ def test_mean_tracks_displacement(g512):
     x = g512.x_grid.points()
     vals = np.pi ** (-0.25) * np.exp(-0.5 * (x - 1.0) ** 2)
     shifted = SampledState(g512.x_grid, vals, "shifted-gaussian", 1.0)
-    field = wigner(shifted, g512).field
+    field = wigner(shifted, g512)
     report = covariance(field, modulation_norm(shifted, 2.0, g512))
     np.testing.assert_allclose(report.mean, [1.0, 0.0], atol=1e-8)
     np.testing.assert_allclose(report.sigma, 0.5 * np.eye(2), atol=1e-8)

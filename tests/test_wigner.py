@@ -26,7 +26,7 @@ def test_row_sums_reproduce_pointwise_overlap(g512):
     box = catalog_state("box:-0.5:0.5", g512.x_grid)
     h1 = catalog_state("hermite:1", g512.x_grid)
     result = cross_wigner(box, h1, g512)
-    row_sums = result.field.values.sum(axis=1) * g512.dp
+    row_sums = result.values.sum(axis=1) * g512.dp
     np.testing.assert_allclose(
         row_sums, box.values * np.conj(h1.values), atol=5e-15
     )
@@ -35,8 +35,7 @@ def test_row_sums_reproduce_pointwise_overlap(g512):
 def test_wigner_is_real_and_labels_carry_sources(g512):
     h1 = catalog_state("hermite:1", g512.x_grid)
     result = wigner(h1, g512)
-    assert result.field.values.dtype == np.float64
-    assert result.source_labels == ("hermite:1", "hermite:1")
+    assert result.values.dtype == np.float64
     assert result.hbar == 1.0
 
 
@@ -45,18 +44,18 @@ def test_cross_wigner_hermiticity(g512):
     box = catalog_state("box:-0.5:0.5", g512.x_grid)
     forward = cross_wigner(h0, box, g512)
     swapped = cross_wigner(box, h0, g512)
-    w01 = forward.field.values
+    w01 = forward.values
     scale = np.abs(w01).max()
-    assert np.abs(w01 - np.conj(swapped.field.values)).max() <= 1e-14 * scale
+    assert np.abs(w01 - np.conj(swapped.values)).max() <= 1e-14 * scale
     assert hermiticity_residual(forward, swapped) <= 1e-14 * scale
 
 
 def test_row_blocks_are_bitwise_identical(g512):
     h1 = catalog_state("hermite:1", g512.x_grid)
     box = catalog_state("box:-0.5:0.5", g512.x_grid)
-    reference = cross_wigner(h1, box, g512, row_block=512).field.values
+    reference = cross_wigner(h1, box, g512, row_block=512).values
     for block in (1, 64, 137, 256):
-        chunked = cross_wigner(h1, box, g512, row_block=block).field.values
+        chunked = cross_wigner(h1, box, g512, row_block=block).values
         np.testing.assert_array_equal(chunked, reference)
 
 
@@ -64,13 +63,13 @@ def test_wigner_rows_subset_matches_full(g512):
     h1 = catalog_state("hermite:1", g512.x_grid)
     rows = np.array([0, 17, 255, 256, 511])
     partial = wigner_rows(h1.values, h1.values, g512, rows)
-    full = cross_wigner(h1, h1, g512).field.values
+    full = cross_wigner(h1, h1, g512).values
     np.testing.assert_array_equal(partial, full[rows])
 
 
 def test_momentum_marginal_is_nonnegative(g512):
     h1 = catalog_state("hermite:1", g512.x_grid)
-    field = wigner(h1, g512).field
+    field = wigner(h1, g512)
     w = trapezoid_weights(g512.n_points)[:, None]
     p_marginal = (w * field.values).sum(axis=0) * g512.dx
     assert p_marginal.min() >= -1e-15
@@ -79,7 +78,7 @@ def test_momentum_marginal_is_nonnegative(g512):
 def test_overlap_identity_check(g512):
     h0 = catalog_state("hermite:0", g512.x_grid)
     h1 = catalog_state("hermite:1", g512.x_grid)
-    assert overlap_identity_check(h0, h1, g512) <= 1e-12
+    assert overlap_identity_check(h0, h1, cross_wigner(h0, h1, g512)) <= 1e-12
 
 
 def test_fourier_eigenstates(sr1024):
@@ -130,10 +129,16 @@ def test_scale_minus_one_is_parity(g512):
 
 
 def test_metaplectic_rejects_bad_descriptors(g512):
+    # Both entry points share one parser, so they reject the same strings.
     h0 = catalog_state("hermite:0", g512.x_grid)
-    for bad in ("scale:0", "rotate:1", "scale:x", "fourier:2"):
+    for bad in (
+        "scale:0", "rotate:1", "scale:x", "fourier:2", "fourier:3", "scale:abc",
+        "scale:nan", "scale:inf", "scale:1e-320", "shear:1",
+    ):
         with pytest.raises(ValueError):
             apply_metaplectic(h0, bad)
+        with pytest.raises(ValueError):
+            symplectic_matrix(bad)
 
 
 def test_symplectic_matrices():
@@ -153,8 +158,8 @@ def test_fourier_remaps_wigner_indices(sr1024):
     # must decay inside the grid in both domains; slow 1/x transform tails
     # wrap at the edges and break the permutation at the 1e-2 level.
     gauss = catalog_state("gaussian:2", sr1024.x_grid)
-    base = wigner(gauss, sr1024).field.values
-    rotated = wigner(apply_metaplectic(gauss, "fourier"), sr1024).field.values
+    base = wigner(gauss, sr1024).values
+    rotated = wigner(apply_metaplectic(gauss, "fourier"), sr1024).values
     n = sr1024.n_points
     rows = np.arange(n // 4, 3 * n // 4)
     cols = np.arange(n // 2)
@@ -174,7 +179,7 @@ def test_cross_wigner_grid_mismatch(g512):
 def test_overlap_integral_over_field(g512):
     h0 = catalog_state("hermite:0", g512.x_grid)
     h2 = catalog_state("hermite:2", g512.x_grid)
-    field = cross_wigner(h0, h2, g512).field
+    field = cross_wigner(h0, h2, g512)
     w = trapezoid_weights(g512.n_points)[:, None]
     integral = complex((w * field.values).sum() * g512.dx * g512.dp)
     assert abs(integral - state_overlap(h0, h2)) <= 1e-12
@@ -183,7 +188,7 @@ def test_overlap_integral_over_field(g512):
 def test_wigner_peak_value(g512):
     # A unit Gaussian peaks at 1/pi at the origin of phase space.
     h0 = catalog_state("hermite:0", g512.x_grid)
-    field = wigner(h0, g512).field
+    field = wigner(h0, g512)
     assert field.values.max() == pytest.approx(1.0 / math.pi, abs=1e-10)
     j0 = g512.n_points // 2
     i0 = g512.n_points // 4
