@@ -266,19 +266,13 @@ def _normalized(values: np.ndarray, grid: PositionGrid, what: str) -> np.ndarray
     return values / nrm
 
 
-def catalog_state(
-    spec: str,
-    grid: PositionGrid,
-    hbar: float = 1.0,
-    renormalize_samples: bool = False,
-) -> SampledState:
+def catalog_state(spec: str, grid: PositionGrid, hbar: float = 1.0) -> SampledState:
     """Build a reference state from a descriptor string.
 
     Descriptors: ``hermite:k``, ``gaussian:sigma``, ``box:a:b`` and
     ``file:path`` (CSV with header x,re,im sampled on the same grid).
     Analytic states are renormalized to unit trapezoid norm on construction;
-    file samples keep their raw normalization unless renormalize_samples is
-    set.
+    file samples keep their raw normalization.
     """
     if not isinstance(spec, str) or not spec:
         raise ValueError(f"bad state descriptor {spec!r}")
@@ -339,8 +333,6 @@ def catalog_state(
             )
         if np.abs(fx - x).max() > 1e-9 * grid.dx:
             raise ValueError(f"{path}: sample positions do not match the grid")
-        if renormalize_samples:
-            fvals = _normalized(fvals, grid, spec)
         return SampledState(grid, fvals, spec, hbar)
 
     raise ValueError(f"unknown state descriptor {spec!r}")

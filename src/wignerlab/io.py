@@ -192,12 +192,7 @@ def write_marginal_csv(path: str, axis_name: str, axis: np.ndarray, values: np.n
             writer.writerow([format(float(a), ".17g"), format(float(v), ".17g")])
 
 
-def load_ensemble_json(
-    path: str,
-    grid: PositionGrid,
-    hbar: float = 1.0,
-    renormalize_samples: bool = False,
-) -> Ensemble:
+def load_ensemble_json(path: str, grid: PositionGrid, hbar: float = 1.0) -> Ensemble:
     """Load an ensemble file: JSON {label, members: [{weight, state}]}.
 
     Each member's ``state`` is either a catalog descriptor or a bare path to
@@ -223,7 +218,7 @@ def load_ensemble_json(
         desc = str(entry["state"])
         if ":" not in desc:
             desc = f"file:{desc}"
-        state = catalog_state(desc, grid, hbar, renormalize_samples=renormalize_samples)
+        state = catalog_state(desc, grid, hbar)
         members.append((state, weight))
     label = str(doc.get("label", os.path.basename(path)))
     return Ensemble(tuple(members), label)

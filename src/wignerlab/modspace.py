@@ -60,34 +60,31 @@ class WeightedNormReport:
 
 
 def weighted_l1_norm(
-    field: PhaseSpaceField, s: float, cutoff: float, region: str = "slab"
-) -> float:
-    """Quadrature of |field| * (1 + x^2 + p^2)^(s/2) below a momentum cutoff.
+    field: PhaseSpaceField, s: float, cutoffs: tuple[float, ...]
+) -> tuple[float, ...]:
+    """Quadratures of |field| * (1 + x^2 + p^2)^(s/2) over the discs x^2 + p^2 <= cutoff^2.
 
-    region selects the integration domain: ``slab`` keeps {|p| <= cutoff},
-    ``ball`` keeps {x^2 + p^2 <= cutoff^2}, which is invariant under
-    rotations of phase space and is what the verdict ladders use.
+    One value per cutoff.  The disc is invariant under rotations of phase
+    space, so the ladder reads the same after a Fourier transform.
     """
     if s < 0:
         raise ValueError(f"weight exponent s must be >= 0, got {s}")
     band = -float(field.p_axis[0])
-    if cutoff > band * (1 + 1e-12):
-        raise ValueError(
-            f"cutoff {cutoff:.6g} exceeds the field momentum half-width {band:.6g}"
-        )
+    for cutoff in cutoffs:
+        if cutoff > band * (1 + 1e-12):
+            raise ValueError(
+                f"cutoff {cutoff:.6g} exceeds the field momentum half-width {band:.6g}"
+            )
     x = field.x_axis[:, None]
     p = field.p_axis[None, :]
-    if region == "slab":
-        mask = np.abs(p) <= cutoff
-        mask = np.broadcast_to(mask, field.values.shape)
-    elif region == "ball":
-        mask = (x**2 + p**2) <= cutoff**2
-    else:
-        raise ValueError(f"unknown region {region!r}")
-    weight = (1.0 + x**2 + p**2) ** (0.5 * s)
     wx = trapezoid_weights(field.grid.n_points)[:, None]
-    total = np.sum(np.abs(field.values) * weight * wx * mask)
-    return float(total * field.dx * field.dp)
+    weighted = np.abs(field.values) * (1.0 + x**2 + p**2) ** (0.5 * s) * wx
+    # The disc mask is rebuilt per cutoff rather than kept as one x^2 + p^2
+    # array: holding that array across the ladder costs a field-sized block.
+    return tuple(
+        float(np.sum(weighted * ((x**2 + p**2) <= cutoff**2)) * field.dx * field.dp)
+        for cutoff in cutoffs
+    )
 
 
 def cutoff_ladder(field: PhaseSpaceField) -> tuple[float, float, float, float]:
@@ -135,10 +132,8 @@ def _ladder_report(
     tail_tol: float,
     growth_threshold: float,
 ) -> WeightedNormReport:
-    partials = tuple(
-        (cut, weighted_l1_norm(field, s, cut, region="ball"))
-        for cut in cutoff_ladder(field)
-    )
+    cuts = cutoff_ladder(field)
+    partials = tuple(zip(cuts, weighted_l1_norm(field, s, cuts)))
     verdict, growth = _fit_verdict(partials, tail_tol, growth_threshold)
     return WeightedNormReport(float(s), window_label, partials, verdict, growth)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import (
     CheckError,
@@ -13,6 +14,7 @@ from .grid import (
     SampledState,
     centered_fft,
     field_integral,
+    state_norm,
     state_overlap,
 )
 
@@ -36,36 +38,12 @@ def _check_inputs(psi: SampledState, phi: SampledState, grid: PhaseSpaceGrid) ->
             )
 
 
-def wigner_rows(
-    psi_values: np.ndarray,
-    phi_values: np.ndarray,
-    grid: PhaseSpaceGrid,
-    rows: np.ndarray,
-) -> np.ndarray:
-    """Cross-Wigner values for the given x-row indices.
-
-    Row j is the FFT over the signed half-offset lattice y = 2m*dx of the
-    slice products psi(x_{j+m}) * conj(phi(x_{j-m})); samples with j +- m
-    outside [0, n) contribute 0.  The transform is periodic in p with period
-    n/2 * dp, so only the central alias-free period is kept: n/2 columns at
-    p_i = (i - n/4) * dp, i.e. every second sample of the half-spacing
-    momentum axis.
-    """
-    n = grid.n_points
-    m_idx = np.arange(n)[None, :]
-    m = np.where(m_idx <= n // 2, m_idx, m_idx - n)
-    j = np.asarray(rows, dtype=np.intp)[:, None]
-    jp = j + m
-    jm = j - m
-    valid = (jp >= 0) & (jp < n) & (jm >= 0) & (jm < n)
-    slices = np.where(
-        valid,
-        psi_values[np.clip(jp, 0, n - 1)] * np.conj(phi_values[np.clip(jm, 0, n - 1)]),
-        0.0,
-    )
-    spectrum = np.fft.fft(slices, axis=1)
-    cols = (2 * (np.arange(n // 2) + n // 4)) % n
-    return (grid.dx / (math.pi * grid.hbar)) * spectrum[:, cols]
+def _padded_windows(values: np.ndarray) -> np.ndarray:
+    """Row k is values[k - n/2 : k + n/2 + 1], with 0 outside [0, n)."""
+    n = values.size
+    padded = np.zeros(2 * n, dtype=np.complex128)
+    padded[n // 2 : n // 2 + n] = values
+    return sliding_window_view(padded, n + 1)
 
 
 def cross_wigner(
@@ -83,6 +61,12 @@ def cross_wigner(
     the grid.  Out-of-range samples are treated as 0 (compact-support
     embedding, no periodic wraparound).
 
+    Row j is the FFT over the signed half-offset lattice y = 2m*dx of the
+    slice products psi(x_{j+m}) * conj(phi(x_{j-m})), stored in FFT order
+    (m = 0 .. n/2, then 1-n/2 .. -1).  The transform is periodic in p with
+    period n/2 * dp, so only the central alias-free period is kept: n/2
+    columns at p_i = (i - n/4) * dp, i.e. the even FFT bins, centered.
+
     row_block bounds the number of x-slices transformed per FFT batch; the
     result is independent of the blocking.
     """
@@ -90,10 +74,26 @@ def cross_wigner(
     if row_block < 1:
         raise ValueError(f"row_block must be >= 1, got {row_block}")
     n = grid.n_points
-    out = np.empty((n, n // 2), dtype=np.complex128)
+    h, q = n // 2, n // 4
+    # Column h + m of row j holds psi[j + m] and conj(phi[j - m]).
+    psi_win = _padded_windows(psi.values)
+    phi_win = _padded_windows(np.conj(phi.values[::-1]))[::-1]
+    scale = grid.dx / (math.pi * grid.hbar)
+    out = np.empty((n, h), dtype=np.complex128)
+    slices = np.empty((min(row_block, n), n), dtype=np.complex128)
     for start in range(0, n, row_block):
-        rows = np.arange(start, min(start + row_block, n))
-        out[rows] = wigner_rows(psi.values, phi.values, grid, rows)
+        rows = slice(start, min(start + row_block, n))
+        buf = slices[: rows.stop - start]
+        np.multiply(psi_win[rows, h:], phi_win[rows, h:], out=buf[:, : h + 1])
+        np.multiply(psi_win[rows, 1:h], phi_win[rows, 1:h], out=buf[:, h + 1 :])
+        spectrum = np.fft.fft(buf, axis=1)
+        # Even bins h, h+2, ... are p < 0 and 0, 2, ... are p >= 0.
+        np.multiply(scale, spectrum[:, h::2], out=out[rows, :q])
+        np.multiply(scale, spectrum[:, :h:2], out=out[rows, q:])
+        # Free the spectrum before the next FFT and the buffer before
+        # PhaseSpaceField copies out: either one held over raises peak RSS.
+        del spectrum
+    del slices, buf
     return PhaseSpaceField(grid, out, grid.wigner_p_points())
 
 
@@ -201,7 +201,18 @@ def apply_metaplectic(psi: SampledState, op: str) -> SampledState:
     as the position lattice), and ``scale:lam`` for
     psi(x) -> |lam|^(-1/2) * psi(x/lam) with lam and 1/lam finite and nonzero.
     symplectic_matrix accepts and rejects exactly the same descriptors.
+
+    Both are unitary, so a result whose trapezoid norm moves by more than
+    1e-3 (the budget catalog_state allows a grid) has lost the state off
+    the grid and is refused.
     """
     name, lam = _parse_metaplectic(op)
     vals = _fourier_state(psi) if name == "fourier" else _scaled_state(psi, lam)
-    return SampledState(psi.grid, vals, f"{op}({psi.label})", psi.hbar)
+    out = SampledState(psi.grid, vals, f"{op}({psi.label})", psi.hbar)
+    before, after = state_norm(psi), state_norm(out)
+    if abs(after - before) > 1e-3:
+        raise ValueError(
+            f"{op} does not keep the norm of {psi.label} on this grid: "
+            f"{before:.6g} -> {after:.6g}"
+        )
+    return out

@@ -79,6 +79,14 @@ def test_bad_descriptor_is_usage_error(tmp_path, capsys):
     assert main(args + SMALL) == 2
     assert "scale factor" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "wigner_field.csv")
+    # A finite factor that pushes the state off the grid is refused on norm.
+    args = [
+        "wigner", "--state", "hermite:0", "--apply", "scale:1e-300",
+        "--grid-n", "64", "--grid-l", "8", "--out", str(tmp_path),
+    ]
+    assert main(args) == 2
+    assert "does not keep the norm of hermite:0" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "wigner_field.csv")
 
 
 def test_cross_wigner_artifacts(tmp_path):

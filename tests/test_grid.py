@@ -177,8 +177,6 @@ def test_file_state_norm_guard(tmp_path, g512):
     write_state_csv(path, x, vals)
     loaded = catalog_state(f"file:{path}", g512.x_grid)
     assert state_norm(loaded) == pytest.approx(0.5, abs=1e-10)
-    renorm = catalog_state(f"file:{path}", g512.x_grid, renormalize_samples=True)
-    assert state_norm(renorm) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_phase_space_field_validates_p_axis(g512):

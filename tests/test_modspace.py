@@ -2,8 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wignerlab.grid import CheckError, SampledState, catalog_state, make_grid
+from wignerlab.grid import (
+    CheckError,
+    PhaseSpaceField,
+    SampledState,
+    catalog_state,
+    make_grid,
+    trapezoid_weights,
+)
 from wignerlab.modspace import (
     DivergingStateError,
     cutoff_ladder,
@@ -21,19 +30,15 @@ def test_weighted_norm_analytic_values(g51):
     top = cutoff_ladder(field)[-1]
     # The ground-state field is a unit-mass Gaussian, so the full s=0 mass
     # is 1 and the s=2 weight adds its second moment: 1 + <x^2 + p^2> = 2.
-    assert weighted_l1_norm(field, 0.0, top, region="ball") == pytest.approx(
-        1.0, abs=1e-6
-    )
-    assert weighted_l1_norm(field, 2.0, top, region="ball") == pytest.approx(
-        2.0, abs=1e-5
-    )
+    assert weighted_l1_norm(field, 0.0, (top,))[0] == pytest.approx(1.0, abs=1e-6)
+    assert weighted_l1_norm(field, 2.0, (top,))[0] == pytest.approx(2.0, abs=1e-5)
 
 
 def test_weighted_norm_first_excited_value(sr1024):
     h1 = catalog_state("hermite:1", sr1024.x_grid)
     field = wigner(h1, sr1024)
     top = cutoff_ladder(field)[-1]
-    value = weighted_l1_norm(field, 0.0, top, region="ball")
+    value = weighted_l1_norm(field, 0.0, (top,))[0]
     assert value == pytest.approx(4.0 * math.exp(-0.5) - 1.0, abs=5e-4)
 
 
@@ -42,20 +47,38 @@ def test_weighted_norm_argument_validation(g512):
     field = wigner(h0, g512)
     band = -float(field.p_axis[0])
     with pytest.raises(ValueError):
-        weighted_l1_norm(field, -1.0, 1.0)
+        weighted_l1_norm(field, -1.0, (1.0,))
     with pytest.raises(ValueError):
-        weighted_l1_norm(field, 0.0, 2.0 * band)
-    with pytest.raises(ValueError):
-        weighted_l1_norm(field, 0.0, 1.0, region="disk")
+        weighted_l1_norm(field, 0.0, (1.0, 2.0 * band))
 
 
-def test_slab_contains_ball(g512):
-    h1 = catalog_state("hermite:1", g512.x_grid)
-    field = wigner(h1, g512)
-    for cut in cutoff_ladder(field):
-        slab = weighted_l1_norm(field, 0.0, cut, region="slab")
-        ball = weighted_l1_norm(field, 0.0, cut, region="ball")
-        assert slab >= ball
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(3, 8),
+    st.floats(1.0, 20.0),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 6.0),
+    st.floats(0.0, 1.0),
+)
+def test_ladder_matches_per_rung_formula(log2n, half_width, seed, s_drawn, frac):
+    # One call over the whole ladder must give, bit for bit, the per-rung
+    # quadrature ((|W| * weight) * wx) * disc mask.
+    n = 2**log2n
+    grid = make_grid(n, half_width)
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(n, n // 2)) + 1j * rng.normal(size=(n, n // 2))
+    field = PhaseSpaceField(grid, values, grid.wigner_p_points())
+    cuts = cutoff_ladder(field) + (frac * -float(field.p_axis[0]),)
+    x = field.x_axis[:, None]
+    p = field.p_axis[None, :]
+    wx = trapezoid_weights(n)[:, None]
+    for s in (0.0, 2.0, s_drawn):
+        weight = (1.0 + x**2 + p**2) ** (0.5 * s)
+        expected = tuple(
+            float(np.sum(np.abs(values) * weight * wx * ((x**2 + p**2) <= c**2)) * grid.dx * grid.dp)
+            for c in cuts
+        )
+        assert weighted_l1_norm(field, s, cuts) == expected
 
 
 def test_cutoff_ladder_geometry(g512):

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wignerlab.grid import (
     CheckError,
+    SampledState,
     catalog_state,
     make_grid,
     state_norm,
@@ -18,8 +21,50 @@ from wignerlab.wigner import (
     overlap_identity_check,
     symplectic_matrix,
     wigner,
-    wigner_rows,
 )
+
+
+def reference_cross_wigner(psi_values, phi_values, grid):
+    """The signed-offset gather cross_wigner used to run, kept as its oracle.
+
+    Row j, FFT column c holds psi[j + m] * conj(phi[j - m]) for the signed
+    offset m = c (c <= n/2) or c - n, and 0 where j +- m leaves [0, n).
+    """
+    n = grid.n_points
+    m_idx = np.arange(n)[None, :]
+    m = np.where(m_idx <= n // 2, m_idx, m_idx - n)
+    j = np.arange(n)[:, None]
+    jp = j + m
+    jm = j - m
+    valid = (jp >= 0) & (jp < n) & (jm >= 0) & (jm < n)
+    slices = np.where(
+        valid,
+        psi_values[np.clip(jp, 0, n - 1)] * np.conj(phi_values[np.clip(jm, 0, n - 1)]),
+        0.0,
+    )
+    spectrum = np.fft.fft(slices, axis=1)
+    cols = (2 * (np.arange(n // 2) + n // 4)) % n
+    return (grid.dx / (math.pi * grid.hbar)) * spectrum[:, cols]
+
+
+@st.composite
+def random_state_pairs(draw):
+    """A grid of n = 8 .. 256 points and two random complex states on it.
+
+    psi may vanish exactly on a drawn stretch of the grid; phi never does.
+    """
+    n = 2 ** draw(st.integers(3, 8))
+    grid = make_grid(n, draw(st.floats(1.0, 20.0)), draw(st.floats(0.5, 2.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi_values, phi_values = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
+    if draw(st.booleans()):
+        start = draw(st.integers(0, n - 1))
+        psi_values[start : draw(st.integers(start + 1, n))] = 0.0
+    psi, phi = (
+        SampledState(grid.x_grid, values, "random", grid.hbar)
+        for values in (psi_values, phi_values)
+    )
+    return grid, psi, phi
 
 
 def test_row_sums_reproduce_pointwise_overlap(g512):
@@ -59,12 +104,32 @@ def test_row_blocks_are_bitwise_identical(g512):
         np.testing.assert_array_equal(chunked, reference)
 
 
-def test_wigner_rows_subset_matches_full(g512):
-    h1 = catalog_state("hermite:1", g512.x_grid)
-    rows = np.array([0, 17, 255, 256, 511])
-    partial = wigner_rows(h1.values, h1.values, g512, rows)
-    full = cross_wigner(h1, h1, g512).values
-    np.testing.assert_array_equal(partial, full[rows])
+@settings(max_examples=60, deadline=None)
+@given(random_state_pairs(), st.data())
+def test_windowed_kernel_matches_gather_bitwise(pair, data):
+    grid, psi, phi = pair
+    row_block = data.draw(st.integers(1, grid.n_points))
+    field = cross_wigner(psi, phi, grid, row_block=row_block)
+    expected = reference_cross_wigner(psi.values, phi.values, grid)
+    np.testing.assert_array_equal(field.values, expected)
+    if np.all(psi.values != 0):
+        # Dense states match bit for bit.  Where psi vanishes on a stretch,
+        # whole rows of exact zeros can differ from the gather in the sign
+        # of zero, which assert_array_equal does not see.
+        assert field.values.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_state_pairs())
+def test_row_sums_are_pointwise_products(pair):
+    # Summing every other FFT bin keeps (n/2) * (s[0] + s[n/2]), and the
+    # m = n/2 product always has an index outside the grid, so the identity
+    # holds for any pair of states, not only ones that vanish at the edges.
+    grid, psi, phi = pair
+    row_sums = cross_wigner(psi, phi, grid).values.sum(axis=1) * grid.dp
+    products = psi.values * np.conj(phi.values)
+    scale = np.abs(psi.values).max() * np.abs(phi.values).max()
+    np.testing.assert_allclose(row_sums, products, rtol=0, atol=1e-12 * scale)
 
 
 def test_momentum_marginal_is_nonnegative(g512):
@@ -118,6 +183,12 @@ def test_scale_preserves_norm_and_inverts(g512):
     # The widened intermediate carries exp(-L**2 / 8) ~ 4e-6 tails at the
     # grid edge, and those wrap under trigonometric interpolation.
     np.testing.assert_allclose(back.values, h0.values, atol=1e-5)
+
+
+def test_metaplectic_refuses_results_that_lose_the_norm(g512):
+    h0 = catalog_state("hermite:0", g512.x_grid)
+    with pytest.raises(ValueError, match=r"scale:100 does not keep the norm of hermite:0"):
+        apply_metaplectic(h0, "scale:100")
 
 
 def test_scale_minus_one_is_parity(g512):
