@@ -18,7 +18,6 @@ from .ensemble import (
     feichtinger_closure_check,
     find_partial_isometry,
     hermite_basis,
-    mixed_wigner,
     project_to_basis,
     spectral_ensemble,
 )
@@ -59,6 +58,7 @@ from .wigner import (
     apply_metaplectic,
     cross_wigner,
     hermiticity_residual,
+    mixed_wigner,
     overlap_identity_check,
     symplectic_matrix,
     wigner,

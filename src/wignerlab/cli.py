@@ -23,7 +23,6 @@ from .ensemble import (
     density_matrix_direct,
     feichtinger_closure_check,
     find_partial_isometry,
-    mixed_wigner,
     spectral_ensemble,
 )
 from .grid import (
@@ -50,7 +49,7 @@ from .io import (
 )
 from .modspace import diagnostic_grid_warning, feichtinger_diagnostic, modulation_norm
 from .moments import covariance, marginals
-from .wigner import apply_metaplectic, cross_wigner, overlap_identity_check, wigner
+from .wigner import apply_metaplectic, cross_wigner, mixed_wigner, overlap_identity_check, wigner
 
 __all__ = ["RunConfig", "TOL_DEFAULTS", "main"]
 
@@ -62,6 +61,14 @@ TOL_DEFAULTS = {
     "factor_residual": 1e-6,
     "field_match": 1e-5,
 }
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 @dataclass
@@ -78,6 +85,14 @@ class RunConfig:
             raise ValueError("hbar, grid_l, and dim must be positive")
         if self.grid_n < 8 or self.grid_n & (self.grid_n - 1):
             raise ValueError(f"grid_n must be a power of two >= 8, got {self.grid_n}")
+        # characteristic_function builds one n x n complex array.
+        need = 16 * self.grid_n**2
+        have = _physical_memory()
+        if have is not None and need > have:
+            raise ValueError(
+                f"grid_n {self.grid_n} needs {need / 1e9:.3g} GB for one n x n complex "
+                f"array, more than the {have / 1e9:.3g} GB of physical memory"
+            )
 
     def as_dict(self) -> dict:
         return {
@@ -195,8 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--ensemble", required=True)
 
+    # Each scenario pins its own grid, so reproduce takes no grid flags.
     p = sub.add_parser("reproduce", help="run a pinned verification scenario")
-    _add_common(p)
+    p.add_argument("--out", default=None, help="output directory")
     p.add_argument("scenario", choices=["prop1", "prop2", "prop3", "cor5"])
 
     return parser
@@ -206,14 +222,8 @@ def _config_from(ns: argparse.Namespace, overrides: dict) -> RunConfig:
     tols = dict(TOL_DEFAULTS)
     tols.update(overrides)
     out = ns.out or os.environ.get("WIGNERLAB_OUT") or "."
-    return RunConfig(
-        hbar=ns.hbar,
-        grid_n=ns.grid_n,
-        grid_l=ns.grid_l,
-        dim=ns.dim,
-        tolerances=tols,
-        output_dir=out,
-    )
+    grid_flags = {k: getattr(ns, k) for k in ("hbar", "grid_n", "grid_l", "dim") if k in ns}
+    return RunConfig(**grid_flags, tolerances=tols, output_dir=out)
 
 
 def _ensemble_from(ns: argparse.Namespace, cfg: RunConfig) -> Ensemble:

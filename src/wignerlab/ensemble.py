@@ -17,7 +17,6 @@ import numpy as np
 
 from .grid import (
     CheckError,
-    PhaseSpaceField,
     PhaseSpaceGrid,
     PositionGrid,
     SampledState,
@@ -27,7 +26,7 @@ from .grid import (
     trapezoid_weights,
 )
 from .modspace import modulation_norm
-from .wigner import wigner
+from .wigner import mixed_wigner
 
 __all__ = [
     "Ensemble",
@@ -42,7 +41,6 @@ __all__ = [
     "density_matrix_direct",
     "spectral_ensemble",
     "find_partial_isometry",
-    "mixed_wigner",
     "feichtinger_closure_check",
 ]
 
@@ -292,16 +290,6 @@ def find_partial_isometry(
     defect = float(np.linalg.norm(uu @ uu - uu))
     rank = int(np.sum(np.linalg.svd(a.matrix, compute_uv=False) > SV_CUTOFF))
     return PartialIsometry(u, rank, defect)
-
-
-def mixed_wigner(ensemble: Ensemble, grid: PhaseSpaceGrid) -> PhaseSpaceField:
-    """Weighted sum of the members' Wigner transforms."""
-    if ensemble.grid != grid.x_grid or abs(ensemble.hbar - grid.hbar) > 1e-12 * grid.hbar:
-        raise ValueError("ensemble is not sampled on the given phase-space grid")
-    total = np.zeros((grid.n_points, grid.n_points // 2))
-    for state, weight in ensemble.members:
-        total += weight * wigner(state, grid).values
-    return PhaseSpaceField(grid, total, grid.wigner_p_points())
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ JSON output is byte-deterministic: keys are sorted, floats are printed with
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -135,22 +136,45 @@ def write_field_csv(path: str, field: PhaseSpaceField) -> None:
 
 
 def read_field_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read a field CSV back as (x values, p values, value matrix)."""
+    """Read a field CSV back as (x values, p values, value matrix).
+
+    Every row must hold one number per header column, and the rows must run
+    over the lattice in the order write_field_csv writes it: each x repeated
+    for every p, the p values tiled.  A row that breaks either rule raises
+    ValueError naming path:line.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header not in (["x", "p", "value"], ["x", "p", "re", "im"]):
             raise ValueError(f"{path}: unexpected header {header}")
         is_complex = header == ["x", "p", "re", "im"]
-        xs, ps, vals = [], [], []
+        lines, xs, ps, vals = [], [], [], []
         for row in reader:
             if not row:
                 continue
-            xs.append(float(row[0]))
-            ps.append(float(row[1]))
-            vals.append(complex(float(row[2]), float(row[3])) if is_complex else float(row[2]))
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}:{reader.line_num}: expected {len(header)} columns, got {len(row)}"
+                )
+            try:
+                nums = [float(v) for v in row]
+            except ValueError:
+                raise ValueError(f"{path}:{reader.line_num}: non-numeric entry in {row}") from None
+            lines.append(reader.line_num)
+            xs.append(nums[0])
+            ps.append(nums[1])
+            vals.append(complex(nums[2], nums[3]) if is_complex else nums[2])
     x = np.unique(np.asarray(xs))
     p = np.unique(np.asarray(ps))
+    for k, (xk, pk) in enumerate(itertools.product(x.tolist(), p.tolist())):
+        if k == len(xs) or (xs[k], ps[k]) != (xk, pk):
+            line = lines[k] if k < len(lines) else lines[-1] + 1
+            raise ValueError(f"{path}:{line}: expected the row x={xk!r}, p={pk!r}")
+    if len(xs) > x.size * p.size:
+        raise ValueError(
+            f"{path}:{lines[x.size * p.size]}: more rows than the {x.size} x {p.size} lattice"
+        )
     matrix = np.asarray(vals).reshape(x.size, p.size)
     return x, p, matrix
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -18,9 +20,13 @@ from .grid import (
     state_overlap,
 )
 
+if TYPE_CHECKING:
+    from .ensemble import Ensemble
+
 __all__ = [
     "cross_wigner",
     "wigner",
+    "mixed_wigner",
     "overlap_identity_check",
     "hermiticity_residual",
     "apply_metaplectic",
@@ -38,19 +44,87 @@ def _check_inputs(psi: SampledState, phi: SampledState, grid: PhaseSpaceGrid) ->
             )
 
 
-def _padded_windows(values: np.ndarray) -> np.ndarray:
-    """Row k is values[k - n/2 : k + n/2 + 1], with 0 outside [0, n)."""
+def _padded_windows(values: np.ndarray, weight: float = 1.0) -> np.ndarray:
+    """Row k is weight * values[k - n/2 : k + n/2 + 1], with 0 outside [0, n)."""
     n = values.size
     padded = np.zeros(2 * n, dtype=np.complex128)
     padded[n // 2 : n // 2 + n] = values
+    # Scale the real and imaginary parts as reals: a complex product with
+    # weight + 0j can flip the sign of a zero part.
+    parts = padded.view(np.float64)
+    parts *= weight
     return sliding_window_view(padded, n + 1)
 
 
-def cross_wigner(
-    psi: SampledState,
-    phi: SampledState,
+def _wigner_kernel(
+    pairs: Sequence[tuple[float, SampledState, SampledState]],
     grid: PhaseSpaceGrid,
+    real: bool,
     row_block: int = 256,
+) -> PhaseSpaceField:
+    """sum_r w_r * W(psi_r, phi_r) over weighted pairs (w_r, psi_r, phi_r).
+
+    Row j is the FFT over the signed half-offset lattice y = 2m*dx of the
+    summed slice products sum_r w_r * psi_r(x_{j+m}) * conj(phi_r(x_{j-m})),
+    stored in FFT order (m = 0 .. n/2, then 1-n/2 .. -1), so a mixture costs
+    one FFT per row block whatever the number of pairs.  The transform is
+    periodic in p with period n/2 * dp; the even FFT bins, centered, are its
+    central alias-free period p_i = (i - n/4) * dp.
+
+    real=True returns the real part as float64 and raises CheckError when
+    the imaginary part exceeds 1e-10 of the largest magnitude in the field.
+    row_block bounds the x-slices per FFT batch; every blocking gives the
+    same bits.
+    """
+    for _, psi, phi in pairs:
+        _check_inputs(psi, phi, grid)
+    if row_block < 1:
+        raise ValueError(f"row_block must be >= 1, got {row_block}")
+    n = grid.n_points
+    h, q = n // 2, n // 4
+    # Column h + m of row j holds w * psi[j + m] and conj(phi[j - m]).
+    windows = [
+        (_padded_windows(psi.values, w), _padded_windows(np.conj(phi.values[::-1]))[::-1])
+        for w, psi, phi in pairs
+    ]
+    scale = grid.dx / (math.pi * grid.hbar)
+    out = np.empty((n, h), dtype=np.float64 if real else np.complex128)
+    slices = np.empty((min(row_block, n), n), dtype=np.complex128)
+    term = np.empty_like(slices) if len(windows) > 1 else None
+    peak = imag_peak = 0.0
+    for start in range(0, n, row_block):
+        rows = slice(start, min(start + row_block, n))
+        buf = slices[: rows.stop - start]
+        for r, (psi_win, phi_win) in enumerate(windows):
+            dst = term[: len(buf)] if r else buf
+            np.multiply(psi_win[rows, h:], phi_win[rows, h:], out=dst[:, : h + 1])
+            np.multiply(psi_win[rows, 1:h], phi_win[rows, 1:h], out=dst[:, h + 1 :])
+            if r:
+                buf += dst
+        spectrum = np.fft.fft(buf, axis=1)
+        # Even bins h, h+2, ... are p < 0 and 0, 2, ... are p >= 0.  A real
+        # field scales them in place and copies out only their real parts.
+        for cols, even in ((slice(0, q), spectrum[:, h::2]), (slice(q, h), spectrum[:, :h:2])):
+            if real:
+                np.multiply(scale, even, out=even)
+                peak = max(peak, float(np.abs(even).max()))
+                imag_peak = max(imag_peak, float(np.abs(even.imag).max()))
+                out[rows, cols] = even.real
+            else:
+                np.multiply(scale, even, out=out[rows, cols])
+        # Free the spectrum before the next FFT and the buffers before
+        # PhaseSpaceField copies out: either one held over raises peak RSS.
+        del spectrum, even
+    del slices, buf, dst, term
+    if real and peak > 0.0 and imag_peak > 1e-10 * peak:
+        raise CheckError(
+            f"wigner: imaginary part {imag_peak:.3e} exceeds 1e-10 of max {peak:.3e}"
+        )
+    return PhaseSpaceField(grid, out, grid.wigner_p_points())
+
+
+def cross_wigner(
+    psi: SampledState, phi: SampledState, grid: PhaseSpaceGrid
 ) -> PhaseSpaceField:
     """Discrete cross-Wigner transform of a pair of states.
 
@@ -59,54 +133,25 @@ def cross_wigner(
     (1/(2*pi*hbar)) * integral e^(-i*p*y/hbar) psi(x + y/2) conj(phi(x - y/2)) dy
     with y restricted to even multiples of dx so that both arguments stay on
     the grid.  Out-of-range samples are treated as 0 (compact-support
-    embedding, no periodic wraparound).
-
-    Row j is the FFT over the signed half-offset lattice y = 2m*dx of the
-    slice products psi(x_{j+m}) * conj(phi(x_{j-m})), stored in FFT order
-    (m = 0 .. n/2, then 1-n/2 .. -1).  The transform is periodic in p with
-    period n/2 * dp, so only the central alias-free period is kept: n/2
-    columns at p_i = (i - n/4) * dp, i.e. the even FFT bins, centered.
-
-    row_block bounds the number of x-slices transformed per FFT batch; the
-    result is independent of the blocking.
+    embedding, no periodic wraparound).  See docs/conventions.md for the
+    lattice and the FFT order of the slices.
     """
-    _check_inputs(psi, phi, grid)
-    if row_block < 1:
-        raise ValueError(f"row_block must be >= 1, got {row_block}")
-    n = grid.n_points
-    h, q = n // 2, n // 4
-    # Column h + m of row j holds psi[j + m] and conj(phi[j - m]).
-    psi_win = _padded_windows(psi.values)
-    phi_win = _padded_windows(np.conj(phi.values[::-1]))[::-1]
-    scale = grid.dx / (math.pi * grid.hbar)
-    out = np.empty((n, h), dtype=np.complex128)
-    slices = np.empty((min(row_block, n), n), dtype=np.complex128)
-    for start in range(0, n, row_block):
-        rows = slice(start, min(start + row_block, n))
-        buf = slices[: rows.stop - start]
-        np.multiply(psi_win[rows, h:], phi_win[rows, h:], out=buf[:, : h + 1])
-        np.multiply(psi_win[rows, 1:h], phi_win[rows, 1:h], out=buf[:, h + 1 :])
-        spectrum = np.fft.fft(buf, axis=1)
-        # Even bins h, h+2, ... are p < 0 and 0, 2, ... are p >= 0.
-        np.multiply(scale, spectrum[:, h::2], out=out[rows, :q])
-        np.multiply(scale, spectrum[:, :h:2], out=out[rows, q:])
-        # Free the spectrum before the next FFT and the buffer before
-        # PhaseSpaceField copies out: either one held over raises peak RSS.
-        del spectrum
-    del slices, buf
-    return PhaseSpaceField(grid, out, grid.wigner_p_points())
+    return _wigner_kernel(((1.0, psi, phi),), grid, real=False)
 
 
 def wigner(psi: SampledState, grid: PhaseSpaceGrid) -> PhaseSpaceField:
     """Wigner transform: the diagonal cross-Wigner, returned real-valued."""
-    field = cross_wigner(psi, psi, grid)
-    scale = float(np.abs(field.values).max())
-    imag_max = float(np.abs(field.values.imag).max())
-    if scale > 0.0 and imag_max > 1e-10 * scale:
-        raise CheckError(
-            f"wigner: imaginary part {imag_max:.3e} exceeds 1e-10 of max {scale:.3e}"
-        )
-    return PhaseSpaceField(grid, field.values.real, field.p_axis)
+    return _wigner_kernel(((1.0, psi, psi),), grid, real=True)
+
+
+def mixed_wigner(ensemble: Ensemble, grid: PhaseSpaceGrid) -> PhaseSpaceField:
+    """Wigner transform of the mixture, sum_j w_j * W(psi_j), real-valued.
+
+    The members' weighted slices are summed before each row block's FFT,
+    so no member field is built.
+    """
+    members = tuple((weight, state, state) for state, weight in ensemble.members)
+    return _wigner_kernel(members, grid, real=True)
 
 
 def overlap_identity_check(

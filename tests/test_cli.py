@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wignerlab.cli import TOL_DEFAULTS, RunConfig, main
+from wignerlab.ensemble import Ensemble
 from wignerlab.grid import catalog_state, make_grid, write_state_csv
 from wignerlab.io import pairs_to_complex_matrix, write_ensemble_json
 
@@ -27,6 +28,16 @@ def test_run_config_validation():
     cfg = RunConfig()
     assert cfg.tolerances == TOL_DEFAULTS
     assert cfg.grid().n_points == 1024
+
+
+def test_grid_larger_than_memory_is_refused(tmp_path, capsys):
+    # One n x n complex array at n = 2**20 is 17.6 TB; refused before any grid exists.
+    with pytest.raises(ValueError, match="physical memory"):
+        RunConfig(grid_n=2**20)
+    args = ["diagnose", "--state", "hermite:0", "--grid-n", str(2**20), "--out", str(tmp_path)]
+    assert main(args) == 2
+    assert "physical memory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_help_and_usage_errors(capsys):
@@ -207,6 +218,13 @@ def test_reproduce_unknown_scenario():
     assert main(["reproduce", "prop9"]) == 2
 
 
+def test_reproduce_refuses_grid_flags(tmp_path, capsys):
+    # Each scenario pins its own grid; a grid flag would only mislabel the artifact.
+    assert main(["reproduce", "prop1", "--grid-n", "64", "--out", str(tmp_path)]) == 2
+    assert "--grid-n" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_reproduce_tight_tolerance_fails(tmp_path, capsys):
     args = [
         "reproduce", "prop1", "--out", str(tmp_path),
@@ -287,3 +305,15 @@ def test_each_command_computes_each_object_once(tmp_path, monkeypatch):
     args = ["ensemble-equiv", "--ensemble", eigen, "--ensemble2", rotated, "--out", str(tmp_path)]
     assert main(args + SMALL) == 0
     assert len(operators) == 2
+
+
+def test_mixed_wigner_makes_one_kernel_pass(monkeypatch):
+    from wignerlab.wigner import cross_wigner, mixed_wigner, wigner
+
+    grid = make_grid(512, 10.0, 1.0)
+    states = [catalog_state(f"hermite:{k}", grid.x_grid) for k in range(3)]
+    ens = Ensemble(tuple(zip(states, (0.5, 0.3, 0.2))), "three")
+    crosses = count_calls(monkeypatch, cross_wigner)
+    diagonals = count_calls(monkeypatch, wigner)
+    mixed_wigner(ens, grid)
+    assert crosses == [] and diagonals == []

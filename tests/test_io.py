@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from wignerlab.grid import PhaseSpaceField, catalog_state, write_state_csv
+from wignerlab.grid import PhaseSpaceField, catalog_state, make_grid, write_state_csv
 from wignerlab.io import (
     canonical_json,
     complex_matrix_to_pairs,
@@ -88,6 +89,31 @@ def test_complex_field_csv_round_trip(tmp_path, g512):
     x, p, values = read_field_csv(path)
     assert values.dtype == np.complex128
     np.testing.assert_array_equal(values, field.values)
+
+
+@pytest.mark.parametrize(
+    "case, line, message",
+    [
+        ("short-row", 3, "expected 4 columns, got 3"),
+        ("missing-row", 4, "expected the row x=-2.0, p="),
+        ("swapped-rows", 2, "expected the row x=-2.0, p="),
+    ],
+)
+def test_field_csv_rejects_rows_off_the_lattice(tmp_path, case, line, message):
+    grid = make_grid(8, 2.0)
+    values = np.arange(32).reshape(8, 4) + 1j
+    path = str(tmp_path / "field.csv")
+    write_field_csv(path, PhaseSpaceField(grid, values, grid.wigner_p_points()))
+    rows = open(path).read().splitlines()
+    if case == "short-row":
+        rows[2] = rows[2].rsplit(",", 1)[0]
+    elif case == "missing-row":
+        del rows[3]
+    else:
+        rows[1], rows[2] = rows[2], rows[1]
+    open(path, "w").write("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}:{line}: {re.escape(message)}"):
+        read_field_csv(path)
 
 
 def test_field_metadata_keys(g512):

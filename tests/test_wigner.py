@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wignerlab.ensemble import Ensemble
 from wignerlab.grid import (
     CheckError,
     SampledState,
@@ -12,12 +13,15 @@ from wignerlab.grid import (
     make_grid,
     state_norm,
     state_overlap,
+    trapezoid_norm,
     trapezoid_weights,
 )
 from wignerlab.wigner import (
+    _wigner_kernel,
     apply_metaplectic,
     cross_wigner,
     hermiticity_residual,
+    mixed_wigner,
     overlap_identity_check,
     symplectic_matrix,
     wigner,
@@ -67,6 +71,26 @@ def random_state_pairs(draw):
     return grid, psi, phi
 
 
+@st.composite
+def random_mixtures(draw):
+    """An ensemble of R = 1 .. 6 random unit-norm complex states, n = 8 .. 256."""
+    n = 2 ** draw(st.integers(3, 8))
+    grid = make_grid(n, draw(st.floats(1.0, 20.0)), draw(st.floats(0.5, 2.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(1, 6))
+    raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=size, max_size=size)))
+    members = []
+    for weight in raw / raw.sum():
+        values = rng.normal(size=n) + 1j * rng.normal(size=n)
+        values /= trapezoid_norm(values, grid.x_grid)
+        members.append((SampledState(grid.x_grid, values, "random", grid.hbar), float(weight)))
+    return grid, Ensemble(tuple(members), "random")
+
+
+def blocked_cross_wigner(psi, phi, grid, row_block):
+    return _wigner_kernel(((1.0, psi, phi),), grid, real=False, row_block=row_block)
+
+
 def test_row_sums_reproduce_pointwise_overlap(g512):
     box = catalog_state("box:-0.5:0.5", g512.x_grid)
     h1 = catalog_state("hermite:1", g512.x_grid)
@@ -82,6 +106,15 @@ def test_wigner_is_real_and_labels_carry_sources(g512):
     result = wigner(h1, g512)
     assert result.values.dtype == np.float64
     assert result.hbar == 1.0
+    assert result.values.tobytes() == cross_wigner(h1, h1, g512).values.real.tobytes()
+
+
+def test_real_field_refuses_an_imaginary_part(g512):
+    # Only a diagonal pair is real; a real field of a cross pair must be refused.
+    h0 = catalog_state("hermite:0", g512.x_grid)
+    h1 = catalog_state("hermite:1", g512.x_grid)
+    with pytest.raises(CheckError, match="imaginary part"):
+        _wigner_kernel(((1.0, h0, h1),), g512, real=True, row_block=77)
 
 
 def test_cross_wigner_hermiticity(g512):
@@ -98,9 +131,9 @@ def test_cross_wigner_hermiticity(g512):
 def test_row_blocks_are_bitwise_identical(g512):
     h1 = catalog_state("hermite:1", g512.x_grid)
     box = catalog_state("box:-0.5:0.5", g512.x_grid)
-    reference = cross_wigner(h1, box, g512, row_block=512).values
+    reference = blocked_cross_wigner(h1, box, g512, 512).values
     for block in (1, 64, 137, 256):
-        chunked = cross_wigner(h1, box, g512, row_block=block).values
+        chunked = blocked_cross_wigner(h1, box, g512, block).values
         np.testing.assert_array_equal(chunked, reference)
 
 
@@ -109,7 +142,7 @@ def test_row_blocks_are_bitwise_identical(g512):
 def test_windowed_kernel_matches_gather_bitwise(pair, data):
     grid, psi, phi = pair
     row_block = data.draw(st.integers(1, grid.n_points))
-    field = cross_wigner(psi, phi, grid, row_block=row_block)
+    field = blocked_cross_wigner(psi, phi, grid, row_block)
     expected = reference_cross_wigner(psi.values, phi.values, grid)
     np.testing.assert_array_equal(field.values, expected)
     if np.all(psi.values != 0):
@@ -130,6 +163,37 @@ def test_row_sums_are_pointwise_products(pair):
     products = psi.values * np.conj(phi.values)
     scale = np.abs(psi.values).max() * np.abs(phi.values).max()
     np.testing.assert_allclose(row_sums, products, rtol=0, atol=1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_mixtures())
+def test_mixture_is_weighted_sum_of_member_fields(mixture):
+    grid, ens = mixture
+    fields = [(weight, wigner(state, grid).values) for state, weight in ens.members]
+    expected = sum(weight * values for weight, values in fields)
+    scale = sum(weight * np.abs(values).max() for weight, values in fields)
+    field = mixed_wigner(ens, grid)
+    assert field.values.dtype == np.float64
+    np.testing.assert_allclose(field.values, expected, rtol=0, atol=1e-13 * scale)
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_mixtures())
+def test_one_member_mixture_is_the_wigner_field(mixture):
+    grid, ens = mixture
+    state = ens.members[0][0]
+    single = mixed_wigner(Ensemble(((state, 1.0),), "single"), grid)
+    assert single.values.tobytes() == wigner(state, grid).values.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_mixtures(), st.data())
+def test_mixed_row_blocks_are_bitwise_identical(mixture, data):
+    grid, ens = mixture
+    row_block = data.draw(st.integers(1, grid.n_points))
+    members = tuple((weight, state, state) for state, weight in ens.members)
+    blocked = _wigner_kernel(members, grid, real=True, row_block=row_block)
+    assert blocked.values.tobytes() == mixed_wigner(ens, grid).values.tobytes()
 
 
 def test_momentum_marginal_is_nonnegative(g512):
