@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -30,10 +31,9 @@ from .grid import (
     PhaseSpaceGrid,
     SampledState,
     catalog_state,
-    hermite_functions,
+    hermite_combination,
     make_grid,
     make_self_reciprocal_grid,
-    trapezoid_norm,
     write_state_csv,
 )
 from .io import (
@@ -47,7 +47,12 @@ from .io import (
     write_json,
     write_marginal_csv,
 )
-from .modspace import diagnostic_grid_warning, feichtinger_diagnostic, modulation_norm
+from .modspace import (
+    WeightedNormReport,
+    diagnostic_grid_warning,
+    feichtinger_diagnostic,
+    modulation_norm,
+)
 from .moments import covariance, marginals
 from .wigner import apply_metaplectic, cross_wigner, mixed_wigner, overlap_identity_check, wigner
 
@@ -93,6 +98,15 @@ class RunConfig:
                 f"grid_n {self.grid_n} needs {need / 1e9:.3g} GB for one n x n complex "
                 f"array, more than the {have / 1e9:.3g} GB of physical memory"
             )
+
+    def ladder(self) -> dict:
+        """The verdict ladder's two tolerances, as modspace keyword arguments."""
+        tol = self.tolerances
+        return {"tail_tol": tol["convergent_tail"], "growth_threshold": tol["diverging_growth"]}
+
+    def write(self, name: str, doc: dict) -> None:
+        """Write one JSON artifact, stamped with this configuration."""
+        write_json(self.out(name), {"config": self.as_dict(), **doc})
 
     def as_dict(self) -> dict:
         return {
@@ -151,73 +165,6 @@ def _extract_tol_flags(argv: list[str]) -> tuple[dict, list[str]]:
     return overrides, rest
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--hbar", type=float, default=1.0)
-    parser.add_argument("--grid-n", type=int, default=1024)
-    parser.add_argument("--grid-l", type=float, default=12.0)
-    parser.add_argument("--dim", type=int, default=32)
-    parser.add_argument("--out", default=None, help="output directory")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wignerlab",
-        description="Phase-space analysis of sampled quantum states",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("wigner", help="Wigner transform of one state")
-    _add_common(p)
-    p.add_argument("--state", required=True)
-    p.add_argument("--apply", default=None, help="metaplectic descriptor applied first")
-
-    p = sub.add_parser("cross-wigner", help="cross-Wigner transform of two states")
-    _add_common(p)
-    p.add_argument("--state", required=True)
-    p.add_argument("--state2", required=True)
-
-    p = sub.add_parser("marginals", help="marginal densities of an ensemble")
-    _add_common(p)
-    p.add_argument("--ensemble", default=None)
-    p.add_argument("--state", default=None)
-
-    p = sub.add_parser("moments", help="mean and covariance of an ensemble")
-    _add_common(p)
-    p.add_argument("--ensemble", default=None)
-    p.add_argument("--state", default=None)
-
-    p = sub.add_parser("modnorm", help="weighted modulation norm ladder")
-    _add_common(p)
-    p.add_argument("--state", required=True)
-    p.add_argument("--s", type=_finite_float, default=0.0)
-    p.add_argument("--window", default="hermite:0")
-
-    p = sub.add_parser("diagnose", help="integrability verdict for a state")
-    _add_common(p)
-    p.add_argument("--state", required=True)
-
-    p = sub.add_parser("ensemble-build", help="operator and density matrix of an ensemble")
-    _add_common(p)
-    p.add_argument("--ensemble", required=True)
-
-    p = sub.add_parser("ensemble-equiv", help="partial isometry between two ensembles")
-    _add_common(p)
-    p.add_argument("--ensemble", required=True)
-    p.add_argument("--ensemble2", required=True)
-    p.add_argument("--s", type=_finite_float, default=0.0)
-
-    p = sub.add_parser("ensemble-spectral", help="eigen-ensemble of a density matrix")
-    _add_common(p)
-    p.add_argument("--ensemble", required=True)
-
-    # Each scenario pins its own grid, so reproduce takes no grid flags.
-    p = sub.add_parser("reproduce", help="run a pinned verification scenario")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("scenario", choices=["prop1", "prop2", "prop3", "cor5"])
-
-    return parser
-
-
 def _config_from(ns: argparse.Namespace, overrides: dict) -> RunConfig:
     tols = dict(TOL_DEFAULTS)
     tols.update(overrides)
@@ -228,12 +175,10 @@ def _config_from(ns: argparse.Namespace, overrides: dict) -> RunConfig:
 
 def _ensemble_from(ns: argparse.Namespace, cfg: RunConfig) -> Ensemble:
     grid = cfg.grid()
-    if getattr(ns, "ensemble", None):
+    if ns.ensemble is not None:
         return load_ensemble_json(ns.ensemble, grid.x_grid, cfg.hbar)
-    if getattr(ns, "state", None):
-        state = catalog_state(ns.state, grid.x_grid, cfg.hbar)
-        return Ensemble(((state, 1.0),), ns.state)
-    raise ValueError("need --ensemble FILE or --state DESCRIPTOR")
+    state = catalog_state(ns.state, grid.x_grid, cfg.hbar)
+    return Ensemble(((state, 1.0),), ns.state)
 
 
 def cmd_wigner(ns: argparse.Namespace, cfg: RunConfig) -> int:
@@ -244,14 +189,8 @@ def cmd_wigner(ns: argparse.Namespace, cfg: RunConfig) -> int:
     field = wigner(state, grid)
     write_field_csv(cfg.out("wigner_field.csv"), field)
     meta = field_metadata(field)
-    meta.update(
-        {
-            "config": cfg.as_dict(),
-            "source": state.label,
-            "max_abs": float(np.abs(field.values).max()),
-        }
-    )
-    write_json(cfg.out("wigner_field.json"), meta)
+    meta.update({"source": state.label, "max_abs": float(np.abs(field.values).max())})
+    cfg.write("wigner_field.json", meta)
     print(f"wrote wigner_field.csv and wigner_field.json to {cfg.output_dir}")
     return 0
 
@@ -262,15 +201,9 @@ def cmd_cross_wigner(ns: argparse.Namespace, cfg: RunConfig) -> int:
     phi = catalog_state(ns.state2, grid.x_grid, cfg.hbar)
     field = cross_wigner(psi, phi, grid)
     write_field_csv(cfg.out("cross_wigner_field.csv"), field)
-    meta = field_metadata(field)
-    meta.update(
-        {
-            "config": cfg.as_dict(),
-            "sources": [psi.label, phi.label],
-            "overlap_residual": overlap_identity_check(psi, phi, field),
-        }
-    )
-    write_json(cfg.out("cross_wigner_field.json"), meta)
+    meta = {**field_metadata(field), "sources": [psi.label, phi.label]}
+    meta["overlap_residual"] = overlap_identity_check(psi, phi, field)
+    cfg.write("cross_wigner_field.json", meta)
     print(f"wrote cross_wigner_field.csv and cross_wigner_field.json to {cfg.output_dir}")
     return 0
 
@@ -281,12 +214,11 @@ def cmd_marginals(ns: argparse.Namespace, cfg: RunConfig) -> int:
     rho = mixed_wigner(ens, grid)
     report = marginals(rho, ens)
     doc = {
-        "config": cfg.as_dict(),
         "ensemble": ens.label,
         "members": [st.label for st, _ in ens.members],
         "report": marginal_report_to_dict(report),
     }
-    write_json(cfg.out("marginals_report.json"), doc)
+    cfg.write("marginals_report.json", doc)
     write_marginal_csv(cfg.out("marginal_x.csv"), "x", rho.x_axis, report.x_marginal)
     write_marginal_csv(cfg.out("marginal_p.csv"), "p", rho.p_axis, report.p_marginal)
     print(
@@ -299,48 +231,35 @@ def cmd_marginals(ns: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_moments(ns: argparse.Namespace, cfg: RunConfig) -> int:
     grid = cfg.grid()
     ens = _ensemble_from(ns, cfg)
-    verdicts = [
-        modulation_norm(
-            st,
-            2.0,
-            grid,
-            tail_tol=cfg.tolerances["convergent_tail"],
-            growth_threshold=cfg.tolerances["diverging_growth"],
-        )
-        for st, _ in ens.members
-    ]
+    verdicts = [modulation_norm(st, 2.0, grid, **cfg.ladder()) for st, _ in ens.members]
     rho = mixed_wigner(ens, grid)
     report = covariance(rho, verdicts, route_tol=cfg.tolerances["route_agreement"])
     doc = {
-        "config": cfg.as_dict(),
         "ensemble": ens.label,
         "members": [st.label for st, _ in ens.members],
         "member_verdicts": [norm_report_to_dict(v) for v in verdicts],
         "covariance": covariance_report_to_dict(report),
     }
-    write_json(cfg.out("moments_report.json"), doc)
+    cfg.write("moments_report.json", doc)
     if report.flags:
         print(f"warning: {', '.join(report.flags)}", file=sys.stderr)
     print(f"covariance route residual {report.residual:.3e}")
     return 0
 
 
+def _write_verdict(
+    cfg: RunConfig, name: str, state: SampledState, report: WeightedNormReport
+) -> int:
+    cfg.write(name, {"state": state.label, **norm_report_to_dict(report)})
+    print(f"verdict {report.verdict} (growth_exponent {report.growth_exponent:.4f})")
+    return 0
+
+
 def cmd_modnorm(ns: argparse.Namespace, cfg: RunConfig) -> int:
     grid = cfg.grid()
     state = catalog_state(ns.state, grid.x_grid, cfg.hbar)
-    report = modulation_norm(
-        state,
-        ns.s,
-        grid,
-        window=ns.window,
-        tail_tol=cfg.tolerances["convergent_tail"],
-        growth_threshold=cfg.tolerances["diverging_growth"],
-    )
-    doc = {"config": cfg.as_dict(), "state": state.label}
-    doc.update(norm_report_to_dict(report))
-    write_json(cfg.out("modnorm_report.json"), doc)
-    print(f"verdict {report.verdict} (growth_exponent {report.growth_exponent:.4f})")
-    return 0
+    report = modulation_norm(state, ns.s, grid, window=ns.window, **cfg.ladder())
+    return _write_verdict(cfg, "modnorm_report.json", state, report)
 
 
 def cmd_diagnose(ns: argparse.Namespace, cfg: RunConfig) -> int:
@@ -349,17 +268,8 @@ def cmd_diagnose(ns: argparse.Namespace, cfg: RunConfig) -> int:
     warning = diagnostic_grid_warning(state, grid)
     if warning:
         print(f"warning: {warning}", file=sys.stderr)
-    report = feichtinger_diagnostic(
-        state,
-        grid,
-        tail_tol=cfg.tolerances["convergent_tail"],
-        growth_threshold=cfg.tolerances["diverging_growth"],
-    )
-    doc = {"config": cfg.as_dict(), "state": state.label}
-    doc.update(norm_report_to_dict(report))
-    write_json(cfg.out("diagnose_report.json"), doc)
-    print(f"verdict {report.verdict} (growth_exponent {report.growth_exponent:.4f})")
-    return 0
+    report = feichtinger_diagnostic(state, grid, **cfg.ladder())
+    return _write_verdict(cfg, "diagnose_report.json", state, report)
 
 
 def cmd_ensemble_build(ns: argparse.Namespace, cfg: RunConfig) -> int:
@@ -369,20 +279,18 @@ def cmd_ensemble_build(ns: argparse.Namespace, cfg: RunConfig) -> int:
     rho = density_matrix(op)
     direct = density_matrix_direct(ens, cfg.dim)
     route_residual = float(np.abs(rho.matrix - direct).max())
-    write_json(
-        cfg.out("ensemble_A.json"),
+    cfg.write(
+        "ensemble_A.json",
         {
-            "config": cfg.as_dict(),
             "dim": op.dim,
             "basis": op.basis_label,
             "matrix": complex_matrix_to_pairs(op.matrix),
             "residuals": {"truncation_residual": op.truncation_residual},
         },
     )
-    write_json(
-        cfg.out("ensemble_rho.json"),
+    cfg.write(
+        "ensemble_rho.json",
         {
-            "config": cfg.as_dict(),
             "dim": rho.dim,
             "matrix": complex_matrix_to_pairs(rho.matrix),
             "residuals": {
@@ -401,36 +309,23 @@ def cmd_ensemble_equiv(ns: argparse.Namespace, cfg: RunConfig) -> int:
     e2 = load_ensemble_json(ns.ensemble2, grid.x_grid, cfg.hbar)
     a = build_A(e1, cfg.dim)
     a_prime = build_A(e2, cfg.dim)
-    isometry = find_partial_isometry(
-        a,
-        a_prime,
-        density_tol=cfg.tolerances["density_match"],
-        factor_tol=cfg.tolerances["factor_residual"],
-    )
+    tol = cfg.tolerances
+    isometry = find_partial_isometry(a, a_prime, tol["density_match"], tol["factor_residual"])
     closure = feichtinger_closure_check(
-        e1,
-        e2,
-        a,
-        a_prime,
-        grid,
-        s=ns.s,
-        density_tol=cfg.tolerances["density_match"],
-        field_tol=cfg.tolerances["field_match"],
+        e1, e2, a, a_prime, grid, ns.s, tol["density_match"], tol["field_match"]
     )
-    write_json(
-        cfg.out("isometry.json"),
+    cfg.write(
+        "isometry.json",
         {
-            "config": cfg.as_dict(),
             "dim": a.dim,
             "matrix": complex_matrix_to_pairs(isometry.matrix),
             "residuals": {"defect": isometry.defect},
             "rank": isometry.rank,
         },
     )
-    write_json(
-        cfg.out("closure_report.json"),
+    cfg.write(
+        "closure_report.json",
         {
-            "config": cfg.as_dict(),
             "s": closure.s,
             "density_residual": closure.density_residual,
             "field_residual": closure.field_residual,
@@ -459,10 +354,9 @@ def cmd_ensemble_spectral(ns: argparse.Namespace, cfg: RunConfig) -> int:
         name = f"spectral_member_{idx}.csv"
         write_state_csv(cfg.out(name), grid.x_grid.points(), state.values)
         entries.append({"weight": weight, "state": name})
-    write_json(
-        cfg.out("spectral_ensemble.json"),
+    cfg.write(
+        "spectral_ensemble.json",
         {
-            "config": cfg.as_dict(),
             "label": spectral.label,
             "members": entries,
             "eigenvalue_sum": float(spectral.weights().sum()),
@@ -472,26 +366,15 @@ def cmd_ensemble_spectral(ns: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def _combination_state(
-    grid: PhaseSpaceGrid, coeffs: dict[int, float], label: str
-) -> SampledState:
-    k_max = max(coeffs)
-    basis = hermite_functions(k_max, grid.x_grid.points(), grid.hbar)
-    vals = np.zeros(grid.n_points, dtype=complex)
-    for k, c in coeffs.items():
-        vals += c * basis[k]
-    vals /= trapezoid_norm(vals, grid.x_grid)
-    return SampledState(grid.x_grid, vals, label, grid.hbar)
+def _eigen_pair(grid: PhaseSpaceGrid) -> Ensemble:
+    h0, h1 = (catalog_state(f"hermite:{k}", grid.x_grid, grid.hbar) for k in (0, 1))
+    return Ensemble(((h0, 0.5), (h1, 0.5)), "pair:eigen")
 
 
 def _hadamard_pair(grid: PhaseSpaceGrid) -> tuple[Ensemble, Ensemble]:
-    h0 = catalog_state("hermite:0", grid.x_grid, grid.hbar)
-    h1 = catalog_state("hermite:1", grid.x_grid, grid.hbar)
-    plus = _combination_state(grid, {0: 1.0, 1: 1.0}, "mix:+")
-    minus = _combination_state(grid, {0: 1.0, 1: -1.0}, "mix:-")
-    e1 = Ensemble(((h0, 0.5), (h1, 0.5)), "pair:eigen")
-    e2 = Ensemble(((plus, 0.5), (minus, 0.5)), "pair:rotated")
-    return e1, e2
+    plus = hermite_combination(grid, (1.0, 1.0), "mix:+")
+    minus = hermite_combination(grid, (1.0, -1.0), "mix:-")
+    return _eigen_pair(grid), Ensemble(((plus, 0.5), (minus, 0.5)), "pair:rotated")
 
 
 def _check(name: str, value: float, tol: float) -> dict:
@@ -516,18 +399,14 @@ def cmd_reproduce(ns: argparse.Namespace, cfg: RunConfig) -> int:
     checks: list[dict] = []
     if scenario == "prop1":
         grid = make_grid(1024, 12.0, 1.0)
-        h0 = catalog_state("hermite:0", grid.x_grid)
-        h1 = catalog_state("hermite:1", grid.x_grid)
-        ens = Ensemble(((h0, 0.5), (h1, 0.5)), "pair:eigen")
+        ens = _eigen_pair(grid)
         report = marginals(mixed_wigner(ens, grid), ens)
         checks.append(_check("norm_residual", report.norm_residual, 1e-6))
         checks.append(_check("x_marginal_residual", report.x_residual, 1e-6))
         checks.append(_check("p_marginal_residual", report.p_residual, 1e-6))
     elif scenario == "prop2":
         grid = make_self_reciprocal_grid(2048, 1.0)
-        h0 = catalog_state("hermite:0", grid.x_grid)
-        h1 = catalog_state("hermite:1", grid.x_grid)
-        ens = Ensemble(((h0, 0.5), (h1, 0.5)), "pair:eigen")
+        ens = _eigen_pair(grid)
         verdicts = [modulation_norm(st, 2.0, grid) for st, _ in ens.members]
         report = covariance(mixed_wigner(ens, grid), verdicts)
         sigma_gap = float(np.abs(report.sigma - np.eye(2)).max())
@@ -554,38 +433,107 @@ def cmd_reproduce(ns: argparse.Namespace, cfg: RunConfig) -> int:
         f2 = mixed_wigner(e2, grid)
         field_gap = float(np.abs(f1.values - f2.values).max())
         checks.append(_check("mixed_field_match", field_gap, 1e-5))
-        verdicts = [
-            modulation_norm(st, 0.0, grid).verdict
-            for ens in (e1, e2)
-            for st, _ in ens.members
-        ]
+        verdicts = [modulation_norm(st, 0.0, grid).verdict for st, _ in e1.members + e2.members]
         nonconv = float(sum(v != "convergent" for v in verdicts))
         checks.append(_check("nonconvergent_members", nonconv, 0.0))
     ok = all(c["pass"] for c in checks)
-    write_json(
-        cfg.out(f"reproduce_{scenario}.json"),
-        {
-            "scenario": scenario,
-            "config": cfg.as_dict(),
-            "checks": checks,
-            "pass": ok,
-        },
-    )
+    cfg.write(f"reproduce_{scenario}.json", {"scenario": scenario, "checks": checks, "pass": ok})
     return 0 if ok else 1
 
 
-_HANDLERS = {
-    "wigner": cmd_wigner,
-    "cross-wigner": cmd_cross_wigner,
-    "marginals": cmd_marginals,
-    "moments": cmd_moments,
-    "modnorm": cmd_modnorm,
-    "diagnose": cmd_diagnose,
-    "ensemble-build": cmd_ensemble_build,
-    "ensemble-equiv": cmd_ensemble_equiv,
-    "ensemble-spectral": cmd_ensemble_spectral,
-    "reproduce": cmd_reproduce,
+# argparse keywords of every flag; each command names the ones it takes.
+FLAGS = {
+    "--hbar": {"type": float, "default": 1.0},
+    "--grid-n": {"type": int, "default": 1024},
+    "--grid-l": {"type": float, "default": 12.0},
+    "--dim": {"type": int, "default": 32},
+    "--state": {"required": True},
+    "--state2": {"required": True},
+    "--apply": {"default": None, "help": "metaplectic descriptor applied first"},
+    "--s": {"type": _finite_float, "default": 0.0},
+    "--window": {"default": "hermite:0"},
+    "--ensemble": {"required": True},
+    "--ensemble2": {"required": True},
+    "scenario": {"choices": ["prop1", "prop2", "prop3", "cor5"]},
 }
+_GRID = ("--hbar", "--grid-n", "--grid-l")
+_LADDER = ("convergent_tail", "diverging_growth")
+
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: handler, help, the flags it takes besides --out, the
+    tolerances it reads, and the flags of which it requires exactly one."""
+
+    run: Callable[[argparse.Namespace, RunConfig], int]
+    help: str
+    flags: tuple[str, ...]
+    tolerances: tuple[str, ...] = ()
+    one_of: tuple[str, ...] = ()
+
+
+COMMANDS = {
+    "wigner": Command(cmd_wigner, "Wigner transform of one state", (*_GRID, "--state", "--apply")),
+    "cross-wigner": Command(
+        cmd_cross_wigner, "cross-Wigner transform of two states", (*_GRID, "--state", "--state2")
+    ),
+    "marginals": Command(
+        cmd_marginals, "marginal densities of an ensemble", _GRID, (), ("--ensemble", "--state")
+    ),
+    "moments": Command(
+        cmd_moments,
+        "mean and covariance of an ensemble",
+        _GRID,
+        (*_LADDER, "route_agreement"),
+        ("--ensemble", "--state"),
+    ),
+    "modnorm": Command(
+        cmd_modnorm,
+        "weighted modulation norm ladder",
+        (*_GRID, "--state", "--s", "--window"),
+        _LADDER,
+    ),
+    "diagnose": Command(
+        cmd_diagnose, "integrability verdict for a state", (*_GRID, "--state"), _LADDER
+    ),
+    "ensemble-build": Command(
+        cmd_ensemble_build,
+        "operator and density matrix of an ensemble",
+        (*_GRID, "--dim", "--ensemble"),
+    ),
+    "ensemble-equiv": Command(
+        cmd_ensemble_equiv,
+        "partial isometry between two ensembles",
+        (*_GRID, "--dim", "--ensemble", "--ensemble2", "--s"),
+        ("density_match", "factor_residual", "field_match"),
+    ),
+    "ensemble-spectral": Command(
+        cmd_ensemble_spectral,
+        "eigen-ensemble of a density matrix",
+        (*_GRID, "--dim", "--ensemble"),
+    ),
+    # Each scenario pins its own grid and tolerances, so reproduce takes neither.
+    "reproduce": Command(cmd_reproduce, "run a pinned verification scenario", ("scenario",)),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="wignerlab",
+        description="Phase-space analysis of sampled quantum states",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, cmd in COMMANDS.items():
+        reads = ", ".join(f"--tol.{t}" for t in cmd.tolerances) or "none"
+        p = sub.add_parser(name, help=cmd.help, epilog=f"tolerances read: {reads}")
+        for flag in cmd.flags:
+            p.add_argument(flag, **FLAGS[flag])
+        if cmd.one_of:
+            group = p.add_mutually_exclusive_group(required=True)
+            for flag in cmd.one_of:
+                group.add_argument(flag)
+        p.add_argument("--out", default=None, help="output directory")
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -595,14 +543,17 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parser = build_parser()
     try:
-        ns = parser.parse_args(rest)
+        ns, unread = build_parser().parse_known_args(rest)
     except SystemExit as exc:
         return int(exc.code or 0)
+    cmd = COMMANDS[ns.command]
+    unread += [f"--tol.{name}" for name in overrides if name not in cmd.tolerances]
+    if unread:
+        print(f"error: {ns.command} does not take {' '.join(unread)}", file=sys.stderr)
+        return 2
     try:
-        cfg = _config_from(ns, overrides)
-        return _HANDLERS[ns.command](ns, cfg)
+        return cmd.run(ns, _config_from(ns, overrides))
     except CheckError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1

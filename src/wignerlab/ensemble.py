@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
+    MAX_HERMITE_ORDER,
     CheckError,
     PhaseSpaceGrid,
     PositionGrid,
@@ -44,7 +45,7 @@ __all__ = [
     "feichtinger_closure_check",
 ]
 
-MAX_BASIS_DIM = 128
+MAX_BASIS_DIM = MAX_HERMITE_ORDER + 1
 SV_CUTOFF = 1e-10
 
 
@@ -158,6 +159,11 @@ class PartialIsometry:
         object.__setattr__(self, "matrix", m)
 
 
+def _check_dim(dim: int) -> None:
+    if not 1 <= dim <= MAX_BASIS_DIM:
+        raise ValueError(f"dim must be in 1..{MAX_BASIS_DIM}, got {dim}")
+
+
 def hermite_basis(grid: PositionGrid, dim: int, hbar: float = 1.0) -> np.ndarray:
     """Rows 0..dim-1 of the oscillator basis sampled on the grid.
 
@@ -165,10 +171,7 @@ def hermite_basis(grid: PositionGrid, dim: int, hbar: float = 1.0) -> np.ndarray
     norm off by more than 1e-3), which is how every downstream routine
     detects an inadequate grid before producing garbage coefficients.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if dim > MAX_BASIS_DIM:
-        raise ValueError(f"dim must be <= {MAX_BASIS_DIM}, got {dim}")
+    _check_dim(dim)
     basis = hermite_functions(dim - 1, grid.points(), hbar)
     top_norm = trapezoid_norm(basis[-1], grid)
     if abs(top_norm - 1.0) > 1e-3:
@@ -196,6 +199,7 @@ def project_to_basis(psi: SampledState, dim: int) -> tuple[np.ndarray, float]:
 
 def build_A(ensemble: Ensemble, dim: int) -> EnsembleOperator:
     """Ensemble operator: column j = sqrt(weight_j) * coefficients of member j."""
+    _check_dim(dim)
     if len(ensemble.members) > dim:
         raise ValueError(
             f"ensemble has {len(ensemble.members)} members, more than dim {dim}"
@@ -221,6 +225,7 @@ def density_matrix_direct(ensemble: Ensemble, dim: int) -> np.ndarray:
     Exists as an independent route for validating density_matrix(build_A(e));
     both must agree to rounding.
     """
+    _check_dim(dim)
     rho = np.zeros((dim, dim), dtype=np.complex128)
     for state, weight in ensemble.members:
         coeffs, _ = project_to_basis(state, dim)

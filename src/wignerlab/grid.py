@@ -24,6 +24,7 @@ __all__ = [
     "make_self_reciprocal_grid",
     "catalog_state",
     "hermite_functions",
+    "hermite_combination",
     "trapezoid_weights",
     "state_norm",
     "state_overlap",
@@ -39,6 +40,10 @@ class CheckError(ValueError):
     Distinct from plain ValueError (bad arguments, unreadable files) so that
     callers can map the two onto different exit codes.
     """
+
+
+# Highest oscillator order the recurrence in hermite_functions is used for.
+MAX_HERMITE_ORDER = 127
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -61,8 +66,8 @@ class PositionGrid:
             raise ValueError(f"n_points must be an integer, got {n!r}")
         if n < 8 or not _is_power_of_two(int(n)):
             raise ValueError(f"n_points must be a power of two >= 8, got {n}")
-        if not (self.half_width > 0 and math.isfinite(self.half_width)):
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        if not 0 < self.dx < math.inf:
+            raise ValueError(f"half_width {self.half_width} gives no finite positive step")
 
     @property
     def dx(self) -> float:
@@ -83,8 +88,8 @@ class PhaseSpaceGrid:
     hbar: float
 
     def __post_init__(self) -> None:
-        if not (self.hbar > 0 and math.isfinite(self.hbar)):
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+        if not (self.hbar > 0 and 0 < self.dp < math.inf):
+            raise ValueError(f"hbar {self.hbar} gives no finite positive momentum step")
 
     @property
     def n_points(self) -> int:
@@ -196,12 +201,14 @@ def hermite_functions(k_max: int, x: np.ndarray, hbar: float = 1.0) -> np.ndarra
 
     Uses the normalized two-term recurrence
     phi_k = sqrt(2/k)*u*phi_{k-1} - sqrt((k-1)/k)*phi_{k-2} with u = x/sqrt(hbar),
-    which is stable for the k <= 127 range supported here.
+    which is stable for the k <= MAX_HERMITE_ORDER range supported here.
 
     Returns an array of shape (k_max + 1, x.size).
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
+    if k_max > MAX_HERMITE_ORDER:
+        raise ValueError(f"hermite order must be <= {MAX_HERMITE_ORDER}, got {k_max}")
     u = np.asarray(x, dtype=float) / math.sqrt(hbar)
     out = np.empty((k_max + 1, u.size))
     out[0] = (math.pi * hbar) ** -0.25 * np.exp(-0.5 * u * u)
@@ -210,6 +217,18 @@ def hermite_functions(k_max: int, x: np.ndarray, hbar: float = 1.0) -> np.ndarra
     for k in range(2, k_max + 1):
         out[k] = math.sqrt(2.0 / k) * u * out[k - 1] - math.sqrt((k - 1.0) / k) * out[k - 2]
     return out
+
+
+def hermite_combination(
+    grid: PhaseSpaceGrid, coeffs: tuple[complex, ...], label: str
+) -> SampledState:
+    """Unit-norm state sum_k coeffs[k] * phi_k on the grid's position lattice."""
+    basis = hermite_functions(len(coeffs) - 1, grid.x_grid.points(), grid.hbar)
+    vals = np.zeros(grid.n_points, dtype=complex)
+    for k, c in enumerate(coeffs):
+        vals += c * basis[k]
+    vals /= trapezoid_norm(vals, grid.x_grid)
+    return SampledState(grid.x_grid, vals, label, grid.hbar)
 
 
 def read_state_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -300,8 +319,11 @@ def catalog_state(spec: str, grid: PositionGrid, hbar: float = 1.0) -> SampledSt
             sigma = float(rest)
         except ValueError:
             raise ValueError(f"bad gaussian width in {spec!r}") from None
-        if not 0 < sigma < L / 4:
-            raise ValueError(f"gaussian width must satisfy 0 < sigma < L/4 = {L / 4}")
+        # The lattice does not resolve a width below dx, and sigma**2 may underflow.
+        if not grid.dx <= sigma < L / 4:
+            raise ValueError(
+                f"gaussian width {sigma} is outside [dx, L/4) = [{grid.dx:.3g}, {L / 4:.3g})"
+            )
         vals = (math.pi * sigma**2) ** -0.25 * np.exp(-(x**2) / (2 * sigma**2))
         return SampledState(grid, _normalized(vals.astype(complex), grid, spec), spec, hbar)
 

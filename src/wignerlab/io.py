@@ -84,8 +84,10 @@ def canonical_json(obj: Any) -> str:
 
 
 def write_json(path: str, obj: Any) -> None:
+    # Serialize before opening, so a refused value leaves no empty file.
+    text = canonical_json(obj)
     with open(path, "w") as fh:
-        fh.write(canonical_json(obj))
+        fh.write(text)
 
 
 def complex_matrix_to_pairs(matrix: np.ndarray) -> list:

@@ -78,13 +78,18 @@ def weighted_l1_norm(
     x = field.x_axis[:, None]
     p = field.p_axis[None, :]
     wx = trapezoid_weights(field.grid.n_points)[:, None]
-    weighted = np.abs(field.values) * (1.0 + x**2 + p**2) ** (0.5 * s) * wx
-    # The disc mask is rebuilt per cutoff rather than kept as one x^2 + p^2
-    # array: holding that array across the ladder costs a field-sized block.
-    return tuple(
-        float(np.sum(weighted * ((x**2 + p**2) <= cutoff**2)) * field.dx * field.dp)
-        for cutoff in cutoffs
-    )
+    # An overflowing weight is refused below, so its warnings are noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        weighted = np.abs(field.values) * (1.0 + x**2 + p**2) ** (0.5 * s) * wx
+        # The disc mask is rebuilt per cutoff rather than kept as one x^2 + p^2
+        # array: holding that array across the ladder costs a field-sized block.
+        norms = tuple(
+            float(np.sum(weighted * ((x**2 + p**2) <= cutoff**2)) * field.dx * field.dp)
+            for cutoff in cutoffs
+        )
+    if not all(math.isfinite(v) for v in norms):
+        raise ValueError(f"weight exponent s = {s} overflows the weighted norm on this grid")
+    return norms
 
 
 def cutoff_ladder(field: PhaseSpaceField) -> tuple[float, float, float, float]:

@@ -1,16 +1,11 @@
-import math
-
-import numpy as np
 import pytest
 
 from wignerlab.ensemble import Ensemble, mixed_wigner
 from wignerlab.grid import (
-    SampledState,
     catalog_state,
-    hermite_functions,
+    hermite_combination,
     make_grid,
     make_self_reciprocal_grid,
-    trapezoid_weights,
 )
 from wignerlab.modspace import modulation_norm
 
@@ -39,16 +34,6 @@ def sr1024():
 @pytest.fixture(scope="session")
 def sr2048():
     return make_self_reciprocal_grid(2048, 1.0)
-
-
-def hermite_combination(grid, coeffs, label):
-    basis = hermite_functions(len(coeffs) - 1, grid.x_grid.points(), grid.hbar)
-    vals = np.zeros(grid.n_points, dtype=complex)
-    for k, c in enumerate(coeffs):
-        vals += c * basis[k]
-    w = trapezoid_weights(grid.n_points)
-    vals = vals / math.sqrt(float(np.sum(w * np.abs(vals) ** 2)) * grid.dx)
-    return SampledState(grid.x_grid, vals, label, grid.hbar)
 
 
 @pytest.fixture(scope="session")

@@ -4,15 +4,18 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wignerlab.cli import TOL_DEFAULTS, RunConfig, main
+from wignerlab.cli import COMMANDS, FLAGS, TOL_DEFAULTS, RunConfig, main
 from wignerlab.ensemble import Ensemble
 from wignerlab.grid import catalog_state, make_grid, write_state_csv
 from wignerlab.io import pairs_to_complex_matrix, write_ensemble_json
 
 from conftest import hermite_combination
 
-SMALL = ["--grid-n", "512", "--grid-l", "10", "--dim", "16"]
+SMALL = ["--grid-n", "512", "--grid-l", "10"]
+DIM = ["--dim", "16"]  # only the ensemble commands take --dim
 
 
 def read_json(path):
@@ -173,7 +176,7 @@ def write_pair_files(tmp_path, grid):
 def test_ensemble_build_subcommand(tmp_path):
     grid = make_grid(512, 10.0, 1.0)
     eigen, _ = write_pair_files(tmp_path, grid)
-    args = ["ensemble-build", "--ensemble", eigen, "--out", str(tmp_path)] + SMALL
+    args = ["ensemble-build", "--ensemble", eigen, "--out", str(tmp_path)] + SMALL + DIM
     assert main(args) == 0
     rho_doc = read_json(tmp_path / "ensemble_rho.json")
     rho = pairs_to_complex_matrix(rho_doc["matrix"])
@@ -190,7 +193,7 @@ def test_ensemble_equiv_subcommand(tmp_path, capsys):
     args = [
         "ensemble-equiv", "--ensemble", eigen, "--ensemble2", rotated,
         "--out", str(tmp_path),
-    ] + SMALL
+    ] + SMALL + DIM
     assert main(args) == 0
     assert "closure implication holds" in capsys.readouterr().out
     iso = read_json(tmp_path / "isometry.json")
@@ -204,7 +207,7 @@ def test_ensemble_equiv_subcommand(tmp_path, capsys):
 def test_ensemble_spectral_subcommand(tmp_path):
     grid = make_grid(512, 10.0, 1.0)
     eigen, _ = write_pair_files(tmp_path, grid)
-    args = ["ensemble-spectral", "--ensemble", eigen, "--out", str(tmp_path)] + SMALL
+    args = ["ensemble-spectral", "--ensemble", eigen, "--out", str(tmp_path)] + SMALL + DIM
     assert main(args) == 0
     doc = read_json(tmp_path / "spectral_ensemble.json")
     assert doc["eigenvalue_sum"] == pytest.approx(1.0, abs=1e-10)
@@ -230,11 +233,13 @@ def test_reproduce_tight_tolerance_fails(tmp_path, capsys):
         "reproduce", "prop1", "--out", str(tmp_path),
         "--tol.route_agreement", "1e-9",
     ]
-    # prop1 does not use route_agreement; the override must still parse.
-    assert main(args) == 0
+    # prop1 reads no tolerance, so an override would only mislabel the artifact.
+    assert main(args) == 2
+    assert "--tol.route_agreement" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert main(["reproduce", "prop1", "--out", str(tmp_path)]) == 0
     doc = read_json(tmp_path / "reproduce_prop1.json")
     assert doc["pass"] is True
-    assert doc["config"]["tolerances"]["route_agreement"] == 1e-9
     assert len(doc["checks"]) == 3
     capsys.readouterr()
 
@@ -251,7 +256,7 @@ def test_reproduce_tight_tolerance_fails(tmp_path, capsys):
 def test_ensemble_file_shape_errors_are_usage_errors(tmp_path, capsys, body, member):
     path = tmp_path / "bad.json"
     path.write_text(body)
-    args = ["ensemble-build", "--ensemble", str(path), "--out", str(tmp_path)] + SMALL
+    args = ["ensemble-build", "--ensemble", str(path), "--out", str(tmp_path)] + SMALL + DIM
     assert main(args) == 2
     err = capsys.readouterr().err
     assert str(path) in err
@@ -303,7 +308,7 @@ def test_each_command_computes_each_object_once(tmp_path, monkeypatch):
     eigen, rotated = write_pair_files(tmp_path, grid)
     operators = count_calls(monkeypatch, build_A)
     args = ["ensemble-equiv", "--ensemble", eigen, "--ensemble2", rotated, "--out", str(tmp_path)]
-    assert main(args + SMALL) == 0
+    assert main(args + SMALL + DIM) == 0
     assert len(operators) == 2
 
 
@@ -317,3 +322,200 @@ def test_mixed_wigner_makes_one_kernel_pass(monkeypatch):
     diagonals = count_calls(monkeypatch, wigner)
     mixed_wigner(ens, grid)
     assert crosses == [] and diagonals == []
+
+
+# What each command reads, as the README states it; the command table must agree.
+READS = {
+    "wigner": set(),
+    "cross-wigner": set(),
+    "marginals": set(),
+    "moments": {"convergent_tail", "diverging_growth", "route_agreement"},
+    "modnorm": {"convergent_tail", "diverging_growth"},
+    "diagnose": {"convergent_tail", "diverging_growth"},
+    "ensemble-build": set(),
+    "ensemble-equiv": {"density_match", "factor_residual", "field_match"},
+    "ensemble-spectral": set(),
+    "reproduce": set(),
+}
+TAKES_DIM = {"ensemble-build", "ensemble-equiv", "ensemble-spectral"}
+# Otherwise valid argv; the ensemble file need not exist, since a refused flag
+# must stop the command before any file is read.
+BASE = {
+    "wigner": ["--state", "hermite:0"],
+    "cross-wigner": ["--state", "hermite:0", "--state2", "hermite:1"],
+    "marginals": ["--state", "hermite:0"],
+    "moments": ["--state", "hermite:0"],
+    "modnorm": ["--state", "hermite:0"],
+    "diagnose": ["--state", "hermite:0"],
+    "ensemble-build": ["--ensemble", "absent.json"],
+    "ensemble-equiv": ["--ensemble", "absent.json", "--ensemble2", "absent.json"],
+    "ensemble-spectral": ["--ensemble", "absent.json"],
+    "reproduce": ["prop1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_each_command_refuses_flags_it_does_not_read(tmp_path, capsys, command):
+    assert set(COMMANDS) == set(READS) == set(BASE)
+    assert set(COMMANDS[command].tolerances) == READS[command]
+    out = tmp_path / "out"
+    unread = [f"--tol.{name}" for name in TOL_DEFAULTS if name not in READS[command]]
+    if command not in TAKES_DIM:
+        unread.append("--dim")
+    for flag in unread:
+        assert main([command, *BASE[command], flag, "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and command in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["marginals", "moments"])
+def test_ensemble_and_state_are_one_required_choice(tmp_path, capsys, command):
+    out = ["--out", str(tmp_path / "out")]
+    both = [command, "--ensemble", "absent.json", "--state", "hermite:0"]
+    assert main(both + out) == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert main([command] + out) == 2
+    assert "one of the arguments --ensemble --state is required" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        (["wigner", "--state", "hermite:99999999999"], "hermite order must be <= 127"),
+        (["wigner", "--state", "gaussian:1e-300"], "gaussian width"),
+        (["modnorm", "--state", "hermite:0", "--window", "gaussian:1e-300"], "gaussian width"),
+        (["ensemble-build", "--ensemble", "EIGEN", "--dim", "100000"], "dim must be in 1..128"),
+        (["modnorm", "--state", "hermite:0", "--s", "1e308"] + SMALL, "s = 1e+308"),
+        (["wigner", "--state", "box:-0.5:0.5", "--hbar", "1e308", "--grid-n", "8"], "hbar 1e+308"),
+    ],
+    ids=[
+        "huge-hermite-order", "tiny-gaussian", "tiny-gaussian-window", "huge-dim", "huge-s",
+        "huge-hbar",
+    ],
+)
+def test_inputs_that_raised_now_exit_2(tmp_path, capsys, argv, says):
+    # Each of these raised a traceback, except huge-hbar, which exited 2 but
+    # left wigner_field.csv behind.
+    eigen = str(tmp_path / "eigen.json")
+    write_ensemble_json(eigen, "pair:eigen", [(0.5, "hermite:0"), (0.5, "hermite:1")])
+    out = tmp_path / "out"
+    argv = [eigen if a == "EIGEN" else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert says in capsys.readouterr().err
+    assert not out.exists()
+
+
+STATES = [
+    "hermite:0", "hermite:3", "hermite:-1", "hermite:99999999999", "gaussian:1",
+    "gaussian:1e-300", "gaussian:nan", "box:-0.5:0.5", "box:0:0", "nope:1",
+    "file:absent.csv", "",
+]
+NUMBERS = ["0", "-1", "nan", "inf", "1e-300", "1e308"]
+ENSEMBLE_BODIES = [
+    '{"members": [{"weight": 0.5, "state": "hermite:0"}, {"weight": 0.5, "state": "hermite:1"}]}',
+    '{"members": [',
+    '{"members": 5}',
+    '{"members": []}',
+    '{"members": [{"weight": NaN, "state": "hermite:0"}]}',
+    '{"members": [{"weight": 1, "state": "hermite:99999999999"}]}',
+    '{"members": [{"weight": 1, "state": 7}]}',
+]
+POOL = {
+    "--state": STATES,
+    "--state2": STATES,
+    "--window": STATES,
+    "--apply": ["fourier", "scale:1.3", "scale:0", "scale:nan", "scale:1e-300", "turn:1"],
+    "--s": ["2", "700", "-1", "nan", "1e308"],
+    "--hbar": NUMBERS,
+    "--grid-n": ["8", "16", "32", "64", "9", str(2**20)],
+    "--grid-l": NUMBERS,
+    "--dim": ["1", "0", "129", "100000", "nan"],
+    "scenario": ["prop9", "", "nan"],
+    **{f"--tol.{name}": NUMBERS for name in TOL_DEFAULTS},
+}
+# A valid value for every flag, on a grid small enough to keep each run fast;
+# the ensemble flags take ENSEMBLE_BODIES[0].
+VALID = {
+    "--state": "hermite:1",
+    "--state2": "hermite:0",
+    "--window": "hermite:0",
+    "--apply": "scale:1.3",
+    "--s": "0",
+    "--hbar": "1",
+    "--grid-n": "128",
+    "--grid-l": "8",
+    "--dim": "8",
+    "scenario": "prop1",
+    **{f"--tol.{name}": "1e-3" for name in TOL_DEFAULTS},
+}
+
+
+def own_flags(cmd, source):
+    """Every flag the command takes, with source as its choice from one_of."""
+    tols = [f"--tol.{name}" for name in cmd.tolerances]
+    return [*cmd.flags, *([source] if source else []), *tols]
+
+
+def invocations():
+    """(command, its flags) for each command and each choice of its one_of."""
+    return [
+        (name, own_flags(cmd, source))
+        for name, cmd in sorted(COMMANDS.items())
+        for source in cmd.one_of or (None,)
+    ]
+
+
+ALL_FLAGS = sorted({flag for _, flags in invocations() for flag in flags} | {"--dim"})
+
+
+@pytest.fixture(scope="module")
+def pools(tmp_path_factory):
+    """POOL and VALID with the ensemble flags bound to files in tmp."""
+    root = tmp_path_factory.mktemp("ensembles")
+    paths = [root / f"e{idx}.json" for idx in range(len(ENSEMBLE_BODIES))]
+    for path, body in zip(paths, ENSEMBLE_BODIES):
+        path.write_text(body)
+    files = [str(path) for path in paths + [root / "absent.json"]]
+    ensembles = {"--ensemble": files, "--ensemble2": files}
+    return {**POOL, **ensembles}, {**VALID, **{k: v[0] for k, v in ensembles.items()}}
+
+
+def check_boundary(out, command, flags, drawn, pools):
+    """Run a valid invocation with the drawn values laid over it.
+
+    Every input is read or refused: exit 0, 1 or 2, never a traceback, and a
+    refusal (exit 2) leaves no artifact behind.
+    """
+    argv = [command]
+    for flag in flags:
+        value = drawn.get(flag, pools[1][flag])
+        argv += [value] if flag == "scenario" else [flag, value]
+    code = main(argv + ["--out", str(out)])
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert not out.exists() or list(out.iterdir()) == [], argv
+
+
+def test_every_pool_value_is_read_or_refused(tmp_path, pools):
+    # Each flag of each command in turn takes each value of its pool.
+    runs = 0
+    for command, flags in invocations():
+        for flag in flags:
+            for value in pools[0][flag]:
+                runs += 1
+                check_boundary(tmp_path / str(runs), command, flags, {flag: value}, pools)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cli_boundary_fuzz(tmp_path_factory, pools, data):
+    # Pairs of pool values, and one time in four a flag of another command.
+    command, flags = data.draw(st.sampled_from(invocations()))
+    drawn_flags = data.draw(st.sets(st.sampled_from(flags), min_size=1, max_size=2))
+    if data.draw(st.integers(0, 3)) == 0:
+        foreign = data.draw(st.sampled_from([f for f in ALL_FLAGS if f not in flags]))
+        flags, drawn_flags = flags + [foreign], drawn_flags | {foreign}
+    drawn = {f: data.draw(st.sampled_from(pools[0][f])) for f in sorted(drawn_flags)}
+    check_boundary(tmp_path_factory.mktemp("fuzz") / "out", command, flags, drawn, pools)

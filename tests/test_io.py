@@ -58,6 +58,13 @@ def test_write_json_bytes_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_refused_json_leaves_no_file(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="non-finite"):
+        write_json(str(path), {"partials": [1.0, float("nan")]})
+    assert not path.exists()
+
+
 def test_complex_matrix_pairs_round_trip():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

@@ -52,6 +52,15 @@ def test_weighted_norm_argument_validation(g512):
         weighted_l1_norm(field, 0.0, (1.0, 2.0 * band))
 
 
+def test_overflowing_weight_is_refused_not_inconclusive():
+    # (1 + x^2 + p^2)^350 overflows at the lattice corner; the ladder used to
+    # come back NaN and read as "inconclusive".
+    grid = make_grid(64, 8.0)
+    h0 = catalog_state("hermite:0", grid.x_grid)
+    with pytest.raises(ValueError, match="s = 700"):
+        modulation_norm(h0, 700, grid)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(3, 8),
