@@ -13,7 +13,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -181,6 +181,14 @@ def _ensemble_from(ns: argparse.Namespace, cfg: RunConfig) -> Ensemble:
     return Ensemble(((state, 1.0),), ns.state)
 
 
+def _warn_coarse_grid(grid: PhaseSpaceGrid, states: Iterable[SampledState], role: str) -> None:
+    """Print diagnostic_grid_warning's message for each state it flags."""
+    for state in states:
+        warning = diagnostic_grid_warning(state, grid)
+        if warning:
+            print(f"warning: {role} {state.label}: {warning}", file=sys.stderr)
+
+
 def cmd_wigner(ns: argparse.Namespace, cfg: RunConfig) -> int:
     grid = cfg.grid()
     state = catalog_state(ns.state, grid.x_grid, cfg.hbar)
@@ -211,6 +219,7 @@ def cmd_cross_wigner(ns: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_marginals(ns: argparse.Namespace, cfg: RunConfig) -> int:
     grid = cfg.grid()
     ens = _ensemble_from(ns, cfg)
+    _warn_coarse_grid(grid, (st for st, _ in ens.members), "member")
     rho = mixed_wigner(ens, grid)
     report = marginals(rho, ens)
     doc = {
@@ -231,6 +240,7 @@ def cmd_marginals(ns: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_moments(ns: argparse.Namespace, cfg: RunConfig) -> int:
     grid = cfg.grid()
     ens = _ensemble_from(ns, cfg)
+    _warn_coarse_grid(grid, (st for st, _ in ens.members), "member")
     verdicts = [modulation_norm(st, 2.0, grid, **cfg.ladder()) for st, _ in ens.members]
     rho = mixed_wigner(ens, grid)
     report = covariance(rho, verdicts, route_tol=cfg.tolerances["route_agreement"])
@@ -258,16 +268,17 @@ def _write_verdict(
 def cmd_modnorm(ns: argparse.Namespace, cfg: RunConfig) -> int:
     grid = cfg.grid()
     state = catalog_state(ns.state, grid.x_grid, cfg.hbar)
-    report = modulation_norm(state, ns.s, grid, window=ns.window, **cfg.ladder())
+    window = catalog_state(ns.window, grid.x_grid, cfg.hbar)
+    _warn_coarse_grid(grid, [state], "state")
+    _warn_coarse_grid(grid, [window], "window")
+    report = modulation_norm(state, ns.s, grid, window=window, **cfg.ladder())
     return _write_verdict(cfg, "modnorm_report.json", state, report)
 
 
 def cmd_diagnose(ns: argparse.Namespace, cfg: RunConfig) -> int:
     grid = cfg.grid()
     state = catalog_state(ns.state, grid.x_grid, cfg.hbar)
-    warning = diagnostic_grid_warning(state, grid)
-    if warning:
-        print(f"warning: {warning}", file=sys.stderr)
+    _warn_coarse_grid(grid, [state], "state")
     report = feichtinger_diagnostic(state, grid, **cfg.ladder())
     return _write_verdict(cfg, "diagnose_report.json", state, report)
 
@@ -307,6 +318,7 @@ def cmd_ensemble_equiv(ns: argparse.Namespace, cfg: RunConfig) -> int:
     grid = cfg.grid()
     e1 = load_ensemble_json(ns.ensemble, grid.x_grid, cfg.hbar)
     e2 = load_ensemble_json(ns.ensemble2, grid.x_grid, cfg.hbar)
+    _warn_coarse_grid(grid, (st for st, _ in e1.members + e2.members), "member")
     a = build_A(e1, cfg.dim)
     a_prime = build_A(e2, cfg.dim)
     tol = cfg.tolerances

@@ -269,13 +269,14 @@ def read_state_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_state_csv(path: str, x: np.ndarray, values: np.ndarray) -> None:
+    """State CSV: columns x,re,im, ``%.17g`` numbers, CRLF line ends."""
+    x = np.asarray(x, dtype=float).tolist()
+    values = np.asarray(values, dtype=complex).tolist()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "re", "im"])
-        for xv, v in zip(np.asarray(x), np.asarray(values, dtype=complex)):
-            writer.writerow(
-                [format(float(xv), ".17g"), format(v.real, ".17g"), format(v.imag, ".17g")]
-            )
+        fh.write("x,re,im\r\n")
+        fh.write(
+            "".join([f"{xv:.17g},{v.real:.17g},{v.imag:.17g}\r\n" for xv, v in zip(x, values)])
+        )
 
 
 def _normalized(values: np.ndarray, grid: PositionGrid, what: str) -> np.ndarray:

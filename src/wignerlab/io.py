@@ -115,26 +115,27 @@ def field_metadata(field: PhaseSpaceField) -> dict:
 
 
 def write_field_csv(path: str, field: PhaseSpaceField) -> None:
-    """Field CSV, row-major over x then p.
+    """Field CSV, row-major over x then p, with CRLF line ends.
 
-    Real fields get columns x,p,value; complex fields x,p,re,im.
+    Real fields get columns x,p,value; complex fields x,p,re,im.  Every
+    number is printed with ``%.17g``.  The p column is formatted once and
+    each x row is written as one block, so at most one row of the field is
+    held as Python objects at a time.
     """
-    is_complex = np.iscomplexobj(field.values)
-    x_axis = field.x_axis
+    values = field.values
+    is_complex = np.iscomplexobj(values)
+    ps = [f"{p:.17g}" for p in field.p_axis.tolist()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "p", "re", "im"] if is_complex else ["x", "p", "value"])
-        for j, xv in enumerate(x_axis):
-            xs = format(float(xv), ".17g")
-            row_vals = field.values[j]
-            for i, pv in enumerate(field.p_axis):
-                ps = format(float(pv), ".17g")
-                if is_complex:
-                    writer.writerow(
-                        [xs, ps, format(row_vals[i].real, ".17g"), format(row_vals[i].imag, ".17g")]
-                    )
-                else:
-                    writer.writerow([xs, ps, format(float(row_vals[i]), ".17g")])
+        fh.write("x,p,re,im\r\n" if is_complex else "x,p,value\r\n")
+        for xv, row in zip(field.x_axis.tolist(), values):
+            xs = f"{xv:.17g}"
+            if is_complex:
+                lines = [
+                    f"{xs},{p},{v.real:.17g},{v.imag:.17g}\r\n" for p, v in zip(ps, row.tolist())
+                ]
+            else:
+                lines = [f"{xs},{p},{v:.17g}\r\n" for p, v in zip(ps, row.tolist())]
+            fh.write("".join(lines))
 
 
 def read_field_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -211,11 +212,12 @@ def marginal_report_to_dict(report: MarginalReport) -> dict:
 
 
 def write_marginal_csv(path: str, axis_name: str, axis: np.ndarray, values: np.ndarray) -> None:
+    """Marginal CSV: columns axis_name,value, ``%.17g`` numbers, CRLF line ends."""
+    axis = np.asarray(axis, dtype=float).tolist()
+    values = np.asarray(values, dtype=float).tolist()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([axis_name, "value"])
-        for a, v in zip(axis, values):
-            writer.writerow([format(float(a), ".17g"), format(float(v), ".17g")])
+        fh.write(f"{axis_name},value\r\n")
+        fh.write("".join([f"{a:.17g},{v:.17g}\r\n" for a, v in zip(axis, values)]))
 
 
 def load_ensemble_json(path: str, grid: PositionGrid, hbar: float = 1.0) -> Ensemble:

@@ -147,20 +147,23 @@ def modulation_norm(
     psi: SampledState,
     s: float,
     grid: PhaseSpaceGrid,
-    window: str = "hermite:0",
+    window: str | SampledState = "hermite:0",
     tail_tol: float = 1e-3,
     growth_threshold: float = 0.5,
 ) -> WeightedNormReport:
     """Partial weighted norms of the cross-Wigner transform against a window.
 
-    The window is a catalog descriptor, by default the ground Gaussian;
-    any nonzero window distinguishes the same class of states, only the
-    values change.
+    The window is a catalog descriptor, by default the ground Gaussian, or a
+    state already sampled on the grid; any nonzero window distinguishes the
+    same class of states, only the values change.
     """
     if s < 0:
         raise ValueError(f"weight exponent s must be >= 0, got {s}")
-    win = catalog_state(window, grid.x_grid, grid.hbar)
-    return _ladder_report(cross_wigner(psi, win, grid), s, window, tail_tol, growth_threshold)
+    if isinstance(window, str):
+        window = catalog_state(window, grid.x_grid, grid.hbar)
+    return _ladder_report(
+        cross_wigner(psi, window, grid), s, window.label, tail_tol, growth_threshold
+    )
 
 
 def feichtinger_diagnostic(

@@ -159,6 +159,41 @@ def test_diagnose_box_warns_and_diverges(tmp_path, capsys):
     assert 0.8 <= doc["growth_exponent"] <= 1.2
 
 
+# A band of 6.28 against the 16.4 that hermite:0 needs: its ladder reads "diverging".
+COARSE = ["--grid-n", "64", "--grid-l", "8"]
+
+
+@pytest.mark.parametrize(
+    "command, role, code",
+    [("marginals", "member", 1), ("moments", "member", 1), ("modnorm", "state", 0),
+     ("diagnose", "state", 0)],
+)
+def test_verdict_commands_warn_on_coarse_grid(tmp_path, capsys, command, role, code):
+    args = [command, "--state", "hermite:0", *COARSE, "--out", str(tmp_path)]
+    assert main(args) == code
+    assert f"warning: {role} hermite:0: momentum band 6.28" in capsys.readouterr().err
+
+
+def test_ensemble_equiv_warns_on_coarse_grid(tmp_path, capsys):
+    ens = str(tmp_path / "ens.json")
+    write_ensemble_json(ens, "pair", [(0.5, "hermite:0"), (0.5, "hermite:1")])
+    args = ["ensemble-equiv", "--ensemble", ens, "--ensemble2", ens, "--dim", "8",
+            "--grid-n", "128", "--grid-l", "8", "--out", str(tmp_path)]
+    assert main(args) == 0
+    err = capsys.readouterr().err
+    assert err.count("warning: member hermite:0: momentum band") == 2
+    assert err.count("warning: member hermite:1: momentum band") == 2
+
+
+def test_modnorm_warns_on_one_sample_window(tmp_path, capsys):
+    args = ["modnorm", "--state", "hermite:0", "--window", "box:0:0.0001", "--out", str(tmp_path)]
+    assert main(args) == 0
+    err = capsys.readouterr().err
+    assert "warning: window box:0:0.0001: momentum band" in err
+    assert "warning: state" not in err
+    assert read_json(tmp_path / "modnorm_report.json")["window"] == "box:0:0.0001"
+
+
 def write_pair_files(tmp_path, grid):
     plus = hermite_combination(grid, (1.0, 1.0), "mix:+")
     minus = hermite_combination(grid, (1.0, -1.0), "mix:-")

@@ -1,8 +1,13 @@
+import csv
 import json
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wignerlab.grid import PhaseSpaceField, catalog_state, make_grid, write_state_csv
 from wignerlab.io import (
@@ -18,6 +23,7 @@ from wignerlab.io import (
     write_ensemble_json,
     write_field_csv,
     write_json,
+    write_marginal_csv,
 )
 from wignerlab.modspace import modulation_norm
 from wignerlab.moments import covariance, marginals
@@ -172,3 +178,83 @@ def test_ensemble_json_rejects_malformed(tmp_path, g512):
     p3.write_text('{"members": [{"weight": 1.0}]}')
     with pytest.raises(ValueError):
         load_ensemble_json(str(p3), g512.x_grid)
+
+
+# Numbers whose %.17g text is easy to get wrong: signed zero, subnormals,
+# huge magnitudes, the first integer past 2**53 and a repeating binary fraction.
+AWKWARD = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1e16, 1.0 / 3.0, -2.5e-310, 0.1]
+numbers = st.one_of(st.sampled_from(AWKWARD), st.floats(width=64))
+
+
+def complex_array(re, im):
+    """re + i·im without arithmetic, so -0.0, inf and nan parts keep their values."""
+    z = np.asarray(re, dtype=complex)
+    z.imag = im
+    return z
+
+
+def csv_writer_oracle(path, header, rows):
+    """The csv.writer loop the three writers used before: %.17g text per number."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(float(v), ".17g") for v in row])
+
+
+def field_rows(field):
+    for xv, row in zip(field.x_axis, field.values):
+        for pv, v in zip(field.p_axis, row):
+            yield (xv, pv, v.real, v.imag) if np.iscomplexobj(row) else (xv, pv, v)
+
+
+def assert_writers_match_oracle(field, axis, values):
+    """Write with each writer and with the oracle; compare the bytes."""
+    header = ["x", "p", "re", "im"] if np.iscomplexobj(field.values) else ["x", "p", "value"]
+    state = complex_array(values, axis[::-1])
+    cases = [
+        (lambda path: write_field_csv(path, field), header, field_rows(field)),
+        (lambda path: write_marginal_csv(path, "p", axis, values), ["p", "value"],
+         zip(axis, values)),
+        (lambda path: write_state_csv(path, axis, state), ["x", "re", "im"],
+         zip(axis, state.real, state.imag)),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = os.path.join(tmp, "new.csv"), os.path.join(tmp, "old.csv")
+        for write, head, rows in cases:
+            write(new)
+            csv_writer_oracle(old, head, rows)
+            with open(new, "rb") as a, open(old, "rb") as b:
+                assert a.read() == b.read()
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_csv_writers_match_csv_writer_on_awkward_values(is_complex):
+    grid = make_grid(8, 10.0 / 3.0)
+    p_axis = grid.p_points()[1:6]  # five columns, off-centre
+    vals = np.resize(np.array(AWKWARD), 40).reshape(8, 5)
+    if is_complex:
+        vals = complex_array(vals, vals[::-1, ::-1])
+    field = PhaseSpaceField(grid, vals, p_axis)
+    assert_writers_match_oracle(field, np.array(AWKWARD[::-1]), np.array(AWKWARD))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([8, 16]),
+    half_width=st.sampled_from([1.0, 10.0 / 3.0, 12.0, 1e-3]),
+    data=st.data(),
+)
+def test_csv_writers_match_csv_writer_oracle(n, half_width, data):
+    grid = make_grid(n, half_width)
+    cols = data.draw(st.integers(2, n), label="cols")
+    start = data.draw(st.integers(0, n - cols), label="start")
+    is_complex = data.draw(st.booleans(), label="complex")
+    size = n * cols * (2 if is_complex else 1)
+    flat = np.array(data.draw(st.lists(numbers, min_size=size, max_size=size)))
+    vals = complex_array(flat[: n * cols], flat[n * cols :]) if is_complex else flat
+    field = PhaseSpaceField(grid, vals.reshape(n, cols), grid.p_points()[start : start + cols])
+    m = data.draw(st.integers(1, 12), label="rows")
+    pairs = data.draw(st.lists(st.tuples(numbers, numbers), min_size=m, max_size=m))
+    axis, values = (np.array(c) for c in zip(*pairs))
+    assert_writers_match_oracle(field, axis, values)
