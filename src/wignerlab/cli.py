@@ -13,7 +13,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -90,13 +90,14 @@ class RunConfig:
             raise ValueError("hbar, grid_l, and dim must be positive")
         if self.grid_n < 8 or self.grid_n & (self.grid_n - 1):
             raise ValueError(f"grid_n must be a power of two >= 8, got {self.grid_n}")
-        # characteristic_function builds one n x n complex array.
+        # The largest arrays a command holds are cross_wigner's n x n/2 complex
+        # field and the copy PhaseSpaceField takes of it: 16 n^2 bytes together.
         need = 16 * self.grid_n**2
         have = _physical_memory()
         if have is not None and need > have:
             raise ValueError(
-                f"grid_n {self.grid_n} needs {need / 1e9:.3g} GB for one n x n complex "
-                f"array, more than the {have / 1e9:.3g} GB of physical memory"
+                f"grid_n {self.grid_n} needs {need / 1e9:.3g} GB for a complex n x n/2 "
+                f"field and its copy, more than the {have / 1e9:.3g} GB of physical memory"
             )
 
     def ladder(self) -> dict:
@@ -104,9 +105,16 @@ class RunConfig:
         tol = self.tolerances
         return {"tail_tol": tol["convergent_tail"], "growth_threshold": tol["diverging_growth"]}
 
-    def write(self, name: str, doc: dict) -> None:
-        """Write one JSON artifact, stamped with this configuration."""
-        write_json(self.out(name), {"config": self.as_dict(), **doc})
+    def write(self, name: str, doc: dict, grid_warnings: Sequence[str] = ()) -> None:
+        """Write one JSON artifact, stamped with this configuration.
+
+        Grid-adequacy warnings go in under "grid_warnings", only when there
+        are any, so an unflagged artifact keeps its bytes.
+        """
+        doc = {"config": self.as_dict(), **doc}
+        if grid_warnings:
+            doc["grid_warnings"] = list(grid_warnings)
+        write_json(self.out(name), doc)
 
     def as_dict(self) -> dict:
         return {
@@ -181,12 +189,17 @@ def _ensemble_from(ns: argparse.Namespace, cfg: RunConfig) -> Ensemble:
     return Ensemble(((state, 1.0),), ns.state)
 
 
-def _warn_coarse_grid(grid: PhaseSpaceGrid, states: Iterable[SampledState], role: str) -> None:
-    """Print diagnostic_grid_warning's message for each state it flags."""
+def _warn_coarse_grid(
+    grid: PhaseSpaceGrid, states: Iterable[SampledState], role: str
+) -> list[str]:
+    """Print diagnostic_grid_warning's message for each state it flags; return them."""
+    messages = []
     for state in states:
         warning = diagnostic_grid_warning(state, grid)
         if warning:
-            print(f"warning: {role} {state.label}: {warning}", file=sys.stderr)
+            messages.append(f"{role} {state.label}: {warning}")
+            print(f"warning: {messages[-1]}", file=sys.stderr)
+    return messages
 
 
 def cmd_wigner(ns: argparse.Namespace, cfg: RunConfig) -> int:
@@ -219,7 +232,7 @@ def cmd_cross_wigner(ns: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_marginals(ns: argparse.Namespace, cfg: RunConfig) -> int:
     grid = cfg.grid()
     ens = _ensemble_from(ns, cfg)
-    _warn_coarse_grid(grid, (st for st, _ in ens.members), "member")
+    warnings = _warn_coarse_grid(grid, (st for st, _ in ens.members), "member")
     rho = mixed_wigner(ens, grid)
     report = marginals(rho, ens)
     doc = {
@@ -227,7 +240,7 @@ def cmd_marginals(ns: argparse.Namespace, cfg: RunConfig) -> int:
         "members": [st.label for st, _ in ens.members],
         "report": marginal_report_to_dict(report),
     }
-    cfg.write("marginals_report.json", doc)
+    cfg.write("marginals_report.json", doc, warnings)
     write_marginal_csv(cfg.out("marginal_x.csv"), "x", rho.x_axis, report.x_marginal)
     write_marginal_csv(cfg.out("marginal_p.csv"), "p", rho.p_axis, report.p_marginal)
     print(
@@ -240,7 +253,7 @@ def cmd_marginals(ns: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_moments(ns: argparse.Namespace, cfg: RunConfig) -> int:
     grid = cfg.grid()
     ens = _ensemble_from(ns, cfg)
-    _warn_coarse_grid(grid, (st for st, _ in ens.members), "member")
+    warnings = _warn_coarse_grid(grid, (st for st, _ in ens.members), "member")
     verdicts = [modulation_norm(st, 2.0, grid, **cfg.ladder()) for st, _ in ens.members]
     rho = mixed_wigner(ens, grid)
     report = covariance(rho, verdicts, route_tol=cfg.tolerances["route_agreement"])
@@ -250,7 +263,7 @@ def cmd_moments(ns: argparse.Namespace, cfg: RunConfig) -> int:
         "member_verdicts": [norm_report_to_dict(v) for v in verdicts],
         "covariance": covariance_report_to_dict(report),
     }
-    cfg.write("moments_report.json", doc)
+    cfg.write("moments_report.json", doc, warnings)
     if report.flags:
         print(f"warning: {', '.join(report.flags)}", file=sys.stderr)
     print(f"covariance route residual {report.residual:.3e}")
@@ -258,9 +271,13 @@ def cmd_moments(ns: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _write_verdict(
-    cfg: RunConfig, name: str, state: SampledState, report: WeightedNormReport
+    cfg: RunConfig,
+    name: str,
+    state: SampledState,
+    report: WeightedNormReport,
+    warnings: list[str],
 ) -> int:
-    cfg.write(name, {"state": state.label, **norm_report_to_dict(report)})
+    cfg.write(name, {"state": state.label, **norm_report_to_dict(report)}, warnings)
     print(f"verdict {report.verdict} (growth_exponent {report.growth_exponent:.4f})")
     return 0
 
@@ -269,18 +286,18 @@ def cmd_modnorm(ns: argparse.Namespace, cfg: RunConfig) -> int:
     grid = cfg.grid()
     state = catalog_state(ns.state, grid.x_grid, cfg.hbar)
     window = catalog_state(ns.window, grid.x_grid, cfg.hbar)
-    _warn_coarse_grid(grid, [state], "state")
-    _warn_coarse_grid(grid, [window], "window")
+    warnings = _warn_coarse_grid(grid, [state], "state")
+    warnings += _warn_coarse_grid(grid, [window], "window")
     report = modulation_norm(state, ns.s, grid, window=window, **cfg.ladder())
-    return _write_verdict(cfg, "modnorm_report.json", state, report)
+    return _write_verdict(cfg, "modnorm_report.json", state, report, warnings)
 
 
 def cmd_diagnose(ns: argparse.Namespace, cfg: RunConfig) -> int:
     grid = cfg.grid()
     state = catalog_state(ns.state, grid.x_grid, cfg.hbar)
-    _warn_coarse_grid(grid, [state], "state")
+    warnings = _warn_coarse_grid(grid, [state], "state")
     report = feichtinger_diagnostic(state, grid, **cfg.ladder())
-    return _write_verdict(cfg, "diagnose_report.json", state, report)
+    return _write_verdict(cfg, "diagnose_report.json", state, report, warnings)
 
 
 def cmd_ensemble_build(ns: argparse.Namespace, cfg: RunConfig) -> int:
@@ -318,7 +335,7 @@ def cmd_ensemble_equiv(ns: argparse.Namespace, cfg: RunConfig) -> int:
     grid = cfg.grid()
     e1 = load_ensemble_json(ns.ensemble, grid.x_grid, cfg.hbar)
     e2 = load_ensemble_json(ns.ensemble2, grid.x_grid, cfg.hbar)
-    _warn_coarse_grid(grid, (st for st, _ in e1.members + e2.members), "member")
+    warnings = _warn_coarse_grid(grid, (st for st, _ in e1.members + e2.members), "member")
     a = build_A(e1, cfg.dim)
     a_prime = build_A(e2, cfg.dim)
     tol = cfg.tolerances
@@ -346,6 +363,7 @@ def cmd_ensemble_equiv(ns: argparse.Namespace, cfg: RunConfig) -> int:
             "implication_holds": closure.implication_holds,
             "inconclusive": closure.inconclusive,
         },
+        warnings,
     )
     print(
         f"isometry rank {isometry.rank}, defect {isometry.defect:.3e}; "

@@ -80,16 +80,24 @@ def weighted_l1_norm(
     wx = trapezoid_weights(field.grid.n_points)[:, None]
     # An overflowing weight is refused below, so its warnings are noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        weighted = np.abs(field.values) * (1.0 + x**2 + p**2) ** (0.5 * s) * wx
-        # The disc mask is rebuilt per cutoff rather than kept as one x^2 + p^2
-        # array: holding that array across the ladder costs a field-sized block.
-        norms = tuple(
-            float(np.sum(weighted * ((x**2 + p**2) <= cutoff**2)) * field.dx * field.dp)
-            for cutoff in cutoffs
-        )
+        # One scratch buffer holds the weight, then each rung's x^2 + p^2 and
+        # masked product: the ladder keeps two field-sized arrays instead of a
+        # temporary per operation.  |W| * weight * wx keeps the formula's
+        # association, and **= keeps numpy's sqrt path for s = 1.
+        weighted = np.abs(field.values)
+        scratch = np.add(1.0 + x**2, p**2)
+        scratch **= 0.5 * s
+        weighted *= scratch
+        weighted *= wx
+        norms = []
+        for cutoff in cutoffs:
+            np.add(x**2, p**2, out=scratch)
+            mask = scratch <= cutoff**2
+            np.multiply(weighted, mask, out=scratch)
+            norms.append(float(np.sum(scratch)) * field.dx * field.dp)
     if not all(math.isfinite(v) for v in norms):
         raise ValueError(f"weight exponent s = {s} overflows the weighted norm on this grid")
-    return norms
+    return tuple(norms)
 
 
 def cutoff_ladder(field: PhaseSpaceField) -> tuple[float, float, float, float]:

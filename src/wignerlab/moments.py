@@ -68,14 +68,24 @@ class CovarianceReport:
             raise ValueError("sigma must be symmetric within 1e-10")
 
 
-def characteristic_function(field: PhaseSpaceField) -> PhaseSpaceField:
-    """Symplectic-free 2-D Fourier transform of a phase-space field.
+# Field rows transformed along p per FFT call in _characteristic_block.
+_CHARFN_ROWS = 256
 
-    Computes F(z) = (1/(2*pi*hbar)) * integral e^(-i z.z' / hbar) rho(z') dz'
-    on the reciprocal lattice: the first output axis has spacing dp, the
-    second spacing dx, both with n samples centered at 0.  Fields narrower
-    than n along p are zero-padded symmetrically, consistent with their
-    compact-support reading.
+
+def _reciprocal_grid(grid: PhaseSpaceGrid) -> PhaseSpaceGrid:
+    """The grid of a characteristic function: position step dp, momentum step dx."""
+    return PhaseSpaceGrid(PositionGrid(grid.n_points, 0.5 * grid.n_points * grid.dp), grid.hbar)
+
+
+def _characteristic_block(field: PhaseSpaceField, half_width: int) -> np.ndarray:
+    """Characteristic function within half_width samples of the origin on both axes.
+
+    Returns indices n/2 - h .. n/2 + h of each axis, clipped to the lattice,
+    so h >= n/2 gives the whole n x n transform.  Blocks of zero-padded,
+    sign-multiplied field rows are transformed along p and only the kept
+    columns are then transformed along x.  numpy transforms each 1-D line on
+    its own and fftn does the last axis first, so every value has the bits
+    of grid.centered_fft over the padded n x n field.
     """
     grid = field.grid
     n = grid.n_points
@@ -85,11 +95,33 @@ def characteristic_function(field: PhaseSpaceField) -> PhaseSpaceField:
     expected_p0 = -(n_p // 2) * grid.dp
     if abs(field.p_axis[0] - expected_p0) > 1e-9 * grid.dp:
         raise ValueError("p-axis is not centered on the momentum lattice")
-    padded = np.zeros((n, n), dtype=np.complex128)
+    sign = 1.0 - 2.0 * (np.arange(n) & 1)
     off = (n - n_p) // 2
-    padded[:, off : off + n_p] = field.values
-    values = centered_fft(padded, grid.dx * grid.dp / (2.0 * math.pi * grid.hbar))
-    out_grid = PhaseSpaceGrid(PositionGrid(n, 0.5 * n * grid.dp), grid.hbar)
+    lo, hi = max(n // 2 - half_width, 0), min(n // 2 + half_width + 1, n)
+    kept = np.empty((n, hi - lo), dtype=np.complex128)
+    for r0 in range(0, n, _CHARFN_ROWS):
+        rows = slice(r0, min(r0 + _CHARFN_ROWS, n))
+        # The whole padded block, zeros included, takes the sign product, as
+        # in centered_fft.
+        block = np.zeros((rows.stop - r0, n), dtype=np.complex128)
+        block[:, off : off + n_p] = field.values[rows]
+        np.multiply(sign[rows, None] * sign, block, out=block)
+        kept[rows] = np.fft.fft(block, axis=1)[:, lo:hi]
+    scale = grid.dx * grid.dp / (2.0 * math.pi * grid.hbar)
+    return scale * (sign[lo:hi, None] * sign[lo:hi]) * np.fft.fft(kept, axis=0)[lo:hi]
+
+
+def characteristic_function(field: PhaseSpaceField) -> PhaseSpaceField:
+    """Symplectic-free 2-D Fourier transform of a phase-space field.
+
+    Computes F(z) = (1/(2*pi*hbar)) * integral e^(-i z.z' / hbar) rho(z') dz'
+    on the reciprocal lattice: the first output axis has spacing dp, the
+    second spacing dx, both with n samples centered at 0.  Fields narrower
+    than n along p are zero-padded symmetrically, consistent with their
+    compact-support reading.
+    """
+    out_grid = _reciprocal_grid(field.grid)
+    values = _characteristic_block(field, field.grid.n_points // 2)
     return PhaseSpaceField(out_grid, values, out_grid.p_points())
 
 
@@ -191,11 +223,12 @@ def covariance(
     )
     sigma[1, 0] = sigma[0, 1]
 
-    transform = characteristic_function(rho_field)
-    fvals = transform.values
-    c = grid.n_points // 2
-    step_xi = transform.grid.dx
-    step_eta = transform.grid.dp
+    # The h and 2h stencils read only the 5 x 5 block around the origin.
+    c = 2
+    fvals = _characteristic_block(rho_field, c)
+    reciprocal = _reciprocal_grid(grid)
+    step_xi = reciprocal.dx
+    step_eta = reciprocal.dp
     hbar = grid.hbar
     prefactor = -(hbar**2) * 2.0 * math.pi * hbar
 

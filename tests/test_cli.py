@@ -121,6 +121,7 @@ def test_marginals_subcommand(tmp_path):
     assert main(args) == 0
     doc = read_json(tmp_path / "marginals_report.json")
     assert doc["report"]["x_residual"] <= 1e-10
+    assert "grid_warnings" not in doc
     assert os.path.exists(tmp_path / "marginal_x.csv")
     assert os.path.exists(tmp_path / "marginal_p.csv")
 
@@ -132,6 +133,7 @@ def test_moments_subcommand_and_gate(tmp_path, capsys):
     sigma = np.array(doc["covariance"]["sigma"])
     np.testing.assert_allclose(sigma, 0.5 * np.eye(2), atol=1e-8)
     assert doc["member_verdicts"][0]["verdict"] == "convergent"
+    assert "grid_warnings" not in doc
     capsys.readouterr()
     gate = ["moments", "--state", "box:-0.5:0.5", "--out", str(tmp_path)] + SMALL
     assert main(gate) == 1
@@ -163,6 +165,14 @@ def test_diagnose_box_warns_and_diverges(tmp_path, capsys):
 COARSE = ["--grid-n", "64", "--grid-l", "8"]
 
 
+REPORTS = {
+    "marginals": "marginals_report.json",
+    "moments": "moments_report.json",
+    "modnorm": "modnorm_report.json",
+    "diagnose": "diagnose_report.json",
+}
+
+
 @pytest.mark.parametrize(
     "command, role, code",
     [("marginals", "member", 1), ("moments", "member", 1), ("modnorm", "state", 0),
@@ -171,7 +181,28 @@ COARSE = ["--grid-n", "64", "--grid-l", "8"]
 def test_verdict_commands_warn_on_coarse_grid(tmp_path, capsys, command, role, code):
     args = [command, "--state", "hermite:0", *COARSE, "--out", str(tmp_path)]
     assert main(args) == code
-    assert f"warning: {role} hermite:0: momentum band 6.28" in capsys.readouterr().err
+    message = f"{role} hermite:0: momentum band 6.28"
+    assert f"warning: {message}" in capsys.readouterr().err
+    report = tmp_path / REPORTS[command]
+    if code == 0:
+        warnings = read_json(report)["grid_warnings"]
+        assert warnings[0].startswith(message)
+        # modnorm's default window is hermite:0 as well, flagged the same way.
+        assert len(warnings) == (2 if command == "modnorm" else 1)
+    else:
+        assert not report.exists()
+
+
+# A band of 12.6 against the 16.6 that hermite:0 needs, yet both checks pass.
+@pytest.mark.parametrize("command", ["marginals", "moments"])
+def test_passing_reports_record_grid_warnings(tmp_path, capsys, command):
+    args = [command, "--state", "hermite:0", "--grid-n", "128", "--grid-l", "8",
+            "--out", str(tmp_path)]
+    assert main(args) == 0
+    err = capsys.readouterr().err
+    (warning,) = read_json(tmp_path / REPORTS[command])["grid_warnings"]
+    assert warning.startswith("member hermite:0: momentum band 12.6")
+    assert f"warning: {warning}\n" in err
 
 
 def test_ensemble_equiv_warns_on_coarse_grid(tmp_path, capsys):
@@ -183,6 +214,10 @@ def test_ensemble_equiv_warns_on_coarse_grid(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("warning: member hermite:0: momentum band") == 2
     assert err.count("warning: member hermite:1: momentum band") == 2
+    warnings = read_json(tmp_path / "closure_report.json")["grid_warnings"]
+    labels = [w.split(": momentum band")[0] for w in warnings]
+    assert labels == ["member hermite:0", "member hermite:1"] * 2
+    assert "grid_warnings" not in read_json(tmp_path / "isometry.json")
 
 
 def test_modnorm_warns_on_one_sample_window(tmp_path, capsys):
@@ -191,7 +226,10 @@ def test_modnorm_warns_on_one_sample_window(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "warning: window box:0:0.0001: momentum band" in err
     assert "warning: state" not in err
-    assert read_json(tmp_path / "modnorm_report.json")["window"] == "box:0:0.0001"
+    doc = read_json(tmp_path / "modnorm_report.json")
+    assert doc["window"] == "box:0:0.0001"
+    (warning,) = doc["grid_warnings"]
+    assert warning.startswith("window box:0:0.0001: momentum band")
 
 
 def write_pair_files(tmp_path, grid):
@@ -237,6 +275,7 @@ def test_ensemble_equiv_subcommand(tmp_path, capsys):
     closure = read_json(tmp_path / "closure_report.json")
     assert closure["implication_holds"] is True
     assert closure["e1_verdicts"] == ["convergent", "convergent"]
+    assert "grid_warnings" not in closure
 
 
 def test_ensemble_spectral_subcommand(tmp_path):

@@ -1,10 +1,22 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wignerlab import moments
 from wignerlab.ensemble import Ensemble, mixed_wigner
-from wignerlab.grid import SampledState, catalog_state, trapezoid_weights
+from wignerlab.grid import (
+    PhaseSpaceField,
+    SampledState,
+    catalog_state,
+    centered_fft,
+    make_grid,
+    trapezoid_weights,
+)
 from wignerlab.modspace import DivergingStateError, WeightedNormReport, modulation_norm
 from wignerlab.moments import (
     CovarianceReport,
@@ -120,3 +132,65 @@ def test_characteristic_function_reciprocal_axes(cov_inputs_sr2048, sr2048):
     assert cf.values.shape == (sr2048.n_points, sr2048.n_points)
     assert cf.grid.dx == pytest.approx(sr2048.dp, rel=1e-12)
     assert cf.grid.dp == pytest.approx(sr2048.dx, rel=1e-12)
+
+
+def centered_fft_oracle(field):
+    """The characteristic function as one centered FFT over the padded n x n field."""
+    grid = field.grid
+    n = grid.n_points
+    n_p = field.p_axis.size
+    padded = np.zeros((n, n), dtype=np.complex128)
+    off = (n - n_p) // 2
+    padded[:, off : off + n_p] = field.values
+    return centered_fft(padded, grid.dx * grid.dp / (2.0 * math.pi * grid.hbar))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    log_n=st.integers(3, 8),
+    narrow=st.booleans(),
+    complex_values=st.booleans(),
+    density=st.sampled_from([0.0, 0.002, 0.05, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+    half_width=st.integers(0, 130),
+    block_rows=st.sampled_from([1, 3, 8, 256]),
+)
+def test_characteristic_block_matches_centered_fft_bitwise(
+    log_n, narrow, complex_values, density, seed, half_width, block_rows
+):
+    n = 2**log_n
+    n_p = n // 2 if narrow else n
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n, n_p))
+    if complex_values:
+        values = values + 1j * rng.standard_normal((n, n_p))
+    # Sparse fields give exact zeros in the output, whose bits only the
+    # arithmetic on signed zeros decides: zero rows, columns and samples,
+    # half of them -0.0.
+    values[rng.random((n, n_p)) >= density] = 0.0
+    values[rng.random(n) < 0.2] = 0.0
+    values[:, rng.random(n_p) < 0.2] = 0.0
+    values[(values == 0) & (rng.random((n, n_p)) < 0.5)] = -0.0
+    if complex_values:
+        values.imag[(values.imag == 0) & (rng.random((n, n_p)) < 0.5)] = -0.0
+    grid = make_grid(n, 5.0, 1.0)
+    field = PhaseSpaceField(grid, values, (np.arange(n_p) - n_p // 2) * grid.dp)
+    oracle = centered_fft_oracle(field)
+    c = n // 2
+    keep = slice(max(c - half_width, 0), c + half_width + 1)
+    with mock.patch.object(moments, "_CHARFN_ROWS", block_rows):
+        block = moments._characteristic_block(field, half_width)
+        full = characteristic_function(field).values
+    assert block.tobytes() == oracle[keep, keep].tobytes()
+    assert full.tobytes() == oracle.tobytes()
+
+
+def test_covariance_holds_no_n_by_n_complex_array(cov_inputs_sr2048, sr2048):
+    _, field, verdicts = cov_inputs_sr2048
+    tracemalloc.start()
+    try:
+        covariance(field, verdicts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * sr2048.n_points**2
