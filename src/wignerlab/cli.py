@@ -90,14 +90,16 @@ class RunConfig:
             raise ValueError("hbar, grid_l, and dim must be positive")
         if self.grid_n < 8 or self.grid_n & (self.grid_n - 1):
             raise ValueError(f"grid_n must be a power of two >= 8, got {self.grid_n}")
-        # The largest arrays a command holds are cross_wigner's n x n/2 complex
-        # field and the copy PhaseSpaceField takes of it: 16 n^2 bytes together.
+        # The peak is cross_wigner's n x n/2 complex field (8 n^2 bytes) plus
+        # one slice block while it is built, then that field plus the ladder's
+        # two n x n/2 float buffers (8 n^2 bytes): 16 n^2 bytes in all.
         need = 16 * self.grid_n**2
         have = _physical_memory()
         if have is not None and need > have:
             raise ValueError(
                 f"grid_n {self.grid_n} needs {need / 1e9:.3g} GB for a complex n x n/2 "
-                f"field and its copy, more than the {have / 1e9:.3g} GB of physical memory"
+                "field and the norm ladder's two float buffers, more than the "
+                f"{have / 1e9:.3g} GB of physical memory"
             )
 
     def ladder(self) -> dict:

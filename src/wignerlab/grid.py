@@ -369,6 +369,10 @@ class PhaseSpaceField:
     lattice of the grid: Wigner-type fields live on the central alias-free
     half (n/2 samples), characteristic functions on the full reciprocal
     lattice (n samples).
+
+    values is stored read-only.  An array that is already read-only and
+    owns its data is taken over as it is; any other is copied, so a caller
+    that keeps writing to its array does not change the field.
     """
 
     grid: PhaseSpaceGrid
@@ -376,7 +380,9 @@ class PhaseSpaceField:
     p_axis: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.array(self.values, copy=True)
+        vals = self.values
+        if not (isinstance(vals, np.ndarray) and vals.flags.owndata and not vals.flags.writeable):
+            vals = np.array(vals, copy=True)
         p = np.array(self.p_axis, dtype=float, copy=True)
         if p.ndim != 1 or p.size < 2:
             raise ValueError("p_axis must be a 1-D array with at least 2 samples")

@@ -20,7 +20,6 @@ from .grid import (
     SampledState,
     catalog_state,
     state_norm,
-    trapezoid_weights,
 )
 from .wigner import cross_wigner, wigner
 
@@ -75,27 +74,39 @@ def weighted_l1_norm(
             raise ValueError(
                 f"cutoff {cutoff:.6g} exceeds the field momentum half-width {band:.6g}"
             )
-    x = field.x_axis[:, None]
-    p = field.p_axis[None, :]
-    wx = trapezoid_weights(field.grid.n_points)[:, None]
+    x2 = field.x_axis[:, None] ** 2
+    p2 = field.p_axis**2
     # An overflowing weight is refused below, so its warnings are noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        # One scratch buffer holds the weight, then each rung's x^2 + p^2 and
-        # masked product: the ladder keeps two field-sized arrays instead of a
-        # temporary per operation.  |W| * weight * wx keeps the formula's
-        # association, and **= keeps numpy's sqrt path for s = 1.
+        # (|W| * weight) * wx keeps the formula's association; **= keeps
+        # numpy's sqrt path for s = 1.  Multiplying by 1.0 is exact, so the
+        # weight pass is skipped at s = 0 and the trapezoid weights wx touch
+        # only the two edge rows, where they are 0.5.
         weighted = np.abs(field.values)
-        scratch = np.add(1.0 + x**2, p**2)
-        scratch **= 0.5 * s
-        weighted *= scratch
-        weighted *= wx
+        scratch = np.empty_like(weighted)
+        if s != 0:
+            np.add(1.0 + x2, p2, out=scratch)
+            scratch **= 0.5 * s
+            weighted *= scratch
+        weighted[[0, -1]] *= 0.5
+        finite = math.isfinite(float(weighted.max()))
         norms = []
         for cutoff in cutoffs:
-            np.add(x**2, p**2, out=scratch)
-            mask = scratch <= cutoff**2
-            np.multiply(weighted, mask, out=scratch)
+            # fl(x^2 + p^2) >= p^2, so the disc lies within the columns where
+            # p^2 <= cutoff^2.  The rung's masked product is built on those
+            # columns only; the zeros around it keep np.sum's pairwise order.
+            c2 = cutoff**2
+            band_cols = np.flatnonzero(p2 <= c2)
+            lo, hi = (band_cols[0], band_cols[-1] + 1) if band_cols.size else (0, 0)
+            scratch[:, :lo] = 0.0
+            scratch[:, hi:] = 0.0
+            disc = scratch[:, lo:hi]
+            np.add(x2, p2[lo:hi], out=disc)
+            np.multiply(weighted[:, lo:hi], disc <= c2, out=disc)
             norms.append(float(np.sum(scratch)) * field.dx * field.dp)
-    if not all(math.isfinite(v) for v in norms):
+    # No rung reads a weighted value outside its columns, so a non-finite one
+    # there shows only in `finite`; it is refused wherever it lies.
+    if not (finite and all(math.isfinite(v) for v in norms)):
         raise ValueError(f"weight exponent s = {s} overflows the weighted norm on this grid")
     return tuple(norms)
 

@@ -122,6 +122,7 @@ def characteristic_function(field: PhaseSpaceField) -> PhaseSpaceField:
     """
     out_grid = _reciprocal_grid(field.grid)
     values = _characteristic_block(field, field.grid.n_points // 2)
+    values.flags.writeable = False
     return PhaseSpaceField(out_grid, values, out_grid.p_points())
 
 

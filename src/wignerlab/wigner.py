@@ -101,10 +101,10 @@ def _wigner_kernel(
             np.multiply(psi_win[rows, 1:h], phi_win[rows, 1:h], out=dst[:, h + 1 :])
             if r:
                 buf += dst
-        spectrum = np.fft.fft(buf, axis=1)
+        np.fft.fft(buf, axis=1, out=buf)
         # Even bins h, h+2, ... are p < 0 and 0, 2, ... are p >= 0.  A real
         # field scales them in place and copies out only their real parts.
-        for cols, even in ((slice(0, q), spectrum[:, h::2]), (slice(q, h), spectrum[:, :h:2])):
+        for cols, even in ((slice(0, q), buf[:, h::2]), (slice(q, h), buf[:, :h:2])):
             if real:
                 np.multiply(scale, even, out=even)
                 peak = max(peak, float(np.abs(even).max()))
@@ -112,14 +112,12 @@ def _wigner_kernel(
                 out[rows, cols] = even.real
             else:
                 np.multiply(scale, even, out=out[rows, cols])
-        # Free the spectrum before the next FFT and the buffers before
-        # PhaseSpaceField copies out: either one held over raises peak RSS.
-        del spectrum, even
-    del slices, buf, dst, term
     if real and peak > 0.0 and imag_peak > 1e-10 * peak:
         raise CheckError(
             f"wigner: imaginary part {imag_peak:.3e} exceeds 1e-10 of max {peak:.3e}"
         )
+    # Frozen and owning its data, out is taken over by the field, not copied.
+    out.flags.writeable = False
     return PhaseSpaceField(grid, out, grid.wigner_p_points())
 
 

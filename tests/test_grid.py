@@ -190,5 +190,14 @@ def test_phase_space_field_validates_p_axis(g512):
         PhaseSpaceField(g512, np.zeros((512, 100)), g512.wigner_p_points())
 
 
+def test_phase_space_field_copies_a_writable_array(g512):
+    vals = np.zeros((512, 256))
+    field = PhaseSpaceField(g512, vals, g512.wigner_p_points())
+    vals[3, 4] = 1.0
+    assert not field.values.any()
+    assert vals.flags.writeable
+    assert not field.values.flags.writeable
+
+
 def test_check_error_is_value_error():
     assert issubclass(CheckError, ValueError)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from wignerlab.modspace import (
     modulation_norm,
     weighted_l1_norm,
 )
-from wignerlab.wigner import apply_metaplectic, wigner
+from wignerlab.wigner import apply_metaplectic, cross_wigner, wigner
 
 
 def test_weighted_norm_analytic_values(g51):
@@ -59,6 +60,32 @@ def test_overflowing_weight_is_refused_not_inconclusive():
     h0 = catalog_state("hermite:0", grid.x_grid)
     with pytest.raises(ValueError, match="s = 700"):
         modulation_norm(h0, 700, grid)
+
+
+@pytest.mark.parametrize("s", [320, 400])
+def test_weight_overflowing_outside_the_top_disc_is_refused(s):
+    # The top rung's disc has radius pi here and its columns |p| <= pi.  At
+    # s = 400 the weight overflows outside the disc only; at s = 320 it
+    # overflows only outside the columns, where no rung builds a product.
+    grid = make_grid(64, 8.0)
+    field = wigner(catalog_state("hermite:0", grid.x_grid), grid)
+    with pytest.raises(ValueError, match=f"s = {s}"):
+        weighted_l1_norm(field, s, cutoff_ladder(field))
+
+
+def test_ladder_peak_memory_is_two_float_buffers(sr2048):
+    box = catalog_state("box:-0.5:0.5", sr2048.x_grid)
+    h0 = catalog_state("hermite:0", sr2048.x_grid)
+    field = cross_wigner(box, h0, sr2048)
+    tracemalloc.start()
+    try:
+        weighted_l1_norm(field, 2.0, cutoff_ladder(field))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # |W| and one scratch buffer, n x n/2 float64 each, plus one rung's mask;
+    # 37.8 MB is the peak of a ladder whose rungs each span the whole field.
+    assert peak <= 37.8e6
 
 
 @settings(max_examples=40, deadline=None)

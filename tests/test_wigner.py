@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -328,3 +329,18 @@ def test_wigner_peak_value(g512):
     j0 = g512.n_points // 2
     i0 = g512.n_points // 4
     assert field.values[j0, i0] == field.values.max()
+
+
+def test_cross_wigner_hands_its_buffer_to_the_field(sr2048):
+    # The field takes over the kernel's output instead of copying it, so the
+    # transform holds the field plus one slice block, not the field twice.
+    box = catalog_state("box:-0.5:0.5", sr2048.x_grid)
+    h0 = catalog_state("hermite:0", sr2048.x_grid)
+    tracemalloc.start()
+    try:
+        field = cross_wigner(box, h0, sr2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * field.values.nbytes
+    assert not field.values.flags.writeable
