@@ -20,10 +20,10 @@ from wignerlab.ensemble import (
     build_A,
     density_matrix,
     find_partial_isometry,
-    mixed_wigner,
     spectral_ensemble,
 )
 from wignerlab.grid import SampledState, catalog_state, make_grid, state_norm
+from wignerlab.wigner import mixed_wigner
 
 grid = make_grid(512, 10.0)
 h0 = catalog_state("hermite:0", grid.x_grid)

@@ -94,7 +94,6 @@ class EnsembleOperator:
     """Matrix of the ensemble operator in the truncated oscillator basis."""
 
     matrix: np.ndarray
-    basis_label: str
     truncation_residual: float
     hbar: float
 
@@ -143,11 +142,16 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class PartialIsometry:
-    """Matrix U with U*U an orthogonal projection (within the stated defect)."""
+    """Matrix U with U*U an orthogonal projection (within the stated defect).
+
+    factor_residual is ||A - A' U||_F for the two operators U was recovered
+    from.
+    """
 
     matrix: np.ndarray
     rank: int
     defect: float
+    factor_residual: float
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=np.complex128, copy=True)
@@ -210,7 +214,7 @@ def build_A(ensemble: Ensemble, dim: int) -> EnsembleOperator:
         coeffs, residual = project_to_basis(state, dim)
         matrix[:, col] = math.sqrt(weight) * coeffs
         truncation += weight * residual
-    return EnsembleOperator(matrix, "hermite", truncation, ensemble.hbar)
+    return EnsembleOperator(matrix, truncation, ensemble.hbar)
 
 
 def density_matrix(op: EnsembleOperator) -> DensityMatrix:
@@ -294,7 +298,7 @@ def find_partial_isometry(
     uu = u.conj().T @ u
     defect = float(np.linalg.norm(uu @ uu - uu))
     rank = int(np.sum(np.linalg.svd(a.matrix, compute_uv=False) > SV_CUTOFF))
-    return PartialIsometry(u, rank, defect)
+    return PartialIsometry(u, rank, defect, factor_gap)
 
 
 @dataclass(frozen=True)

@@ -365,10 +365,9 @@ def catalog_state(spec: str, grid: PositionGrid, hbar: float = 1.0) -> SampledSt
 class PhaseSpaceField:
     """A function sampled on the phase-space lattice.
 
-    The momentum axis is stored explicitly because it is not always the full
-    lattice of the grid: Wigner-type fields live on the central alias-free
-    half (n/2 samples), characteristic functions on the full reciprocal
-    lattice (n samples).
+    values has shape (n, n/2): row j is x_j and column i is the momentum
+    p_i = (i - n/4) * dp of the central alias-free half-lattice, the one
+    period of the slice transform that Wigner-type fields live on.
 
     values is stored read-only.  An array that is already read-only and
     owns its data is taken over as it is; any other is copied, so a caller
@@ -377,26 +376,20 @@ class PhaseSpaceField:
 
     grid: PhaseSpaceGrid
     values: np.ndarray
-    p_axis: np.ndarray
 
     def __post_init__(self) -> None:
         vals = self.values
         if not (isinstance(vals, np.ndarray) and vals.flags.owndata and not vals.flags.writeable):
             vals = np.array(vals, copy=True)
-        p = np.array(self.p_axis, dtype=float, copy=True)
-        if p.ndim != 1 or p.size < 2:
-            raise ValueError("p_axis must be a 1-D array with at least 2 samples")
-        if vals.shape != (self.grid.n_points, p.size):
-            raise ValueError(
-                f"values shape {vals.shape} does not match "
-                f"({self.grid.n_points}, {p.size})"
-            )
-        if abs((p[1] - p[0]) - self.grid.dp) > 1e-12 * self.grid.dp:
-            raise ValueError("p_axis spacing does not match the grid dp")
+        n = self.grid.n_points
+        if vals.shape != (n, n // 2):
+            raise ValueError(f"values shape {vals.shape} does not match ({n}, {n // 2})")
         vals.flags.writeable = False
-        p.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "p_axis", p)
+
+    @property
+    def p_axis(self) -> np.ndarray:
+        return self.grid.wigner_p_points()
 
     @property
     def x_axis(self) -> np.ndarray:

@@ -18,7 +18,6 @@ from .ensemble import Ensemble
 from .grid import (
     PhaseSpaceField,
     PhaseSpaceGrid,
-    PositionGrid,
     centered_fft,
     field_integral,
     trapezoid_weights,
@@ -28,7 +27,6 @@ from .modspace import DivergingStateError, WeightedNormReport, feichtinger_diagn
 __all__ = [
     "MarginalReport",
     "CovarianceReport",
-    "characteristic_function",
     "marginals",
     "covariance",
 ]
@@ -72,31 +70,26 @@ class CovarianceReport:
 _CHARFN_ROWS = 256
 
 
-def _reciprocal_grid(grid: PhaseSpaceGrid) -> PhaseSpaceGrid:
-    """The grid of a characteristic function: position step dp, momentum step dx."""
-    return PhaseSpaceGrid(PositionGrid(grid.n_points, 0.5 * grid.n_points * grid.dp), grid.hbar)
-
-
 def _characteristic_block(field: PhaseSpaceField, half_width: int) -> np.ndarray:
     """Characteristic function within half_width samples of the origin on both axes.
 
-    Returns indices n/2 - h .. n/2 + h of each axis, clipped to the lattice,
-    so h >= n/2 gives the whole n x n transform.  Blocks of zero-padded,
-    sign-multiplied field rows are transformed along p and only the kept
-    columns are then transformed along x.  numpy transforms each 1-D line on
-    its own and fftn does the last axis first, so every value has the bits
-    of grid.centered_fft over the padded n x n field.
+    The characteristic function of a field is
+    F(z) = (1/(2*pi*hbar)) * integral e^(-i z.z' / hbar) rho(z') dz' on the
+    reciprocal lattice: steps dp along the first axis and 2*pi*hbar/(n*dp)
+    along the second, n samples each, centered at 0; the n/2 momentum
+    columns are zero-padded by n/4 on each side, consistent with their
+    compact-support reading.  Returns indices n/2 - h .. n/2 + h of each
+    axis, clipped to the lattice, so h >= n/2 gives the whole n x n
+    transform.  Blocks of zero-padded, sign-multiplied field rows are
+    transformed along p and only the kept columns are then transformed along
+    x.  numpy transforms each 1-D line on its own and fftn does the last
+    axis first, so every value has the bits of grid.centered_fft over the
+    padded n x n field.
     """
     grid = field.grid
     n = grid.n_points
-    n_p = field.p_axis.size
-    if n_p > n or (n - n_p) % 2 != 0:
-        raise ValueError(f"cannot embed a {n_p}-sample p-axis into {n} samples")
-    expected_p0 = -(n_p // 2) * grid.dp
-    if abs(field.p_axis[0] - expected_p0) > 1e-9 * grid.dp:
-        raise ValueError("p-axis is not centered on the momentum lattice")
     sign = 1.0 - 2.0 * (np.arange(n) & 1)
-    off = (n - n_p) // 2
+    off = n // 4
     lo, hi = max(n // 2 - half_width, 0), min(n // 2 + half_width + 1, n)
     kept = np.empty((n, hi - lo), dtype=np.complex128)
     for r0 in range(0, n, _CHARFN_ROWS):
@@ -104,33 +97,18 @@ def _characteristic_block(field: PhaseSpaceField, half_width: int) -> np.ndarray
         # The whole padded block, zeros included, takes the sign product, as
         # in centered_fft.
         block = np.zeros((rows.stop - r0, n), dtype=np.complex128)
-        block[:, off : off + n_p] = field.values[rows]
+        block[:, off : n - off] = field.values[rows]
         np.multiply(sign[rows, None] * sign, block, out=block)
         kept[rows] = np.fft.fft(block, axis=1)[:, lo:hi]
     scale = grid.dx * grid.dp / (2.0 * math.pi * grid.hbar)
     return scale * (sign[lo:hi, None] * sign[lo:hi]) * np.fft.fft(kept, axis=0)[lo:hi]
 
 
-def characteristic_function(field: PhaseSpaceField) -> PhaseSpaceField:
-    """Symplectic-free 2-D Fourier transform of a phase-space field.
-
-    Computes F(z) = (1/(2*pi*hbar)) * integral e^(-i z.z' / hbar) rho(z') dz'
-    on the reciprocal lattice: the first output axis has spacing dp, the
-    second spacing dx, both with n samples centered at 0.  Fields narrower
-    than n along p are zero-padded symmetrically, consistent with their
-    compact-support reading.
-    """
-    out_grid = _reciprocal_grid(field.grid)
-    values = _characteristic_block(field, field.grid.n_points // 2)
-    values.flags.writeable = False
-    return PhaseSpaceField(out_grid, values, out_grid.p_points())
-
-
-def _fourier_side_density(values: np.ndarray, grid: PhaseSpaceGrid, n_p: int) -> np.ndarray:
-    """Momentum densities |F psi|^2 of state samples, on the central p lattice."""
+def _fourier_side_density(values: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
+    """Momentum densities |F psi|^2 of state samples, on the central half p lattice."""
     transformed = centered_fft(values, grid.dx / math.sqrt(2.0 * math.pi * grid.hbar))
-    off = (grid.n_points - n_p) // 2
-    return np.abs(transformed[off : off + n_p]) ** 2
+    off = grid.n_points // 4
+    return np.abs(transformed[off : grid.n_points - off]) ** 2
 
 
 def marginals(rho_field: PhaseSpaceField, reference: Ensemble) -> MarginalReport:
@@ -154,10 +132,10 @@ def marginals(rho_field: PhaseSpaceField, reference: Ensemble) -> MarginalReport
     p_marginal = (wx @ vals) * rho_field.dx
 
     x_target = np.zeros(grid.n_points)
-    p_target = np.zeros(rho_field.p_axis.size)
+    p_target = np.zeros(grid.n_points // 2)
     for state, weight in reference.members:
         x_target += weight * np.abs(state.values) ** 2
-        p_target += weight * _fourier_side_density(state.values, grid, rho_field.p_axis.size)
+        p_target += weight * _fourier_side_density(state.values, grid)
 
     x_residual = float(np.abs(x_marginal - x_target).max())
     p_residual = float(np.abs(p_marginal - p_target).max())
@@ -227,10 +205,11 @@ def covariance(
     # The h and 2h stencils read only the 5 x 5 block around the origin.
     c = 2
     fvals = _characteristic_block(rho_field, c)
-    reciprocal = _reciprocal_grid(grid)
-    step_xi = reciprocal.dx
-    step_eta = reciprocal.dp
     hbar = grid.hbar
+    step_xi = grid.dp
+    # The reciprocal lattice's own step, which differs from dx in the last
+    # bit on some grids.
+    step_eta = 2.0 * math.pi * hbar / (grid.n_points * grid.dp)
     prefactor = -(hbar**2) * 2.0 * math.pi * hbar
 
     def stencil(k: int) -> np.ndarray:

@@ -28,7 +28,6 @@ __all__ = [
     "wigner",
     "mixed_wigner",
     "overlap_identity_check",
-    "hermiticity_residual",
     "apply_metaplectic",
     "symplectic_matrix",
 ]
@@ -118,7 +117,7 @@ def _wigner_kernel(
         )
     # Frozen and owning its data, out is taken over by the field, not copied.
     out.flags.writeable = False
-    return PhaseSpaceField(grid, out, grid.wigner_p_points())
+    return PhaseSpaceField(grid, out)
 
 
 def cross_wigner(
@@ -159,13 +158,6 @@ def overlap_identity_check(
     if field.grid.x_grid != psi.grid:
         raise ValueError("overlap_identity_check: field and states are on different grids")
     return abs(field_integral(field) - state_overlap(psi, phi))
-
-
-def hermiticity_residual(forward: PhaseSpaceField, swapped: PhaseSpaceField) -> float:
-    """max |W(psi, phi) - conj(W(phi, psi))| for a swapped pair of cross fields."""
-    if forward.values.shape != swapped.values.shape or forward.grid != swapped.grid:
-        raise ValueError("hermiticity_residual: fields are not comparable")
-    return float(np.abs(forward.values - np.conj(swapped.values)).max())
 
 
 def _parse_metaplectic(op: str) -> tuple[str, float]:

@@ -1,6 +1,6 @@
 import pytest
 
-from wignerlab.ensemble import Ensemble, mixed_wigner
+from wignerlab.ensemble import Ensemble
 from wignerlab.grid import (
     catalog_state,
     hermite_combination,
@@ -8,6 +8,7 @@ from wignerlab.grid import (
     make_self_reciprocal_grid,
 )
 from wignerlab.modspace import modulation_norm
+from wignerlab.wigner import mixed_wigner
 
 
 @pytest.fixture(scope="session")

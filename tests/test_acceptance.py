@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 from wignerlab.cli import main
-from wignerlab.ensemble import build_A, density_matrix, find_partial_isometry, mixed_wigner
+from wignerlab.ensemble import build_A, density_matrix, find_partial_isometry
 from wignerlab.grid import catalog_state, make_grid, state_overlap, trapezoid_weights
 from wignerlab.modspace import feichtinger_diagnostic, modulation_norm
 from wignerlab.moments import covariance, marginals
-from wignerlab.wigner import apply_metaplectic, cross_wigner, wigner
+from wignerlab.wigner import apply_metaplectic, cross_wigner, mixed_wigner, wigner
 
 from conftest import hermite_combination
 

@@ -12,12 +12,11 @@ from wignerlab.ensemble import (
     feichtinger_closure_check,
     find_partial_isometry,
     hermite_basis,
-    mixed_wigner,
     project_to_basis,
     spectral_ensemble,
 )
 from wignerlab.grid import CheckError, SampledState, catalog_state, make_grid
-from wignerlab.wigner import wigner
+from wignerlab.wigner import mixed_wigner, wigner
 
 from conftest import hermite_combination
 
@@ -113,7 +112,7 @@ def test_density_matrix_validation():
 
 def test_partial_isometry_defect_guard():
     with pytest.raises(CheckError):
-        PartialIsometry(np.array([[0.7, 0.7], [0.0, 0.0]]), 1, 0.3)
+        PartialIsometry(np.array([[0.7, 0.7], [0.0, 0.0]]), 1, 0.3, 0.0)
 
 
 def test_find_partial_isometry_hadamard(hadamard_pair_512):
@@ -124,6 +123,7 @@ def test_find_partial_isometry_hadamard(hadamard_pair_512):
     assert isometry.rank == 2
     residual = np.linalg.norm(a.matrix - a_prime.matrix @ isometry.matrix)
     assert residual <= 1e-10
+    assert isometry.factor_residual == residual
     u = isometry.matrix
     proj = u.conj().T @ u
     np.testing.assert_allclose(proj @ proj, proj, atol=1e-10)

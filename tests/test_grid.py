@@ -181,18 +181,17 @@ def test_file_state_norm_guard(tmp_path, g512):
 
 def test_phase_space_field_validates_p_axis(g512):
     vals = np.zeros((512, 256))
-    good = PhaseSpaceField(g512, vals, g512.wigner_p_points())
+    good = PhaseSpaceField(g512, vals)
     assert good.dx == g512.dx
-    bad_axis = np.linspace(0.0, 1.0, 256)
-    with pytest.raises(ValueError):
-        PhaseSpaceField(g512, vals, bad_axis)
-    with pytest.raises(ValueError):
-        PhaseSpaceField(g512, np.zeros((512, 100)), g512.wigner_p_points())
+    np.testing.assert_array_equal(good.p_axis, g512.wigner_p_points())
+    for shape in [(512, 100), (512, 512), (256, 256)]:
+        with pytest.raises(ValueError, match="does not match"):
+            PhaseSpaceField(g512, np.zeros(shape))
 
 
 def test_phase_space_field_copies_a_writable_array(g512):
     vals = np.zeros((512, 256))
-    field = PhaseSpaceField(g512, vals, g512.wigner_p_points())
+    field = PhaseSpaceField(g512, vals)
     vals[3, 4] = 1.0
     assert not field.values.any()
     assert vals.flags.writeable

@@ -116,7 +116,7 @@ def test_field_csv_rejects_rows_off_the_lattice(tmp_path, case, line, message):
     grid = make_grid(8, 2.0)
     values = np.arange(32).reshape(8, 4) + 1j
     path = str(tmp_path / "field.csv")
-    write_field_csv(path, PhaseSpaceField(grid, values, grid.wigner_p_points()))
+    write_field_csv(path, PhaseSpaceField(grid, values))
     rows = open(path).read().splitlines()
     if case == "short-row":
         rows[2] = rows[2].rsplit(",", 1)[0]
@@ -231,11 +231,10 @@ def assert_writers_match_oracle(field, axis, values):
 @pytest.mark.parametrize("is_complex", [False, True])
 def test_csv_writers_match_csv_writer_on_awkward_values(is_complex):
     grid = make_grid(8, 10.0 / 3.0)
-    p_axis = grid.p_points()[1:6]  # five columns, off-centre
-    vals = np.resize(np.array(AWKWARD), 40).reshape(8, 5)
+    vals = np.resize(np.array(AWKWARD), 32).reshape(8, 4)
     if is_complex:
         vals = complex_array(vals, vals[::-1, ::-1])
-    field = PhaseSpaceField(grid, vals, p_axis)
+    field = PhaseSpaceField(grid, vals)
     assert_writers_match_oracle(field, np.array(AWKWARD[::-1]), np.array(AWKWARD))
 
 
@@ -247,13 +246,12 @@ def test_csv_writers_match_csv_writer_on_awkward_values(is_complex):
 )
 def test_csv_writers_match_csv_writer_oracle(n, half_width, data):
     grid = make_grid(n, half_width)
-    cols = data.draw(st.integers(2, n), label="cols")
-    start = data.draw(st.integers(0, n - cols), label="start")
     is_complex = data.draw(st.booleans(), label="complex")
-    size = n * cols * (2 if is_complex else 1)
+    cells = n * (n // 2)
+    size = cells * (2 if is_complex else 1)
     flat = np.array(data.draw(st.lists(numbers, min_size=size, max_size=size)))
-    vals = complex_array(flat[: n * cols], flat[n * cols :]) if is_complex else flat
-    field = PhaseSpaceField(grid, vals.reshape(n, cols), grid.p_points()[start : start + cols])
+    vals = complex_array(flat[:cells], flat[cells:]) if is_complex else flat
+    field = PhaseSpaceField(grid, vals.reshape(n, n // 2))
     m = data.draw(st.integers(1, 12), label="rows")
     pairs = data.draw(st.lists(st.tuples(numbers, numbers), min_size=m, max_size=m))
     axis, values = (np.array(c) for c in zip(*pairs))

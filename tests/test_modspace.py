@@ -103,7 +103,7 @@ def test_ladder_matches_per_rung_formula(log2n, half_width, seed, s_drawn, frac)
     grid = make_grid(n, half_width)
     rng = np.random.default_rng(seed)
     values = rng.normal(size=(n, n // 2)) + 1j * rng.normal(size=(n, n // 2))
-    field = PhaseSpaceField(grid, values, grid.wigner_p_points())
+    field = PhaseSpaceField(grid, values)
     cuts = cutoff_ladder(field) + (frac * -float(field.p_axis[0]),)
     x = field.x_axis[:, None]
     p = field.p_axis[None, :]

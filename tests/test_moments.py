@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wignerlab import moments
-from wignerlab.ensemble import Ensemble, mixed_wigner
+from wignerlab.ensemble import Ensemble
 from wignerlab.grid import (
     PhaseSpaceField,
     SampledState,
@@ -18,13 +18,8 @@ from wignerlab.grid import (
     trapezoid_weights,
 )
 from wignerlab.modspace import DivergingStateError, WeightedNormReport, modulation_norm
-from wignerlab.moments import (
-    CovarianceReport,
-    characteristic_function,
-    covariance,
-    marginals,
-)
-from wignerlab.wigner import wigner
+from wignerlab.moments import CovarianceReport, covariance, marginals
+from wignerlab.wigner import mixed_wigner, wigner
 
 LADDER = ((1.0, 1.0), (2.0, 1.0), (4.0, 1.0), (8.0, 1.0))
 
@@ -116,39 +111,29 @@ def test_marginals_refuse_nonintegrable_members(g1024):
 
 def test_characteristic_function_normalization(cov_inputs_sr2048, sr2048):
     _, field, _ = cov_inputs_sr2048
-    cf = characteristic_function(field)
     n = sr2048.n_points
-    center = cf.values[n // 2, n // 2]
+    cf = moments._characteristic_block(field, n // 2)
+    assert cf.shape == (n, n)
+    center = cf[n // 2, n // 2]
     assert center.real == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-12)
     assert abs(center.imag) <= 1e-15
     # The transform of a real field has Hermitian symmetry about the origin.
-    flipped = np.conj(cf.values[1:, 1:][::-1, ::-1])
-    np.testing.assert_allclose(cf.values[1:, 1:], flipped, atol=1e-12)
-
-
-def test_characteristic_function_reciprocal_axes(cov_inputs_sr2048, sr2048):
-    _, field, _ = cov_inputs_sr2048
-    cf = characteristic_function(field)
-    assert cf.values.shape == (sr2048.n_points, sr2048.n_points)
-    assert cf.grid.dx == pytest.approx(sr2048.dp, rel=1e-12)
-    assert cf.grid.dp == pytest.approx(sr2048.dx, rel=1e-12)
+    flipped = np.conj(cf[1:, 1:][::-1, ::-1])
+    np.testing.assert_allclose(cf[1:, 1:], flipped, atol=1e-12)
 
 
 def centered_fft_oracle(field):
     """The characteristic function as one centered FFT over the padded n x n field."""
     grid = field.grid
     n = grid.n_points
-    n_p = field.p_axis.size
     padded = np.zeros((n, n), dtype=np.complex128)
-    off = (n - n_p) // 2
-    padded[:, off : off + n_p] = field.values
+    padded[:, n // 4 : n // 4 + n // 2] = field.values
     return centered_fft(padded, grid.dx * grid.dp / (2.0 * math.pi * grid.hbar))
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     log_n=st.integers(3, 8),
-    narrow=st.booleans(),
     complex_values=st.booleans(),
     density=st.sampled_from([0.0, 0.002, 0.05, 1.0]),
     seed=st.integers(0, 2**32 - 1),
@@ -156,10 +141,10 @@ def centered_fft_oracle(field):
     block_rows=st.sampled_from([1, 3, 8, 256]),
 )
 def test_characteristic_block_matches_centered_fft_bitwise(
-    log_n, narrow, complex_values, density, seed, half_width, block_rows
+    log_n, complex_values, density, seed, half_width, block_rows
 ):
     n = 2**log_n
-    n_p = n // 2 if narrow else n
+    n_p = n // 2
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((n, n_p))
     if complex_values:
@@ -174,13 +159,13 @@ def test_characteristic_block_matches_centered_fft_bitwise(
     if complex_values:
         values.imag[(values.imag == 0) & (rng.random((n, n_p)) < 0.5)] = -0.0
     grid = make_grid(n, 5.0, 1.0)
-    field = PhaseSpaceField(grid, values, (np.arange(n_p) - n_p // 2) * grid.dp)
+    field = PhaseSpaceField(grid, values)
     oracle = centered_fft_oracle(field)
     c = n // 2
     keep = slice(max(c - half_width, 0), c + half_width + 1)
     with mock.patch.object(moments, "_CHARFN_ROWS", block_rows):
         block = moments._characteristic_block(field, half_width)
-        full = characteristic_function(field).values
+        full = moments._characteristic_block(field, n // 2)
     assert block.tobytes() == oracle[keep, keep].tobytes()
     assert full.tobytes() == oracle.tobytes()
 
