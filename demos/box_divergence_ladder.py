@@ -22,7 +22,7 @@ print(f"grid: n={grid.n_points}, dx={grid.dx:.5f}, "
 
 box_report = None
 for spec in ("hermite:0", "box:-0.5:0.5"):
-    state = catalog_state(spec, grid.x_grid)
+    state = catalog_state(spec, grid)
     warning = diagnostic_grid_warning(state, grid)
     report = feichtinger_diagnostic(state, grid)
     print(f"\n{spec}")

@@ -26,13 +26,13 @@ from wignerlab.grid import SampledState, catalog_state, make_grid, state_norm
 from wignerlab.wigner import mixed_wigner
 
 grid = make_grid(512, 10.0)
-h0 = catalog_state("hermite:0", grid.x_grid)
-h1 = catalog_state("hermite:1", grid.x_grid)
+h0 = catalog_state("hermite:0", grid)
+h1 = catalog_state("hermite:1", grid)
 
 plus_vals = (h0.values + h1.values) / math.sqrt(2.0)
 minus_vals = (h0.values - h1.values) / math.sqrt(2.0)
-plus = SampledState(grid.x_grid, plus_vals, "mix:+")
-minus = SampledState(grid.x_grid, minus_vals, "mix:-")
+plus = SampledState(grid, plus_vals, "mix:+")
+minus = SampledState(grid, minus_vals, "mix:-")
 print(f"rotated member norms: {state_norm(plus):.12f}, {state_norm(minus):.12f}")
 
 e1 = Ensemble(((h0, 0.5), (h1, 0.5)), "pair:eigen")
@@ -50,7 +50,7 @@ print(f"partial isometry: rank {iso.rank}, defect {iso.defect:.2e}")
 factor = np.abs(a.matrix - a_prime.matrix @ iso.matrix).max()
 print(f"factorization residual |A - A'U| = {factor:.2e}")
 
-spectral = spectral_ensemble(rho, grid.x_grid)
+spectral = spectral_ensemble(rho, grid)
 print("\nspectral ensemble of the shared density matrix:")
 for state, weight in spectral.members:
     print(f"  weight {weight:.6f}  label {state.label}")

@@ -21,7 +21,7 @@ print(f"self-reciprocal grid: n={grid.n_points}, dx = dp = {grid.dx:.5f}")
 
 # Hermite functions are Fourier eigenstates with eigenvalue (-i)^k.
 for k in range(4):
-    state = catalog_state(f"hermite:{k}", grid.x_grid)
+    state = catalog_state(f"hermite:{k}", grid)
     transformed = apply_metaplectic(state, "fourier")
     ratio = transformed.values[grid.n_points // 2 + 40 + k] / state.values[
         grid.n_points // 2 + 40 + k
@@ -33,7 +33,7 @@ print(f"scale:2 S = {symplectic_matrix('scale:2').tolist()}")
 
 # The rotation by S maps the point (x_j, p_i) to (-p_i, x_j), which on this
 # grid is again a lattice point; compare the two fields directly.
-gauss = catalog_state("gaussian:2", grid.x_grid)
+gauss = catalog_state("gaussian:2", grid)
 base = wigner(gauss, grid).values
 rotated = wigner(apply_metaplectic(gauss, "fourier"), grid).values
 n = grid.n_points
@@ -45,7 +45,7 @@ print(f"\nfourier remap deviation on the central block: {dev:.2e}")
 
 # scale:2 stretches x by 2 and squeezes p by 2, so XX quadruples and PP
 # drops to a quarter while the uncertainty product is unchanged.
-h0 = catalog_state("hermite:0", grid.x_grid)
+h0 = catalog_state("hermite:0", grid)
 verdict = [modulation_norm(h0, 2.0, grid)]
 before = covariance(wigner(h0, grid), verdict).sigma
 wide = apply_metaplectic(h0, "scale:2")

@@ -13,11 +13,11 @@ from wignerlab.moments import marginals
 from wignerlab.wigner import cross_wigner, overlap_identity_check, wigner
 
 grid = make_grid(1024, 12.0)
-print(f"grid: n={grid.n_points}, L={grid.x_grid.half_width}, "
+print(f"grid: n={grid.n_points}, L={grid.half_width}, "
       f"dx={grid.dx:.5f}, dp={grid.dp:.5f}")
 
-h0 = catalog_state("hermite:0", grid.x_grid)
-h1 = catalog_state("hermite:1", grid.x_grid)
+h0 = catalog_state("hermite:0", grid)
+h1 = catalog_state("hermite:1", grid)
 
 w0 = wigner(h0, grid)
 peak = w0.values.max()

@@ -186,8 +186,8 @@ def _config_from(ns: argparse.Namespace, overrides: dict) -> RunConfig:
 def _ensemble_from(ns: argparse.Namespace, cfg: RunConfig) -> Ensemble:
     grid = cfg.grid()
     if ns.ensemble is not None:
-        return load_ensemble_json(ns.ensemble, grid.x_grid, cfg.hbar)
-    state = catalog_state(ns.state, grid.x_grid, cfg.hbar)
+        return load_ensemble_json(ns.ensemble, grid)
+    state = catalog_state(ns.state, grid)
     return Ensemble(((state, 1.0),), ns.state)
 
 
@@ -206,7 +206,7 @@ def _warn_coarse_grid(
 
 def cmd_wigner(ns: argparse.Namespace, cfg: RunConfig) -> int:
     grid = cfg.grid()
-    state = catalog_state(ns.state, grid.x_grid, cfg.hbar)
+    state = catalog_state(ns.state, grid)
     if ns.apply:
         state = apply_metaplectic(state, ns.apply)
     field = wigner(state, grid)
@@ -220,8 +220,8 @@ def cmd_wigner(ns: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_cross_wigner(ns: argparse.Namespace, cfg: RunConfig) -> int:
     grid = cfg.grid()
-    psi = catalog_state(ns.state, grid.x_grid, cfg.hbar)
-    phi = catalog_state(ns.state2, grid.x_grid, cfg.hbar)
+    psi = catalog_state(ns.state, grid)
+    phi = catalog_state(ns.state2, grid)
     field = cross_wigner(psi, phi, grid)
     write_field_csv(cfg.out("cross_wigner_field.csv"), field)
     meta = {**field_metadata(field), "sources": [psi.label, phi.label]}
@@ -286,8 +286,8 @@ def _write_verdict(
 
 def cmd_modnorm(ns: argparse.Namespace, cfg: RunConfig) -> int:
     grid = cfg.grid()
-    state = catalog_state(ns.state, grid.x_grid, cfg.hbar)
-    window = catalog_state(ns.window, grid.x_grid, cfg.hbar)
+    state = catalog_state(ns.state, grid)
+    window = catalog_state(ns.window, grid)
     warnings = _warn_coarse_grid(grid, [state], "state")
     warnings += _warn_coarse_grid(grid, [window], "window")
     report = modulation_norm(state, ns.s, grid, window=window, **cfg.ladder())
@@ -296,7 +296,7 @@ def cmd_modnorm(ns: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_diagnose(ns: argparse.Namespace, cfg: RunConfig) -> int:
     grid = cfg.grid()
-    state = catalog_state(ns.state, grid.x_grid, cfg.hbar)
+    state = catalog_state(ns.state, grid)
     warnings = _warn_coarse_grid(grid, [state], "state")
     report = feichtinger_diagnostic(state, grid, **cfg.ladder())
     return _write_verdict(cfg, "diagnose_report.json", state, report, warnings)
@@ -304,7 +304,7 @@ def cmd_diagnose(ns: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_ensemble_build(ns: argparse.Namespace, cfg: RunConfig) -> int:
     grid = cfg.grid()
-    ens = load_ensemble_json(ns.ensemble, grid.x_grid, cfg.hbar)
+    ens = load_ensemble_json(ns.ensemble, grid)
     op = build_A(ens, cfg.dim)
     rho = density_matrix(op)
     direct = density_matrix_direct(ens, cfg.dim)
@@ -335,8 +335,8 @@ def cmd_ensemble_build(ns: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_ensemble_equiv(ns: argparse.Namespace, cfg: RunConfig) -> int:
     grid = cfg.grid()
-    e1 = load_ensemble_json(ns.ensemble, grid.x_grid, cfg.hbar)
-    e2 = load_ensemble_json(ns.ensemble2, grid.x_grid, cfg.hbar)
+    e1 = load_ensemble_json(ns.ensemble, grid)
+    e2 = load_ensemble_json(ns.ensemble2, grid)
     warnings = _warn_coarse_grid(grid, (st for st, _ in e1.members + e2.members), "member")
     a = build_A(e1, cfg.dim)
     a_prime = build_A(e2, cfg.dim)
@@ -378,13 +378,13 @@ def cmd_ensemble_equiv(ns: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_ensemble_spectral(ns: argparse.Namespace, cfg: RunConfig) -> int:
     grid = cfg.grid()
-    ens = load_ensemble_json(ns.ensemble, grid.x_grid, cfg.hbar)
+    ens = load_ensemble_json(ns.ensemble, grid)
     rho = density_matrix(build_A(ens, cfg.dim))
-    spectral = spectral_ensemble(rho, grid.x_grid)
+    spectral = spectral_ensemble(rho, grid)
     entries = []
     for idx, (state, weight) in enumerate(spectral.members):
         name = f"spectral_member_{idx}.csv"
-        write_state_csv(cfg.out(name), grid.x_grid.points(), state.values)
+        write_state_csv(cfg.out(name), grid.x_points(), state.values)
         entries.append({"weight": weight, "state": name})
     cfg.write(
         "spectral_ensemble.json",
@@ -399,7 +399,7 @@ def cmd_ensemble_spectral(ns: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _eigen_pair(grid: PhaseSpaceGrid) -> Ensemble:
-    h0, h1 = (catalog_state(f"hermite:{k}", grid.x_grid, grid.hbar) for k in (0, 1))
+    h0, h1 = (catalog_state(f"hermite:{k}", grid) for k in (0, 1))
     return Ensemble(((h0, 0.5), (h1, 0.5)), "pair:eigen")
 
 

@@ -19,7 +19,6 @@ from .grid import (
     MAX_HERMITE_ORDER,
     CheckError,
     PhaseSpaceGrid,
-    PositionGrid,
     SampledState,
     hermite_functions,
     state_norm,
@@ -61,11 +60,10 @@ class Ensemble:
         if not members:
             raise ValueError("ensemble needs at least one member")
         grid = members[0][0].grid
-        hbar = members[0][0].hbar
         for st, w in members:
             if not (math.isfinite(w) and w > 0):
                 raise ValueError(f"weights must be positive and finite, got {w}")
-            if st.grid != grid or st.hbar != hbar:
+            if st.grid != grid:
                 raise ValueError("all ensemble members must share one grid and hbar")
             nrm = state_norm(st)
             if abs(nrm - 1.0) > 1e-8:
@@ -78,12 +76,8 @@ class Ensemble:
         object.__setattr__(self, "members", members)
 
     @property
-    def grid(self) -> PositionGrid:
+    def grid(self) -> PhaseSpaceGrid:
         return self.members[0][0].grid
-
-    @property
-    def hbar(self) -> float:
-        return self.members[0][0].hbar
 
     def weights(self) -> np.ndarray:
         return np.array([w for _, w in self.members])
@@ -95,7 +89,6 @@ class EnsembleOperator:
 
     matrix: np.ndarray
     truncation_residual: float
-    hbar: float
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=np.complex128, copy=True)
@@ -115,7 +108,6 @@ class DensityMatrix:
 
     matrix: np.ndarray
     trace_residual: float
-    hbar: float
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=np.complex128, copy=True)
@@ -168,7 +160,7 @@ def _check_dim(dim: int) -> None:
         raise ValueError(f"dim must be in 1..{MAX_BASIS_DIM}, got {dim}")
 
 
-def hermite_basis(grid: PositionGrid, dim: int, hbar: float = 1.0) -> np.ndarray:
+def hermite_basis(grid: PhaseSpaceGrid, dim: int) -> np.ndarray:
     """Rows 0..dim-1 of the oscillator basis sampled on the grid.
 
     Raises when the grid cannot resolve the top basis function (trapezoid
@@ -176,7 +168,7 @@ def hermite_basis(grid: PositionGrid, dim: int, hbar: float = 1.0) -> np.ndarray
     detects an inadequate grid before producing garbage coefficients.
     """
     _check_dim(dim)
-    basis = hermite_functions(dim - 1, grid.points(), hbar)
+    basis = hermite_functions(dim - 1, grid.x_points(), grid.hbar)
     top_norm = trapezoid_norm(basis[-1], grid)
     if abs(top_norm - 1.0) > 1e-3:
         raise ValueError(
@@ -192,7 +184,7 @@ def project_to_basis(psi: SampledState, dim: int) -> tuple[np.ndarray, float]:
     Returns (coefficients, residual) where residual is the squared norm left
     outside the truncation, 1 - sum |a_k|^2 for a unit state.
     """
-    basis = hermite_basis(psi.grid, dim, psi.hbar)
+    basis = hermite_basis(psi.grid, dim)
     w = trapezoid_weights(psi.grid.n_points)
     coeffs = (basis * w) @ psi.values * psi.grid.dx
     residual = float(state_norm(psi) ** 2 - np.sum(np.abs(coeffs) ** 2))
@@ -214,13 +206,13 @@ def build_A(ensemble: Ensemble, dim: int) -> EnsembleOperator:
         coeffs, residual = project_to_basis(state, dim)
         matrix[:, col] = math.sqrt(weight) * coeffs
         truncation += weight * residual
-    return EnsembleOperator(matrix, truncation, ensemble.hbar)
+    return EnsembleOperator(matrix, truncation)
 
 
 def density_matrix(op: EnsembleOperator) -> DensityMatrix:
     """Density matrix A A* of an ensemble operator."""
     rho = op.matrix @ op.matrix.conj().T
-    return DensityMatrix(rho, op.truncation_residual, op.hbar)
+    return DensityMatrix(rho, op.truncation_residual)
 
 
 def density_matrix_direct(ensemble: Ensemble, dim: int) -> np.ndarray:
@@ -237,7 +229,7 @@ def density_matrix_direct(ensemble: Ensemble, dim: int) -> np.ndarray:
     return rho
 
 
-def spectral_ensemble(rho: DensityMatrix, grid: PositionGrid) -> Ensemble:
+def spectral_ensemble(rho: DensityMatrix, grid: PhaseSpaceGrid) -> Ensemble:
     """Eigen-ensemble of a density matrix, synthesized back onto the grid.
 
     Eigenvalues are sorted descending; values below 1e-10 are dropped,
@@ -251,11 +243,11 @@ def spectral_ensemble(rho: DensityMatrix, grid: PositionGrid) -> Ensemble:
     keep = eigvals > SV_CUTOFF
     eigvals = np.clip(eigvals[keep], 0.0, None)
     eigvecs = eigvecs[:, keep]
-    basis = hermite_basis(grid, rho.dim, rho.hbar)
+    basis = hermite_basis(grid, rho.dim)
     members = []
     for j in range(eigvals.size):
         vals = eigvecs[:, j] @ basis
-        state = SampledState(grid, vals / trapezoid_norm(vals, grid), f"spectral:{j}", rho.hbar)
+        state = SampledState(grid, vals / trapezoid_norm(vals, grid), f"spectral:{j}")
         members.append((state, float(eigvals[j])))
     return Ensemble(tuple(members), "spectral")
 

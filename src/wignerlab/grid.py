@@ -1,9 +1,10 @@
-"""Uniform position and phase-space grids, quadrature, and reference states.
+"""The phase-space grid, quadrature, and reference states.
 
-Everything in this package is sampled on symmetric left-inclusive lattices
-x_k = -L + k*dx with n a power of two.  The conjugate momentum lattice has
-spacing dp = 2*pi*hbar/(n*dx), so a length-n FFT maps one lattice onto the
-other without interpolation.
+Everything in this package is sampled on one grid object that carries n, L
+and hbar: the symmetric left-inclusive lattice x_k = -L + k*dx with n a
+power of two, and the conjugate momentum lattice with spacing
+dp = 2*pi*hbar/(n*dx), so a length-n FFT maps one lattice onto the other
+without interpolation.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "CheckError",
-    "PositionGrid",
     "PhaseSpaceGrid",
     "SampledState",
     "PhaseSpaceField",
@@ -51,14 +51,17 @@ def _is_power_of_two(n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class PositionGrid:
-    """Uniform symmetric grid x_k = -L + k*dx, k = 0 .. n_points-1.
+class PhaseSpaceGrid:
+    """Position lattice x_k = -L + k*dx, k = 0 .. n_points-1, and its
+    reciprocal momentum lattice.
 
-    The right endpoint +L is excluded, matching FFT conventions.
+    The right endpoint +L is excluded, matching FFT conventions.  The
+    momentum spacing satisfies dp * dx * n_points = 2*pi*hbar exactly.
     """
 
     n_points: int
     half_width: float
+    hbar: float
 
     def __post_init__(self) -> None:
         n = self.n_points
@@ -68,36 +71,12 @@ class PositionGrid:
             raise ValueError(f"n_points must be a power of two >= 8, got {n}")
         if not 0 < self.dx < math.inf:
             raise ValueError(f"half_width {self.half_width} gives no finite positive step")
-
-    @property
-    def dx(self) -> float:
-        return 2.0 * self.half_width / self.n_points
-
-    def points(self) -> np.ndarray:
-        return -self.half_width + self.dx * np.arange(self.n_points)
-
-
-@dataclass(frozen=True)
-class PhaseSpaceGrid:
-    """Position lattice plus its reciprocal momentum lattice.
-
-    The momentum spacing satisfies dp * dx * n_points = 2*pi*hbar exactly.
-    """
-
-    x_grid: PositionGrid
-    hbar: float
-
-    def __post_init__(self) -> None:
         if not (self.hbar > 0 and 0 < self.dp < math.inf):
             raise ValueError(f"hbar {self.hbar} gives no finite positive momentum step")
 
     @property
-    def n_points(self) -> int:
-        return self.x_grid.n_points
-
-    @property
     def dx(self) -> float:
-        return self.x_grid.dx
+        return 2.0 * self.half_width / self.n_points
 
     @property
     def dp(self) -> float:
@@ -106,6 +85,10 @@ class PhaseSpaceGrid:
     @property
     def is_self_reciprocal(self) -> bool:
         return abs(self.dx - self.dp) <= 1e-9 * self.dp
+
+    def x_points(self) -> np.ndarray:
+        """Position lattice, n_points samples from -L."""
+        return -self.half_width + self.dx * np.arange(self.n_points)
 
     def p_points(self) -> np.ndarray:
         """Full momentum lattice, n_points samples centered at 0."""
@@ -124,7 +107,7 @@ class PhaseSpaceGrid:
 
 def make_grid(n_points: int, half_width: float, hbar: float = 1.0) -> PhaseSpaceGrid:
     """Build a phase-space grid; rejects non-power-of-two sizes."""
-    return PhaseSpaceGrid(PositionGrid(n_points, float(half_width)), float(hbar))
+    return PhaseSpaceGrid(n_points, float(half_width), float(hbar))
 
 
 def make_self_reciprocal_grid(n_points: int, hbar: float = 1.0) -> PhaseSpaceGrid:
@@ -134,16 +117,15 @@ def make_self_reciprocal_grid(n_points: int, hbar: float = 1.0) -> PhaseSpaceGri
 
 @dataclass(frozen=True)
 class SampledState:
-    """A wave function sampled on a PositionGrid.
+    """A wave function sampled on a grid's position lattice.
 
     Values are stored as a read-only complex array; instances are safe to
     share between threads.
     """
 
-    grid: PositionGrid
+    grid: PhaseSpaceGrid
     values: np.ndarray
     label: str
-    hbar: float = 1.0
 
     def __post_init__(self) -> None:
         vals = np.array(self.values, dtype=np.complex128, copy=True)
@@ -155,8 +137,6 @@ class SampledState:
             raise ValueError("state values must be finite")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        if not (self.hbar > 0 and math.isfinite(self.hbar)):
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
 
 
 def trapezoid_weights(n: int) -> np.ndarray:
@@ -166,7 +146,7 @@ def trapezoid_weights(n: int) -> np.ndarray:
     return w
 
 
-def trapezoid_norm(values: np.ndarray, grid: PositionGrid) -> float:
+def trapezoid_norm(values: np.ndarray, grid: PhaseSpaceGrid) -> float:
     """L2 norm of samples on the grid by trapezoid quadrature."""
     w = trapezoid_weights(grid.n_points)
     return math.sqrt(float(np.sum(w * np.abs(values) ** 2)) * grid.dx)
@@ -223,19 +203,19 @@ def hermite_combination(
     grid: PhaseSpaceGrid, coeffs: tuple[complex, ...], label: str
 ) -> SampledState:
     """Unit-norm state sum_k coeffs[k] * phi_k on the grid's position lattice."""
-    basis = hermite_functions(len(coeffs) - 1, grid.x_grid.points(), grid.hbar)
+    basis = hermite_functions(len(coeffs) - 1, grid.x_points(), grid.hbar)
     vals = np.zeros(grid.n_points, dtype=complex)
     for k, c in enumerate(coeffs):
         vals += c * basis[k]
-    vals /= trapezoid_norm(vals, grid.x_grid)
-    return SampledState(grid.x_grid, vals, label, grid.hbar)
+    vals /= trapezoid_norm(vals, grid)
+    return SampledState(grid, vals, label)
 
 
 def read_state_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Read a sampled state from CSV with header ``x,re,im``.
 
-    Requires strictly increasing x with uniform spacing (relative tolerance
-    1e-9).  Returns (x, complex values).
+    Requires finite, strictly increasing x with uniform spacing (relative
+    tolerance 1e-9).  Returns (x, complex values).
     """
     xs: list[float] = []
     res: list[float] = []
@@ -259,6 +239,8 @@ def read_state_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     if len(xs) < 2:
         raise ValueError(f"{path}: need at least 2 samples")
     x = np.asarray(xs)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{path}: x must be finite")
     steps = np.diff(x)
     if np.any(steps <= 0):
         raise ValueError(f"{path}: x must be strictly increasing")
@@ -279,14 +261,14 @@ def write_state_csv(path: str, x: np.ndarray, values: np.ndarray) -> None:
         )
 
 
-def _normalized(values: np.ndarray, grid: PositionGrid, what: str) -> np.ndarray:
+def _normalized(values: np.ndarray, grid: PhaseSpaceGrid, what: str) -> np.ndarray:
     nrm = trapezoid_norm(values, grid)
     if nrm == 0.0:
         raise ValueError(f"{what}: state has zero norm on this grid")
     return values / nrm
 
 
-def catalog_state(spec: str, grid: PositionGrid, hbar: float = 1.0) -> SampledState:
+def catalog_state(spec: str, grid: PhaseSpaceGrid) -> SampledState:
     """Build a reference state from a descriptor string.
 
     Descriptors: ``hermite:k``, ``gaussian:sigma``, ``box:a:b`` and
@@ -297,7 +279,7 @@ def catalog_state(spec: str, grid: PositionGrid, hbar: float = 1.0) -> SampledSt
     if not isinstance(spec, str) or not spec:
         raise ValueError(f"bad state descriptor {spec!r}")
     name, _, rest = spec.partition(":")
-    x = grid.points()
+    x = grid.x_points()
     L = grid.half_width
 
     if name == "hermite":
@@ -307,13 +289,13 @@ def catalog_state(spec: str, grid: PositionGrid, hbar: float = 1.0) -> SampledSt
             raise ValueError(f"bad hermite order in {spec!r}") from None
         if k < 0:
             raise ValueError(f"hermite order must be >= 0, got {k}")
-        vals = hermite_functions(k, x, hbar)[k].astype(complex)
+        vals = hermite_functions(k, x, grid.hbar)[k].astype(complex)
         raw = trapezoid_norm(vals, grid)
         if abs(raw - 1.0) > 1e-3:
             raise ValueError(
                 f"grid too coarse or narrow for {spec}: norm deviates by {abs(raw - 1.0):.2e}"
             )
-        return SampledState(grid, vals / raw, spec, hbar)
+        return SampledState(grid, vals / raw, spec)
 
     if name == "gaussian":
         try:
@@ -326,7 +308,7 @@ def catalog_state(spec: str, grid: PositionGrid, hbar: float = 1.0) -> SampledSt
                 f"gaussian width {sigma} is outside [dx, L/4) = [{grid.dx:.3g}, {L / 4:.3g})"
             )
         vals = (math.pi * sigma**2) ** -0.25 * np.exp(-(x**2) / (2 * sigma**2))
-        return SampledState(grid, _normalized(vals.astype(complex), grid, spec), spec, hbar)
+        return SampledState(grid, _normalized(vals.astype(complex), grid, spec), spec)
 
     if name == "box":
         parts = rest.split(":")
@@ -343,7 +325,7 @@ def catalog_state(spec: str, grid: PositionGrid, hbar: float = 1.0) -> SampledSt
         vals = np.where((x >= a) & (x <= b), 1.0 + 0.0j, 0.0j)
         if not np.any(vals):
             raise ValueError(f"box [{a}, {b}] contains no grid samples")
-        return SampledState(grid, _normalized(vals, grid, spec), spec, hbar)
+        return SampledState(grid, _normalized(vals, grid, spec), spec)
 
     if name == "file":
         path = rest
@@ -354,9 +336,9 @@ def catalog_state(spec: str, grid: PositionGrid, hbar: float = 1.0) -> SampledSt
             raise ValueError(
                 f"{path}: {fx.size} samples but grid has {grid.n_points} points"
             )
-        if np.abs(fx - x).max() > 1e-9 * grid.dx:
+        if not np.abs(fx - x).max() <= 1e-9 * grid.dx:
             raise ValueError(f"{path}: sample positions do not match the grid")
-        return SampledState(grid, fvals, spec, hbar)
+        return SampledState(grid, fvals, spec)
 
     raise ValueError(f"unknown state descriptor {spec!r}")
 
@@ -393,7 +375,7 @@ class PhaseSpaceField:
 
     @property
     def x_axis(self) -> np.ndarray:
-        return self.grid.x_grid.points()
+        return self.grid.x_points()
 
     @property
     def dx(self) -> float:

@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from .ensemble import Ensemble
-from .grid import PhaseSpaceField, PositionGrid, catalog_state
+from .grid import PhaseSpaceField, PhaseSpaceGrid, catalog_state
 from .modspace import WeightedNormReport
 from .moments import CovarianceReport, MarginalReport
 
@@ -107,7 +107,7 @@ def field_metadata(field: PhaseSpaceField) -> dict:
     grid = field.grid
     return {
         "n": grid.n_points,
-        "L": grid.x_grid.half_width,
+        "L": grid.half_width,
         "dx": grid.dx,
         "dp": grid.dp,
         "hbar": grid.hbar,
@@ -220,11 +220,12 @@ def write_marginal_csv(path: str, axis_name: str, axis: np.ndarray, values: np.n
         fh.write("".join([f"{a:.17g},{v:.17g}\r\n" for a, v in zip(axis, values)]))
 
 
-def load_ensemble_json(path: str, grid: PositionGrid, hbar: float = 1.0) -> Ensemble:
+def load_ensemble_json(path: str, grid: PhaseSpaceGrid) -> Ensemble:
     """Load an ensemble file: JSON {label, members: [{weight, state}]}.
 
     Each member's ``state`` is either a catalog descriptor or a bare path to
-    a sampled-state CSV.
+    a sampled-state CSV; a relative bare path is read from the directory of
+    the ensemble file.
     """
     with open(path) as fh:
         try:
@@ -245,8 +246,8 @@ def load_ensemble_json(path: str, grid: PositionGrid, hbar: float = 1.0) -> Ense
             ) from None
         desc = str(entry["state"])
         if ":" not in desc:
-            desc = f"file:{desc}"
-        state = catalog_state(desc, grid, hbar)
+            desc = f"file:{os.path.join(os.path.dirname(path), desc)}"
+        state = catalog_state(desc, grid)
         members.append((state, weight))
     label = str(doc.get("label", os.path.basename(path)))
     return Ensemble(tuple(members), label)

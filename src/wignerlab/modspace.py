@@ -179,7 +179,7 @@ def modulation_norm(
     if s < 0:
         raise ValueError(f"weight exponent s must be >= 0, got {s}")
     if isinstance(window, str):
-        window = catalog_state(window, grid.x_grid, grid.hbar)
+        window = catalog_state(window, grid)
     return _ladder_report(
         cross_wigner(psi, window, grid), s, window.label, tail_tol, growth_threshold
     )

@@ -33,16 +33,6 @@ __all__ = [
 ]
 
 
-def _check_inputs(psi: SampledState, phi: SampledState, grid: PhaseSpaceGrid) -> None:
-    if psi.grid != grid.x_grid or phi.grid != grid.x_grid:
-        raise ValueError("cross_wigner: states are not sampled on grid.x_grid")
-    for st in (psi, phi):
-        if abs(st.hbar - grid.hbar) > 1e-12 * grid.hbar:
-            raise ValueError(
-                f"cross_wigner: hbar mismatch (state {st.hbar} vs grid {grid.hbar})"
-            )
-
-
 def _padded_windows(values: np.ndarray, weight: float = 1.0) -> np.ndarray:
     """Row k is weight * values[k - n/2 : k + n/2 + 1], with 0 outside [0, n)."""
     n = values.size
@@ -76,7 +66,8 @@ def _wigner_kernel(
     same bits.
     """
     for _, psi, phi in pairs:
-        _check_inputs(psi, phi, grid)
+        if psi.grid != grid or phi.grid != grid:
+            raise ValueError("cross_wigner: states are not sampled on this grid (n, L and hbar)")
     if row_block < 1:
         raise ValueError(f"row_block must be >= 1, got {row_block}")
     n = grid.n_points
@@ -155,7 +146,7 @@ def overlap_identity_check(
     psi: SampledState, phi: SampledState, field: PhaseSpaceField
 ) -> float:
     """|integral of the cross field W(psi, phi) - <psi, phi>| by trapezoid quadrature."""
-    if field.grid.x_grid != psi.grid:
+    if field.grid != psi.grid:
         raise ValueError("overlap_identity_check: field and states are on different grids")
     return abs(field_integral(field) - state_overlap(psi, phi))
 
@@ -191,13 +182,13 @@ def symplectic_matrix(op: str) -> np.ndarray:
 
 
 def _fourier_state(psi: SampledState) -> np.ndarray:
-    grid = PhaseSpaceGrid(psi.grid, psi.hbar)
+    grid = psi.grid
     if not grid.is_self_reciprocal:
         raise ValueError(
             "fourier requires a self-reciprocal grid (dx == dp); "
             f"got dx={grid.dx:.6g}, dp={grid.dp:.6g}"
         )
-    return centered_fft(psi.values, grid.dx / math.sqrt(2.0 * math.pi * psi.hbar))
+    return centered_fft(psi.values, grid.dx / math.sqrt(2.0 * math.pi * grid.hbar))
 
 
 def _scaled_state(psi: SampledState, lam: float) -> np.ndarray:
@@ -213,7 +204,7 @@ def _scaled_state(psi: SampledState, lam: float) -> np.ndarray:
     q = np.arange(n)
     q_centered = np.where(q <= n // 2, q, q - n)
     freq = math.pi * q_centered / L
-    targets = psi.grid.points() / lam
+    targets = psi.grid.x_points() / lam
     out = np.zeros(n, dtype=np.complex128)
     nyq = n // 2
     for start in range(0, n, 512):
@@ -243,7 +234,7 @@ def apply_metaplectic(psi: SampledState, op: str) -> SampledState:
     """
     name, lam = _parse_metaplectic(op)
     vals = _fourier_state(psi) if name == "fourier" else _scaled_state(psi, lam)
-    out = SampledState(psi.grid, vals, f"{op}({psi.label})", psi.hbar)
+    out = SampledState(psi.grid, vals, f"{op}({psi.label})")
     before, after = state_norm(psi), state_norm(out)
     if abs(after - before) > 1e-3:
         raise ValueError(

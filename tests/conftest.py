@@ -39,8 +39,8 @@ def sr2048():
 
 @pytest.fixture(scope="session")
 def hadamard_pair_512(g512):
-    h0 = catalog_state("hermite:0", g512.x_grid)
-    h1 = catalog_state("hermite:1", g512.x_grid)
+    h0 = catalog_state("hermite:0", g512)
+    h1 = catalog_state("hermite:1", g512)
     plus = hermite_combination(g512, (1.0, 1.0), "mix:+")
     minus = hermite_combination(g512, (1.0, -1.0), "mix:-")
     e1 = Ensemble(((h0, 0.5), (h1, 0.5)), "pair:eigen")
@@ -50,8 +50,8 @@ def hadamard_pair_512(g512):
 
 @pytest.fixture(scope="session")
 def eigen_pair_1024(g1024):
-    h0 = catalog_state("hermite:0", g1024.x_grid)
-    h1 = catalog_state("hermite:1", g1024.x_grid)
+    h0 = catalog_state("hermite:0", g1024)
+    h1 = catalog_state("hermite:1", g1024)
     return Ensemble(((h0, 0.5), (h1, 0.5)), "pair:eigen")
 
 
@@ -62,8 +62,8 @@ def mix_field_1024(g1024, eigen_pair_1024):
 
 @pytest.fixture(scope="session")
 def cov_inputs_sr2048(sr2048):
-    h0 = catalog_state("hermite:0", sr2048.x_grid)
-    h1 = catalog_state("hermite:1", sr2048.x_grid)
+    h0 = catalog_state("hermite:0", sr2048)
+    h1 = catalog_state("hermite:1", sr2048)
     ens = Ensemble(((h0, 0.5), (h1, 0.5)), "pair:eigen")
     verdicts = [modulation_norm(st, 2.0, sr2048) for st, _ in ens.members]
     field = mixed_wigner(ens, sr2048)

@@ -7,6 +7,7 @@ direct quadrature, or byte comparison).
 """
 
 import filecmp
+import json
 import math
 import os
 
@@ -16,6 +17,7 @@ import pytest
 from wignerlab.cli import main
 from wignerlab.ensemble import build_A, density_matrix, find_partial_isometry
 from wignerlab.grid import catalog_state, make_grid, state_overlap, trapezoid_weights
+from wignerlab.io import read_field_csv
 from wignerlab.modspace import feichtinger_diagnostic, modulation_norm
 from wignerlab.moments import covariance, marginals
 from wignerlab.wigner import apply_metaplectic, cross_wigner, mixed_wigner, wigner
@@ -26,7 +28,7 @@ from conftest import hermite_combination
 @pytest.fixture(scope="module")
 def quartet_fields_g51(g51):
     specs = ("hermite:0", "hermite:1", "hermite:2", "box:-0.5:0.5")
-    states = [catalog_state(s, g51.x_grid) for s in specs]
+    states = [catalog_state(s, g51) for s in specs]
     fields = {
         (i, j): cross_wigner(states[i], states[j], g51)
         for i in range(4)
@@ -38,12 +40,12 @@ def quartet_fields_g51(g51):
 @pytest.fixture(scope="module")
 def wide_box_report():
     grid = make_grid(4096, 2048.0 / 151.0, 1.0)
-    box = catalog_state("box:-0.5:0.5", grid.x_grid)
+    box = catalog_state("box:-0.5:0.5", grid)
     return feichtinger_diagnostic(box, grid)
 
 
 def test_ground_state_wigner_matches_gaussian(g512):
-    h0 = catalog_state("hermite:0", g512.x_grid)
+    h0 = catalog_state("hermite:0", g512)
     field = wigner(h0, g512)
     x = field.x_axis[:, None]
     p = field.p_axis[None, :]
@@ -54,7 +56,7 @@ def test_ground_state_wigner_matches_gaussian(g512):
 
 
 def test_first_excited_wigner_matches_laguerre_form(g512):
-    h1 = catalog_state("hermite:1", g512.x_grid)
+    h1 = catalog_state("hermite:1", g512)
     field = wigner(h1, g512)
     x = field.x_axis[:, None]
     p = field.p_axis[None, :]
@@ -63,6 +65,24 @@ def test_first_excited_wigner_matches_laguerre_form(g512):
     err = float(np.abs(field.values - exact).max())
     print(f"first-excited max abs error {err:.3e} (tol 1e-07)")
     assert err <= 1e-7
+
+
+@pytest.mark.parametrize("hbar", ["0.5", "2"])
+def test_first_excited_wigner_off_unit_hbar(tmp_path, hbar):
+    # W_1 = (-1/(pi*hbar)) exp(-r^2/hbar) L_1(2 r^2/hbar), with L_1(u) = 1 - u.
+    argv = ["wigner", "--state", "hermite:1", "--hbar", hbar, "--grid-n", "512", "--grid-l", "10"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    x, p, values = read_field_csv(str(tmp_path / "wigner_field.csv"))
+    h = float(hbar)
+    u = 2.0 * (x[:, None] ** 2 + p[None, :] ** 2) / h
+    exact = -np.exp(-0.5 * u) * (1.0 - u) / (math.pi * h)
+    err = float(np.abs(values - exact).max())
+    with open(tmp_path / "wigner_field.json") as fh:
+        meta = json.load(fh)
+    integral = float(np.sum(trapezoid_weights(x.size) @ values)) * meta["dx"] * meta["dp"]
+    print(f"hbar {hbar}: max abs error {err:.3e}, integral - 1 = {integral - 1.0:.3e} (tol 1e-08)")
+    assert err <= 1e-8
+    assert abs(integral - 1.0) <= 1e-8
 
 
 def brute_force_octave_rate():
@@ -112,7 +132,7 @@ def test_pair_mixture_marginals_match_closed_forms(g1024, eigen_pair_1024, mix_f
     report = marginals(mix_field_1024, eigen_pair_1024)
     w = trapezoid_weights(g1024.n_points)
     total = float(np.sum(w * report.x_marginal) * g1024.dx)
-    x = g1024.x_grid.points()
+    x = g1024.x_points()
     closed_x = 0.5 * np.exp(-(x**2)) * (1.0 + 2.0 * x**2) / math.sqrt(math.pi)
     p = mix_field_1024.p_axis
     closed_p = 0.5 * np.exp(-(p**2)) * (1.0 + 2.0 * p**2) / math.sqrt(math.pi)
@@ -157,7 +177,7 @@ def test_cross_wigner_integral_matches_overlap(g51, quartet_fields_g51):
 
 
 def test_fourier_rotates_field_and_scaling_maps_covariance(sr1024, sr2048):
-    h1 = catalog_state("hermite:1", sr1024.x_grid)
+    h1 = catalog_state("hermite:1", sr1024)
     base = wigner(h1, sr1024).values
     rotated = wigner(apply_metaplectic(h1, "fourier"), sr1024).values
     n = sr1024.n_points
@@ -165,9 +185,9 @@ def test_fourier_rotates_field_and_scaling_maps_covariance(sr1024, sr2048):
     cols = np.arange(n // 2)
     expected = base[3 * n // 4 - cols[None, :], rows[:, None] - n // 4]
     rot_err = float(np.abs(rotated[rows] - expected).max())
-    outside = float(np.abs(rotated[np.abs(sr1024.x_grid.points()) > 0.5 * sr1024.x_grid.half_width]).max())
+    outside = float(np.abs(rotated[np.abs(sr1024.x_points()) > 0.5 * sr1024.half_width]).max())
 
-    h0 = catalog_state("hermite:0", sr2048.x_grid)
+    h0 = catalog_state("hermite:0", sr2048)
     scaled = apply_metaplectic(h0, "scale:2")
     sigma = covariance(wigner(h0, sr2048), modulation_norm(h0, 2.0, sr2048)).sigma
     sigma_scaled = covariance(
@@ -228,7 +248,7 @@ def test_spectral_round_trip_recovers_density(g1024):
     w = w / w.sum()
     ens = Ensemble(tuple(zip(members, (float(v) for v in w))), "seeded-trio")
     rho = density_matrix(build_A(ens, 32))
-    spectral = spectral_ensemble(rho, g1024.x_grid)
+    spectral = spectral_ensemble(rho, g1024)
     rho2 = density_matrix(build_A(spectral, 32))
     gap = float(np.abs(rho.matrix - rho2.matrix).max())
     weight_gap = abs(float(spectral.weights().sum()) - 1.0)

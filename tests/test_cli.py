@@ -237,8 +237,8 @@ def write_pair_files(tmp_path, grid):
     minus = hermite_combination(grid, (1.0, -1.0), "mix:-")
     plus_csv = str(tmp_path / "plus.csv")
     minus_csv = str(tmp_path / "minus.csv")
-    write_state_csv(plus_csv, grid.x_grid.points(), plus.values)
-    write_state_csv(minus_csv, grid.x_grid.points(), minus.values)
+    write_state_csv(plus_csv, grid.x_points(), plus.values)
+    write_state_csv(minus_csv, grid.x_points(), minus.values)
     eigen = str(tmp_path / "eigen.json")
     rotated = str(tmp_path / "rotated.json")
     write_ensemble_json(eigen, "pair:eigen", [(0.5, "hermite:0"), (0.5, "hermite:1")])
@@ -289,6 +289,42 @@ def test_ensemble_spectral_subcommand(tmp_path):
     for entry in doc["members"]:
         assert os.path.exists(tmp_path / entry["state"])
         assert entry["weight"] == pytest.approx(0.5, abs=1e-10)
+
+
+def test_spectral_ensemble_loads_from_another_directory(tmp_path, monkeypatch):
+    # Bare member names are read next to the ensemble file, not from the
+    # working directory, even where that holds files of the same names.
+    grid = make_grid(512, 10.0, 1.0)
+    eigen, _ = write_pair_files(tmp_path, grid)
+    out = tmp_path / "out"
+    assert main(["ensemble-spectral", "--ensemble", eigen, "--out", str(out)] + SMALL + DIM) == 0
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    for idx, k in enumerate((2, 3)):
+        decoy = str(elsewhere / f"spectral_member_{idx}.csv")
+        write_state_csv(decoy, grid.x_points(), catalog_state(f"hermite:{k}", grid).values)
+    monkeypatch.chdir(elsewhere)
+    args = [
+        "ensemble-equiv", "--ensemble", eigen, "--ensemble2",
+        os.path.join("..", "out", "spectral_ensemble.json"), "--out", str(tmp_path / "equiv"),
+    ] + SMALL + DIM
+    assert main(args) == 0
+    assert read_json(tmp_path / "equiv" / "isometry.json")["rank"] == 2
+
+
+@pytest.mark.parametrize("rows", ["all", "one"])
+def test_state_file_with_nan_x_is_usage_error(tmp_path, capsys, rows):
+    # NaN fails every comparison, so it used to pass as lying on the grid.
+    grid = make_grid(64, 8.0)
+    x = grid.x_points()
+    x[slice(None) if rows == "all" else 5] = np.nan
+    path = tmp_path / "b.csv"
+    write_state_csv(str(path), x, catalog_state("hermite:0", grid).values)
+    out = tmp_path / "out"
+    argv = ["diagnose", "--state", f"file:{path}", "--grid-n", "64", "--grid-l", "8"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"{path}: x must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_reproduce_unknown_scenario():
@@ -390,7 +426,7 @@ def test_mixed_wigner_makes_one_kernel_pass(monkeypatch):
     from wignerlab.wigner import cross_wigner, mixed_wigner, wigner
 
     grid = make_grid(512, 10.0, 1.0)
-    states = [catalog_state(f"hermite:{k}", grid.x_grid) for k in range(3)]
+    states = [catalog_state(f"hermite:{k}", grid) for k in range(3)]
     ens = Ensemble(tuple(zip(states, (0.5, 0.3, 0.2))), "three")
     crosses = count_calls(monkeypatch, cross_wigner)
     diagonals = count_calls(monkeypatch, wigner)

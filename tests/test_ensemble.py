@@ -22,8 +22,8 @@ from conftest import hermite_combination
 
 
 def test_ensemble_validation(g512):
-    h0 = catalog_state("hermite:0", g512.x_grid)
-    h1 = catalog_state("hermite:1", g512.x_grid)
+    h0 = catalog_state("hermite:0", g512)
+    h1 = catalog_state("hermite:1", g512)
     with pytest.raises(ValueError):
         Ensemble((), "empty")
     with pytest.raises(ValueError):
@@ -34,32 +34,32 @@ def test_ensemble_validation(g512):
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
             Ensemble(((h0, bad),), "non-finite")
-    dim = SampledState(g512.x_grid, 0.9 * h0.values, "dim")
+    dim = SampledState(g512, 0.9 * h0.values, "dim")
     with pytest.raises(ValueError):
         Ensemble(((dim, 1.0),), "dim")
-    other = catalog_state("hermite:0", make_grid(512, 9.0).x_grid)
+    other = catalog_state("hermite:0", make_grid(512, 9.0))
     with pytest.raises(ValueError):
         Ensemble(((h0, 0.5), (other, 0.5)), "mixed-grids")
     ok = Ensemble(((h0, 0.25), (h1, 0.75)), "ok")
     np.testing.assert_allclose(ok.weights(), [0.25, 0.75])
-    assert ok.grid == g512.x_grid
+    assert ok.grid == g512
 
 
 def test_hermite_basis_orthonormal_and_guarded(g512):
-    basis = hermite_basis(g512.x_grid, 16)
+    basis = hermite_basis(g512, 16)
     assert basis.shape == (16, 512)
     with pytest.raises(ValueError):
-        hermite_basis(g512.x_grid, 0)
+        hermite_basis(g512, 0)
     with pytest.raises(ValueError):
-        hermite_basis(g512.x_grid, MAX_BASIS_DIM + 1)
+        hermite_basis(g512, MAX_BASIS_DIM + 1)
     # Basis order 127 extends past this grid's half width, so the trapezoid
     # norm of the top function drops and the guard must fire.
     with pytest.raises(ValueError):
-        hermite_basis(g512.x_grid, 128)
+        hermite_basis(g512, 128)
 
 
 def test_projection_of_eigenstates(g512):
-    h2 = catalog_state("hermite:2", g512.x_grid)
+    h2 = catalog_state("hermite:2", g512)
     coeffs, residual = project_to_basis(h2, 8)
     expected = np.zeros(8)
     expected[2] = 1.0
@@ -69,7 +69,7 @@ def test_projection_of_eigenstates(g512):
 
 def test_box_projection_residuals_shrink():
     grid = make_grid(4096, 24.0, 1.0)
-    box = catalog_state("box:-0.5:0.5", grid.x_grid)
+    box = catalog_state("box:-0.5:0.5", grid)
     residuals = [project_to_basis(box, dim)[1] for dim in (32, 64, 128)]
     assert residuals[0] > residuals[1] > residuals[2]
     np.testing.assert_allclose(residuals, [0.09019, 0.05175, 0.03974], atol=1e-4)
@@ -103,11 +103,11 @@ def test_density_matrix_routes_agree(hadamard_pair_512):
 
 def test_density_matrix_validation():
     with pytest.raises(ValueError):
-        DensityMatrix(np.array([[1.0, 1.0], [0.0, 0.0]]), 0.0, 1.0)
+        DensityMatrix(np.array([[1.0, 1.0], [0.0, 0.0]]), 0.0)
     with pytest.raises(ValueError):
-        DensityMatrix(np.diag([1.5, -0.5]), 0.0, 1.0)
+        DensityMatrix(np.diag([1.5, -0.5]), 0.0)
     with pytest.raises(ValueError):
-        DensityMatrix(np.diag([0.4, 0.4]), 0.0, 1.0)
+        DensityMatrix(np.diag([0.4, 0.4]), 0.0)
 
 
 def test_partial_isometry_defect_guard():
@@ -130,8 +130,8 @@ def test_find_partial_isometry_hadamard(hadamard_pair_512):
 
 
 def test_find_partial_isometry_rejects_different_densities(g512):
-    h0 = catalog_state("hermite:0", g512.x_grid)
-    h1 = catalog_state("hermite:1", g512.x_grid)
+    h0 = catalog_state("hermite:0", g512)
+    h1 = catalog_state("hermite:1", g512)
     a = build_A(Ensemble(((h0, 1.0),), "pure0"), 8)
     a_prime = build_A(Ensemble(((h1, 1.0),), "pure1"), 8)
     with pytest.raises(CheckError):
@@ -139,9 +139,9 @@ def test_find_partial_isometry_rejects_different_densities(g512):
 
 
 def test_spectral_ensemble_of_pure_state(g512):
-    h1 = catalog_state("hermite:1", g512.x_grid)
+    h1 = catalog_state("hermite:1", g512)
     rho = density_matrix(build_A(Ensemble(((h1, 1.0),), "pure"), 8))
-    spectral = spectral_ensemble(rho, g512.x_grid)
+    spectral = spectral_ensemble(rho, g512)
     assert len(spectral.members) == 1
     member, weight = spectral.members[0]
     assert weight == pytest.approx(1.0, abs=1e-12)
@@ -174,8 +174,8 @@ def test_closure_check_on_equivalent_pair(g512, hadamard_pair_512):
 
 
 def test_closure_check_rejects_unequal_densities(g512):
-    h0 = catalog_state("hermite:0", g512.x_grid)
-    h1 = catalog_state("hermite:1", g512.x_grid)
+    h0 = catalog_state("hermite:0", g512)
+    h1 = catalog_state("hermite:1", g512)
     e1 = Ensemble(((h0, 1.0),), "pure0")
     e2 = Ensemble(((h1, 1.0),), "pure1")
     with pytest.raises(CheckError):
@@ -192,7 +192,7 @@ def test_seeded_combination_round_trip(g1024):
     w = w / w.sum()
     ens = Ensemble(tuple(zip(members, (float(v) for v in w))), "seeded-trio")
     rho = density_matrix(build_A(ens, 32))
-    spectral = spectral_ensemble(rho, g1024.x_grid)
+    spectral = spectral_ensemble(rho, g1024)
     rho2 = density_matrix(build_A(spectral, 32))
     assert np.abs(rho.matrix - rho2.matrix).max() <= 1e-12
     assert spectral.weights().sum() == pytest.approx(1.0, abs=1e-12)

@@ -6,7 +6,7 @@ import pytest
 from wignerlab.grid import (
     CheckError,
     PhaseSpaceField,
-    PositionGrid,
+    PhaseSpaceGrid,
     SampledState,
     catalog_state,
     hermite_functions,
@@ -20,20 +20,21 @@ from wignerlab.grid import (
 )
 
 
-def test_position_grid_rejects_bad_sizes():
-    with pytest.raises(ValueError):
-        PositionGrid(100, 10.0)
-    with pytest.raises(ValueError):
-        PositionGrid(4, 10.0)
-    with pytest.raises(ValueError):
-        PositionGrid(512, -1.0)
+def test_grid_rejects_bad_sizes():
+    for make in (PhaseSpaceGrid, make_grid):
+        with pytest.raises(ValueError):
+            make(100, 10.0, 1.0)
+        with pytest.raises(ValueError):
+            make(4, 10.0, 1.0)
+        with pytest.raises(ValueError):
+            make(512, -1.0, 1.0)
 
 
 def test_grid_spacings():
     g = make_grid(512, 10.0, 1.0)
     assert g.dx == pytest.approx(20.0 / 512)
     assert g.dp == pytest.approx(2.0 * math.pi / (512 * g.dx))
-    x = g.x_grid.points()
+    x = g.x_points()
     assert x[256] == 0.0
     assert x[0] == -10.0
     p = g.p_points()
@@ -67,7 +68,7 @@ def test_trapezoid_weights():
 
 
 def test_hermite_functions_orthonormal(g512):
-    x = g512.x_grid.points()
+    x = g512.x_points()
     basis = hermite_functions(6, x, 1.0)
     w = trapezoid_weights(x.size)
     gram = (basis * w) @ basis.T * g512.dx
@@ -75,7 +76,7 @@ def test_hermite_functions_orthonormal(g512):
 
 
 def test_hermite_functions_match_closed_forms(g512):
-    x = g512.x_grid.points()
+    x = g512.x_points()
     basis = hermite_functions(1, x, 1.0)
     h0 = np.pi ** (-0.25) * np.exp(-0.5 * x**2)
     h1 = np.pi ** (-0.25) * math.sqrt(2.0) * x * np.exp(-0.5 * x**2)
@@ -84,19 +85,19 @@ def test_hermite_functions_match_closed_forms(g512):
 
 
 def test_catalog_hermite_and_gaussian(g512):
-    h2 = catalog_state("hermite:2", g512.x_grid)
+    h2 = catalog_state("hermite:2", g512)
     assert state_norm(h2) == pytest.approx(1.0, abs=1e-12)
     assert h2.label == "hermite:2"
-    gauss = catalog_state("gaussian:1.5", g512.x_grid)
+    gauss = catalog_state("gaussian:1.5", g512)
     assert state_norm(gauss) == pytest.approx(1.0, abs=1e-12)
-    x = g512.x_grid.points()
+    x = g512.x_points()
     expected = (math.pi * 1.5**2) ** (-0.25) * np.exp(-(x**2) / (2.0 * 1.5**2))
     np.testing.assert_allclose(gauss.values.real, expected, atol=1e-12)
 
 
 def test_catalog_box_closed_interval(g512):
-    box = catalog_state("box:-0.5:0.5", g512.x_grid)
-    x = g512.x_grid.points()
+    box = catalog_state("box:-0.5:0.5", g512)
+    x = g512.x_points()
     inside = (x >= -0.5) & (x <= 0.5)
     assert np.ptp(box.values.real[inside]) == 0.0
     assert np.all(box.values[~inside] == 0.0)
@@ -116,47 +117,47 @@ def test_catalog_rejects_bad_descriptors(g512):
         "",
     ):
         with pytest.raises(ValueError):
-            catalog_state(bad, g512.x_grid)
+            catalog_state(bad, g512)
 
 
 def test_overlap_and_norm(g512):
-    h0 = catalog_state("hermite:0", g512.x_grid)
-    h1 = catalog_state("hermite:1", g512.x_grid)
+    h0 = catalog_state("hermite:0", g512)
+    h1 = catalog_state("hermite:1", g512)
     assert abs(state_overlap(h0, h1)) < 1e-12
     assert state_overlap(h0, h0).real == pytest.approx(1.0, abs=1e-12)
-    other = catalog_state("hermite:0", make_grid(512, 9.0).x_grid)
+    other = catalog_state("hermite:0", make_grid(512, 9.0))
     with pytest.raises(ValueError):
         state_overlap(h0, other)
 
 
 def test_sampled_state_values_are_frozen(g512):
-    h0 = catalog_state("hermite:0", g512.x_grid)
+    h0 = catalog_state("hermite:0", g512)
     with pytest.raises(ValueError):
         h0.values[0] = 1.0
     with pytest.raises(ValueError):
-        SampledState(g512.x_grid, np.full(512, np.nan), "bad")
+        SampledState(g512, np.full(512, np.nan), "bad")
     with pytest.raises(ValueError):
-        SampledState(g512.x_grid, np.zeros(100), "bad")
+        SampledState(g512, np.zeros(100), "bad")
 
 
 def test_state_csv_round_trip(tmp_path, g512):
-    h1 = catalog_state("hermite:1", g512.x_grid)
+    h1 = catalog_state("hermite:1", g512)
     path = str(tmp_path / "h1.csv")
-    write_state_csv(path, g512.x_grid.points(), h1.values)
+    write_state_csv(path, g512.x_points(), h1.values)
     x, vals = read_state_csv(path)
-    np.testing.assert_array_equal(x, g512.x_grid.points())
+    np.testing.assert_array_equal(x, g512.x_points())
     np.testing.assert_array_equal(vals, h1.values)
-    loaded = catalog_state(f"file:{path}", g512.x_grid)
+    loaded = catalog_state(f"file:{path}", g512)
     np.testing.assert_array_equal(loaded.values, h1.values)
 
 
 def test_state_csv_rejects_mismatched_grid(tmp_path, g512):
     other = make_grid(512, 9.0)
-    h0 = catalog_state("hermite:0", other.x_grid)
+    h0 = catalog_state("hermite:0", other)
     path = str(tmp_path / "h0.csv")
-    write_state_csv(path, other.x_grid.points(), h0.values)
+    write_state_csv(path, other.x_points(), h0.values)
     with pytest.raises(ValueError):
-        catalog_state(f"file:{path}", g512.x_grid)
+        catalog_state(f"file:{path}", g512)
 
 
 def test_state_csv_rejects_malformed_files(tmp_path):
@@ -168,14 +169,19 @@ def test_state_csv_rejects_malformed_files(tmp_path):
     p2.write_text("x,re,im\n0.0,1,0\n1.0,1,0\n3.0,1,0\n")
     with pytest.raises(ValueError):
         read_state_csv(str(p2))
+    # NaN fails every comparison, so it would pass the spacing checks.
+    p3 = tmp_path / "nan.csv"
+    p3.write_text("x,re,im\n0.0,1,0\nnan,1,0\n2.0,1,0\n")
+    with pytest.raises(ValueError, match=f"{p3}: x must be finite"):
+        read_state_csv(str(p3))
 
 
 def test_file_state_norm_guard(tmp_path, g512):
-    x = g512.x_grid.points()
+    x = g512.x_points()
     vals = 0.5 * np.pi ** (-0.25) * np.exp(-0.5 * x**2)
     path = str(tmp_path / "half.csv")
     write_state_csv(path, x, vals)
-    loaded = catalog_state(f"file:{path}", g512.x_grid)
+    loaded = catalog_state(f"file:{path}", g512)
     assert state_norm(loaded) == pytest.approx(0.5, abs=1e-10)
 
 

@@ -79,7 +79,7 @@ def test_complex_matrix_pairs_round_trip():
 
 
 def test_real_field_csv_round_trip(tmp_path, g512):
-    h0 = catalog_state("hermite:0", g512.x_grid)
+    h0 = catalog_state("hermite:0", g512)
     field = wigner(h0, g512)
     path = str(tmp_path / "field.csv")
     write_field_csv(path, field)
@@ -92,8 +92,8 @@ def test_real_field_csv_round_trip(tmp_path, g512):
 
 
 def test_complex_field_csv_round_trip(tmp_path, g512):
-    h0 = catalog_state("hermite:0", g512.x_grid)
-    h1 = catalog_state("hermite:1", g512.x_grid)
+    h0 = catalog_state("hermite:0", g512)
+    h1 = catalog_state("hermite:1", g512)
     field = cross_wigner(h0, h1, g512)
     path = str(tmp_path / "cross.csv")
     write_field_csv(path, field)
@@ -130,7 +130,7 @@ def test_field_csv_rejects_rows_off_the_lattice(tmp_path, case, line, message):
 
 
 def test_field_metadata_keys(g512):
-    h0 = catalog_state("hermite:0", g512.x_grid)
+    h0 = catalog_state("hermite:0", g512)
     field = wigner(h0, g512)
     meta = field_metadata(field)
     assert meta["n"] == 512
@@ -140,7 +140,7 @@ def test_field_metadata_keys(g512):
 
 
 def test_report_dicts_serialize(g512, eigen_pair_1024, mix_field_1024):
-    h0 = catalog_state("hermite:0", g512.x_grid)
+    h0 = catalog_state("hermite:0", g512)
     norm_report = modulation_norm(h0, 2.0, g512)
     doc = norm_report_to_dict(norm_report)
     assert doc["verdict"] == "convergent"
@@ -154,12 +154,12 @@ def test_report_dicts_serialize(g512, eigen_pair_1024, mix_field_1024):
 
 
 def test_ensemble_json_round_trip(tmp_path, g512):
-    h1 = catalog_state("hermite:1", g512.x_grid)
+    h1 = catalog_state("hermite:1", g512)
     member_csv = str(tmp_path / "member.csv")
-    write_state_csv(member_csv, g512.x_grid.points(), h1.values)
+    write_state_csv(member_csv, g512.x_points(), h1.values)
     path = str(tmp_path / "ens.json")
     write_ensemble_json(path, "demo", [(0.5, "hermite:0"), (0.5, member_csv)])
-    ens = load_ensemble_json(path, g512.x_grid)
+    ens = load_ensemble_json(path, g512)
     assert ens.label == "demo"
     np.testing.assert_allclose(ens.weights(), [0.5, 0.5])
     np.testing.assert_array_equal(ens.members[1][0].values, h1.values)
@@ -169,15 +169,15 @@ def test_ensemble_json_rejects_malformed(tmp_path, g512):
     p1 = tmp_path / "bad.json"
     p1.write_text("{not json")
     with pytest.raises(ValueError):
-        load_ensemble_json(str(p1), g512.x_grid)
+        load_ensemble_json(str(p1), g512)
     p2 = tmp_path / "nolist.json"
     p2.write_text('{"label": "x"}')
     with pytest.raises(ValueError):
-        load_ensemble_json(str(p2), g512.x_grid)
+        load_ensemble_json(str(p2), g512)
     p3 = tmp_path / "nokeys.json"
     p3.write_text('{"members": [{"weight": 1.0}]}')
     with pytest.raises(ValueError):
-        load_ensemble_json(str(p3), g512.x_grid)
+        load_ensemble_json(str(p3), g512)
 
 
 # Numbers whose %.17g text is easy to get wrong: signed zero, subnormals,

@@ -26,7 +26,7 @@ from wignerlab.wigner import apply_metaplectic, cross_wigner, wigner
 
 
 def test_weighted_norm_analytic_values(g51):
-    h0 = catalog_state("hermite:0", g51.x_grid)
+    h0 = catalog_state("hermite:0", g51)
     field = wigner(h0, g51)
     top = cutoff_ladder(field)[-1]
     # The ground-state field is a unit-mass Gaussian, so the full s=0 mass
@@ -36,7 +36,7 @@ def test_weighted_norm_analytic_values(g51):
 
 
 def test_weighted_norm_first_excited_value(sr1024):
-    h1 = catalog_state("hermite:1", sr1024.x_grid)
+    h1 = catalog_state("hermite:1", sr1024)
     field = wigner(h1, sr1024)
     top = cutoff_ladder(field)[-1]
     value = weighted_l1_norm(field, 0.0, (top,))[0]
@@ -44,7 +44,7 @@ def test_weighted_norm_first_excited_value(sr1024):
 
 
 def test_weighted_norm_argument_validation(g512):
-    h0 = catalog_state("hermite:0", g512.x_grid)
+    h0 = catalog_state("hermite:0", g512)
     field = wigner(h0, g512)
     band = -float(field.p_axis[0])
     with pytest.raises(ValueError):
@@ -57,7 +57,7 @@ def test_overflowing_weight_is_refused_not_inconclusive():
     # (1 + x^2 + p^2)^350 overflows at the lattice corner; the ladder used to
     # come back NaN and read as "inconclusive".
     grid = make_grid(64, 8.0)
-    h0 = catalog_state("hermite:0", grid.x_grid)
+    h0 = catalog_state("hermite:0", grid)
     with pytest.raises(ValueError, match="s = 700"):
         modulation_norm(h0, 700, grid)
 
@@ -68,14 +68,14 @@ def test_weight_overflowing_outside_the_top_disc_is_refused(s):
     # s = 400 the weight overflows outside the disc only; at s = 320 it
     # overflows only outside the columns, where no rung builds a product.
     grid = make_grid(64, 8.0)
-    field = wigner(catalog_state("hermite:0", grid.x_grid), grid)
+    field = wigner(catalog_state("hermite:0", grid), grid)
     with pytest.raises(ValueError, match=f"s = {s}"):
         weighted_l1_norm(field, s, cutoff_ladder(field))
 
 
 def test_ladder_peak_memory_is_two_float_buffers(sr2048):
-    box = catalog_state("box:-0.5:0.5", sr2048.x_grid)
-    h0 = catalog_state("hermite:0", sr2048.x_grid)
+    box = catalog_state("box:-0.5:0.5", sr2048)
+    h0 = catalog_state("hermite:0", sr2048)
     field = cross_wigner(box, h0, sr2048)
     tracemalloc.start()
     try:
@@ -118,7 +118,7 @@ def test_ladder_matches_per_rung_formula(log2n, half_width, seed, s_drawn, frac)
 
 
 def test_cutoff_ladder_geometry(g512):
-    h0 = catalog_state("hermite:0", g512.x_grid)
+    h0 = catalog_state("hermite:0", g512)
     field = wigner(h0, g512)
     ladder = cutoff_ladder(field)
     band = -float(field.p_axis[0])
@@ -128,17 +128,17 @@ def test_cutoff_ladder_geometry(g512):
 
 
 def test_smooth_state_verdicts(g1024):
-    h0 = catalog_state("hermite:0", g1024.x_grid)
+    h0 = catalog_state("hermite:0", g1024)
     report = feichtinger_diagnostic(h0, g1024)
     assert report.verdict == "convergent"
     assert abs(report.growth_exponent) < 0.05
     assert report.s == 0.0
-    gauss = catalog_state("gaussian:1.5", g1024.x_grid)
+    gauss = catalog_state("gaussian:1.5", g1024)
     assert feichtinger_diagnostic(gauss, g1024).verdict == "convergent"
 
 
 def test_box_state_diverges_with_unit_growth(g1024):
-    box = catalog_state("box:-0.5:0.5", g1024.x_grid)
+    box = catalog_state("box:-0.5:0.5", g1024)
     report = feichtinger_diagnostic(box, g1024)
     assert report.verdict == "diverging"
     assert 0.8 <= report.growth_exponent <= 1.2
@@ -153,7 +153,7 @@ def test_box_state_diverges_with_unit_growth(g1024):
 def test_ladder_saturation_reads_as_convergent(sr1024):
     # A widened smooth state fills the lower rungs late; the tail-rung fit
     # must not mistake that transient for divergent growth.
-    h1 = catalog_state("hermite:1", sr1024.x_grid)
+    h1 = catalog_state("hermite:1", sr1024)
     wide = apply_metaplectic(h1, "scale:2")
     report = feichtinger_diagnostic(wide, sr1024)
     assert report.verdict in ("convergent", "inconclusive")
@@ -162,7 +162,7 @@ def test_ladder_saturation_reads_as_convergent(sr1024):
 
 def test_window_choice_does_not_change_verdicts(g51):
     for spec in ("hermite:0", "hermite:1", "box:-0.5:0.5"):
-        psi = catalog_state(spec, g51.x_grid)
+        psi = catalog_state(spec, g51)
         r0 = modulation_norm(psi, 0.0, g51, window="hermite:0")
         r1 = modulation_norm(psi, 0.0, g51, window="hermite:1")
         assert r0.verdict == r1.verdict
@@ -172,44 +172,44 @@ def test_window_choice_does_not_change_verdicts(g51):
 
 def test_verdicts_invariant_under_fourier(sr1024, sr2048):
     for spec in ("hermite:0", "hermite:1"):
-        psi = catalog_state(spec, sr1024.x_grid)
+        psi = catalog_state(spec, sr1024)
         base = feichtinger_diagnostic(psi, sr1024)
         moved = feichtinger_diagnostic(apply_metaplectic(psi, "fourier"), sr1024)
         assert moved.verdict == base.verdict == "convergent"
-    box = catalog_state("box:-0.5:0.5", sr2048.x_grid)
+    box = catalog_state("box:-0.5:0.5", sr2048)
     base = feichtinger_diagnostic(box, sr2048)
     moved = feichtinger_diagnostic(apply_metaplectic(box, "fourier"), sr2048)
     assert moved.verdict == base.verdict == "diverging"
 
 
 def test_verdicts_invariant_under_scaling(sr2048):
-    h1 = catalog_state("hermite:1", sr2048.x_grid)
+    h1 = catalog_state("hermite:1", sr2048)
     base = feichtinger_diagnostic(h1, sr2048)
     moved = feichtinger_diagnostic(apply_metaplectic(h1, "scale:2"), sr2048)
     assert moved.verdict == base.verdict == "convergent"
     g101 = make_grid(2048, 1024.0 / 101.0, 1.0)
-    box = catalog_state("box:-0.5:0.5", g101.x_grid)
+    box = catalog_state("box:-0.5:0.5", g101)
     base = feichtinger_diagnostic(box, g101)
     moved = feichtinger_diagnostic(apply_metaplectic(box, "scale:2"), g101)
     assert moved.verdict == base.verdict == "diverging"
 
 
 def test_weighted_ladder_grows_fast_for_box_at_s2(g51):
-    box = catalog_state("box:-0.5:0.5", g51.x_grid)
+    box = catalog_state("box:-0.5:0.5", g51)
     report = modulation_norm(box, 2.0, g51)
     assert report.verdict == "diverging"
     assert report.growth_exponent > 2.0
 
 
 def test_diagnostic_requires_unit_norm(g512):
-    h0 = catalog_state("hermite:0", g512.x_grid)
-    dim = SampledState(g512.x_grid, 0.9 * h0.values, "dim", 1.0)
+    h0 = catalog_state("hermite:0", g512)
+    dim = SampledState(g512, 0.9 * h0.values, "dim")
     with pytest.raises(ValueError, match="unit-norm"):
         feichtinger_diagnostic(dim, g512)
 
 
 def test_modulation_norm_validates_arguments(g512):
-    h0 = catalog_state("hermite:0", g512.x_grid)
+    h0 = catalog_state("hermite:0", g512)
     with pytest.raises(ValueError):
         modulation_norm(h0, -2.0, g512)
     with pytest.raises(ValueError):
@@ -217,13 +217,13 @@ def test_modulation_norm_validates_arguments(g512):
 
 
 def test_grid_adequacy_warning(g1024):
-    box = catalog_state("box:-0.5:0.5", g1024.x_grid)
+    box = catalog_state("box:-0.5:0.5", g1024)
     message = diagnostic_grid_warning(box, g1024)
     assert message is not None and "band" in message
-    h0 = catalog_state("hermite:0", g1024.x_grid)
+    h0 = catalog_state("hermite:0", g1024)
     assert diagnostic_grid_warning(h0, g1024) is None
     wide = make_grid(4096, 2048.0 / 151.0, 1.0)
-    box_wide = catalog_state("box:-0.5:0.5", wide.x_grid)
+    box_wide = catalog_state("box:-0.5:0.5", wide)
     assert diagnostic_grid_warning(box_wide, wide) is None
 
 

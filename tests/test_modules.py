@@ -7,6 +7,8 @@ import sys
 import pytest
 
 import wignerlab
+from wignerlab.grid import make_grid
+from wignerlab.wigner import cross_wigner
 
 LAYERS = ("cli", "grid", "wigner", "modspace", "moments", "ensemble", "io")
 
@@ -43,3 +45,9 @@ def test_package_exports_only_its_version():
     public = {name for name in vars(wignerlab) if not name.startswith("_")}
     assert all(inspect.ismodule(getattr(wignerlab, name)) for name in public)
     assert isinstance(wignerlab.__version__, str)
+
+
+def test_cross_wigner_keeps_the_grid_the_tracer_reads():
+    # bench/tracing.py counts a cross_wigner span's rows as args[2].n_points.
+    assert list(inspect.signature(cross_wigner).parameters)[:3] == ["psi", "phi", "grid"]
+    assert make_grid(64, 8.0).n_points == 64

@@ -41,7 +41,7 @@ def test_covariance_requires_convergent_s2(cov_inputs_sr2048):
 
 
 def test_oscillator_eigenstate_covariances(sr2048, cov_inputs_sr2048):
-    h0 = catalog_state("hermite:0", sr2048.x_grid)
+    h0 = catalog_state("hermite:0", sr2048)
     field = wigner(h0, sr2048)
     report = covariance(field, modulation_norm(h0, 2.0, sr2048))
     np.testing.assert_allclose(report.sigma, 0.5 * np.eye(2), atol=1e-10)
@@ -67,9 +67,9 @@ def test_two_moment_routes_agree(cov_inputs_sr2048):
 
 
 def test_mean_tracks_displacement(g512):
-    x = g512.x_grid.points()
+    x = g512.x_points()
     vals = np.pi ** (-0.25) * np.exp(-0.5 * (x - 1.0) ** 2)
-    shifted = SampledState(g512.x_grid, vals, "shifted-gaussian", 1.0)
+    shifted = SampledState(g512, vals, "shifted-gaussian")
     field = wigner(shifted, g512)
     report = covariance(field, modulation_norm(shifted, 2.0, g512))
     np.testing.assert_allclose(report.mean, [1.0, 0.0], atol=1e-8)
@@ -102,7 +102,7 @@ def test_marginals_match_member_densities(g1024, eigen_pair_1024, mix_field_1024
 
 
 def test_marginals_refuse_nonintegrable_members(g1024):
-    box = catalog_state("box:-0.5:0.5", g1024.x_grid)
+    box = catalog_state("box:-0.5:0.5", g1024)
     ens = Ensemble(((box, 1.0),), "box-only")
     field = mixed_wigner(ens, g1024)
     with pytest.raises(DivergingStateError):

@@ -65,7 +65,7 @@ def random_state_pairs(draw):
         start = draw(st.integers(0, n - 1))
         psi_values[start : draw(st.integers(start + 1, n))] = 0.0
     psi, phi = (
-        SampledState(grid.x_grid, values, "random", grid.hbar)
+        SampledState(grid, values, "random")
         for values in (psi_values, phi_values)
     )
     return grid, psi, phi
@@ -82,8 +82,8 @@ def random_mixtures(draw):
     members = []
     for weight in raw / raw.sum():
         values = rng.normal(size=n) + 1j * rng.normal(size=n)
-        values /= trapezoid_norm(values, grid.x_grid)
-        members.append((SampledState(grid.x_grid, values, "random", grid.hbar), float(weight)))
+        values /= trapezoid_norm(values, grid)
+        members.append((SampledState(grid, values, "random"), float(weight)))
     return grid, Ensemble(tuple(members), "random")
 
 
@@ -92,8 +92,8 @@ def blocked_cross_wigner(psi, phi, grid, row_block):
 
 
 def test_row_sums_reproduce_pointwise_overlap(g512):
-    box = catalog_state("box:-0.5:0.5", g512.x_grid)
-    h1 = catalog_state("hermite:1", g512.x_grid)
+    box = catalog_state("box:-0.5:0.5", g512)
+    h1 = catalog_state("hermite:1", g512)
     result = cross_wigner(box, h1, g512)
     row_sums = result.values.sum(axis=1) * g512.dp
     np.testing.assert_allclose(
@@ -102,7 +102,7 @@ def test_row_sums_reproduce_pointwise_overlap(g512):
 
 
 def test_wigner_is_real_and_labels_carry_sources(g512):
-    h1 = catalog_state("hermite:1", g512.x_grid)
+    h1 = catalog_state("hermite:1", g512)
     result = wigner(h1, g512)
     assert result.values.dtype == np.float64
     assert result.hbar == 1.0
@@ -111,15 +111,15 @@ def test_wigner_is_real_and_labels_carry_sources(g512):
 
 def test_real_field_refuses_an_imaginary_part(g512):
     # Only a diagonal pair is real; a real field of a cross pair must be refused.
-    h0 = catalog_state("hermite:0", g512.x_grid)
-    h1 = catalog_state("hermite:1", g512.x_grid)
+    h0 = catalog_state("hermite:0", g512)
+    h1 = catalog_state("hermite:1", g512)
     with pytest.raises(CheckError, match="imaginary part"):
         _wigner_kernel(((1.0, h0, h1),), g512, real=True, row_block=77)
 
 
 def test_cross_wigner_hermiticity(g512):
-    h0 = catalog_state("hermite:0", g512.x_grid)
-    box = catalog_state("box:-0.5:0.5", g512.x_grid)
+    h0 = catalog_state("hermite:0", g512)
+    box = catalog_state("box:-0.5:0.5", g512)
     forward = cross_wigner(h0, box, g512)
     swapped = cross_wigner(box, h0, g512)
     w01 = forward.values
@@ -128,8 +128,8 @@ def test_cross_wigner_hermiticity(g512):
 
 
 def test_row_blocks_are_bitwise_identical(g512):
-    h1 = catalog_state("hermite:1", g512.x_grid)
-    box = catalog_state("box:-0.5:0.5", g512.x_grid)
+    h1 = catalog_state("hermite:1", g512)
+    box = catalog_state("box:-0.5:0.5", g512)
     reference = blocked_cross_wigner(h1, box, g512, 512).values
     for block in (1, 64, 137, 256):
         chunked = blocked_cross_wigner(h1, box, g512, block).values
@@ -196,7 +196,7 @@ def test_mixed_row_blocks_are_bitwise_identical(mixture, data):
 
 
 def test_momentum_marginal_is_nonnegative(g512):
-    h1 = catalog_state("hermite:1", g512.x_grid)
+    h1 = catalog_state("hermite:1", g512)
     field = wigner(h1, g512)
     w = trapezoid_weights(g512.n_points)[:, None]
     p_marginal = (w * field.values).sum(axis=0) * g512.dx
@@ -204,14 +204,14 @@ def test_momentum_marginal_is_nonnegative(g512):
 
 
 def test_overlap_identity_check(g512):
-    h0 = catalog_state("hermite:0", g512.x_grid)
-    h1 = catalog_state("hermite:1", g512.x_grid)
+    h0 = catalog_state("hermite:0", g512)
+    h1 = catalog_state("hermite:1", g512)
     assert overlap_identity_check(h0, h1, cross_wigner(h0, h1, g512)) <= 1e-12
 
 
 def test_fourier_eigenstates(sr1024):
     for k in range(4):
-        hk = catalog_state(f"hermite:{k}", sr1024.x_grid)
+        hk = catalog_state(f"hermite:{k}", sr1024)
         fhk = apply_metaplectic(hk, "fourier")
         np.testing.assert_allclose(
             fhk.values, (-1j) ** k * hk.values, atol=1e-12
@@ -220,7 +220,7 @@ def test_fourier_eigenstates(sr1024):
 
 
 def test_fourier_twice_is_parity(sr1024):
-    h3 = catalog_state("hermite:3", sr1024.x_grid)
+    h3 = catalog_state("hermite:3", sr1024)
     twice = apply_metaplectic(apply_metaplectic(h3, "fourier"), "fourier")
     np.testing.assert_allclose(
         twice.values[1:], h3.values[1:][::-1], atol=1e-12
@@ -228,18 +228,18 @@ def test_fourier_twice_is_parity(sr1024):
 
 
 def test_fourier_requires_matched_spacings(g512):
-    h0 = catalog_state("hermite:0", g512.x_grid)
+    h0 = catalog_state("hermite:0", g512)
     with pytest.raises(ValueError, match="self-reciprocal"):
         apply_metaplectic(h0, "fourier")
 
 
 def test_scale_preserves_norm_and_inverts(g512):
-    h0 = catalog_state("hermite:0", g512.x_grid)
+    h0 = catalog_state("hermite:0", g512)
     same = apply_metaplectic(h0, "scale:1")
     np.testing.assert_allclose(same.values, h0.values, atol=1e-12)
     scaled = apply_metaplectic(h0, "scale:2")
     assert state_norm(scaled) == pytest.approx(1.0, abs=1e-10)
-    x = g512.x_grid.points()
+    x = g512.x_points()
     expected = 2.0**-0.5 * np.pi**-0.25 * np.exp(-(x**2) / 8.0)
     np.testing.assert_allclose(scaled.values.real, expected, atol=1e-10)
     back = apply_metaplectic(scaled, "scale:0.5")
@@ -249,13 +249,13 @@ def test_scale_preserves_norm_and_inverts(g512):
 
 
 def test_metaplectic_refuses_results_that_lose_the_norm(g512):
-    h0 = catalog_state("hermite:0", g512.x_grid)
+    h0 = catalog_state("hermite:0", g512)
     with pytest.raises(ValueError, match=r"scale:100 does not keep the norm of hermite:0"):
         apply_metaplectic(h0, "scale:100")
 
 
 def test_scale_minus_one_is_parity(g512):
-    h3 = catalog_state("hermite:3", g512.x_grid)
+    h3 = catalog_state("hermite:3", g512)
     flipped = apply_metaplectic(h3, "scale:-1")
     np.testing.assert_allclose(
         flipped.values[1:], h3.values[1:][::-1], atol=1e-12
@@ -264,7 +264,7 @@ def test_scale_minus_one_is_parity(g512):
 
 def test_metaplectic_rejects_bad_descriptors(g512):
     # Both entry points share one parser, so they reject the same strings.
-    h0 = catalog_state("hermite:0", g512.x_grid)
+    h0 = catalog_state("hermite:0", g512)
     for bad in (
         "scale:0", "rotate:1", "scale:x", "fourier:2", "fourier:3", "scale:abc",
         "scale:nan", "scale:inf", "scale:1e-320", "shear:1",
@@ -291,7 +291,7 @@ def test_fourier_remaps_wigner_indices(sr1024):
     # the original: value at (x_j, p_i) moves to (-p_i, x_j).  The state
     # must decay inside the grid in both domains; slow 1/x transform tails
     # wrap at the edges and break the permutation at the 1e-2 level.
-    gauss = catalog_state("gaussian:2", sr1024.x_grid)
+    gauss = catalog_state("gaussian:2", sr1024)
     base = wigner(gauss, sr1024).values
     rotated = wigner(apply_metaplectic(gauss, "fourier"), sr1024).values
     n = sr1024.n_points
@@ -303,16 +303,30 @@ def test_fourier_remaps_wigner_indices(sr1024):
 
 
 def test_cross_wigner_grid_mismatch(g512):
-    h0 = catalog_state("hermite:0", g512.x_grid)
+    h0 = catalog_state("hermite:0", g512)
     other = make_grid(512, 9.0)
-    h1 = catalog_state("hermite:1", other.x_grid)
+    h1 = catalog_state("hermite:1", other)
     with pytest.raises(ValueError):
         cross_wigner(h0, h1, g512)
 
 
+def test_state_on_another_hbar_is_refused(g512):
+    # The grid carries hbar: a state built at hbar = 2 on the same n and L
+    # lies off the hbar = 1 grid.
+    h0 = catalog_state("hermite:0", g512)
+    other = catalog_state("hermite:0", make_grid(512, 10.0, 2.0))
+    for psi, phi in ((other, h0), (h0, other)):
+        with pytest.raises(ValueError):
+            cross_wigner(psi, phi, g512)
+    with pytest.raises(ValueError):
+        mixed_wigner(Ensemble(((other, 1.0),), "hbar 2"), g512)
+    with pytest.raises(ValueError, match="share one grid and hbar"):
+        Ensemble(((h0, 0.5), (other, 0.5)), "two hbars")
+
+
 def test_overlap_integral_over_field(g512):
-    h0 = catalog_state("hermite:0", g512.x_grid)
-    h2 = catalog_state("hermite:2", g512.x_grid)
+    h0 = catalog_state("hermite:0", g512)
+    h2 = catalog_state("hermite:2", g512)
     field = cross_wigner(h0, h2, g512)
     w = trapezoid_weights(g512.n_points)[:, None]
     integral = complex((w * field.values).sum() * g512.dx * g512.dp)
@@ -321,7 +335,7 @@ def test_overlap_integral_over_field(g512):
 
 def test_wigner_peak_value(g512):
     # A unit Gaussian peaks at 1/pi at the origin of phase space.
-    h0 = catalog_state("hermite:0", g512.x_grid)
+    h0 = catalog_state("hermite:0", g512)
     field = wigner(h0, g512)
     assert field.values.max() == pytest.approx(1.0 / math.pi, abs=1e-10)
     j0 = g512.n_points // 2
@@ -332,8 +346,8 @@ def test_wigner_peak_value(g512):
 def test_cross_wigner_hands_its_buffer_to_the_field(sr2048):
     # The field takes over the kernel's output instead of copying it, so the
     # transform holds the field plus one slice block, not the field twice.
-    box = catalog_state("box:-0.5:0.5", sr2048.x_grid)
-    h0 = catalog_state("hermite:0", sr2048.x_grid)
+    box = catalog_state("box:-0.5:0.5", sr2048)
+    h0 = catalog_state("hermite:0", sr2048)
     tracemalloc.start()
     try:
         field = cross_wigner(box, h0, sr2048)
