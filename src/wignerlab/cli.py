@@ -90,16 +90,17 @@ class RunConfig:
             raise ValueError("hbar, grid_l, and dim must be positive")
         if self.grid_n < 8 or self.grid_n & (self.grid_n - 1):
             raise ValueError(f"grid_n must be a power of two >= 8, got {self.grid_n}")
-        # The peak is cross_wigner's n x n/2 complex field (8 n^2 bytes) plus
-        # one slice block while it is built, then that field plus the ladder's
-        # two n x n/2 float buffers (8 n^2 bytes): 16 n^2 bytes in all.
+        # tracemalloc peaks at n = 2048: moments about 12 n^2 bytes (the
+        # covariance quadrature's temporaries), cross-wigner 8.5 n^2 (its
+        # complex n x n/2 field plus one slice block), the verdict commands
+        # below 1 n^2 (the ladder reads the kernel's row blocks).  16 n^2
+        # bytes still covers the largest of them.
         need = 16 * self.grid_n**2
         have = _physical_memory()
         if have is not None and need > have:
             raise ValueError(
-                f"grid_n {self.grid_n} needs {need / 1e9:.3g} GB for a complex n x n/2 "
-                "field and the norm ladder's two float buffers, more than the "
-                f"{have / 1e9:.3g} GB of physical memory"
+                f"grid_n {self.grid_n} needs {need / 1e9:.3g} GB at its peak (16 n^2 bytes), "
+                f"more than the {have / 1e9:.3g} GB of physical memory"
             )
 
     def ladder(self) -> dict:

@@ -214,8 +214,8 @@ def hermite_combination(
 def read_state_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Read a sampled state from CSV with header ``x,re,im``.
 
-    Requires finite, strictly increasing x with uniform spacing (relative
-    tolerance 1e-9).  Returns (x, complex values).
+    Requires finite re and im, and finite, strictly increasing x with
+    uniform spacing (relative tolerance 1e-9).  Returns (x, complex values).
     """
     xs: list[float] = []
     res: list[float] = []
@@ -236,6 +236,8 @@ def read_state_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
                 ims.append(float(row[2]))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if not (math.isfinite(res[-1]) and math.isfinite(ims[-1])):
+                raise ValueError(f"{path}:{lineno}: re and im must be finite")
     if len(xs) < 2:
         raise ValueError(f"{path}: need at least 2 samples")
     x = np.asarray(xs)

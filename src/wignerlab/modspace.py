@@ -9,6 +9,7 @@ a fitted growth rate, and a three-way verdict.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from .grid import (
     catalog_state,
     state_norm,
 )
-from .wigner import cross_wigner, wigner
+from .wigner import ROW_BLOCK, _wigner_blocks
 
 __all__ = [
     "DivergingStateError",
@@ -58,6 +59,94 @@ class WeightedNormReport:
     growth_exponent: float
 
 
+def _pairwise_total(sums: list[float]) -> float:
+    """Add 2^k block sums pairwise in a balanced tree, neighbours first."""
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+    return sums[0]
+
+
+def _ladder(
+    blocks: Iterable[tuple[slice, np.ndarray]],
+    grid: PhaseSpaceGrid,
+    s: float,
+    cutoffs: tuple[float, ...],
+) -> tuple[float, ...]:
+    """The weighted-L1 ladder of a field read as (rows, values) row blocks in order.
+
+    The blocks tile the (n, n/2) field with one power-of-two row count, and
+    either one block is the whole field or each holds at least 128 values.
+    Each rung sums its masked block on its own and adds the block sums
+    pairwise, which is np.sum's order over the whole field: see
+    docs/conventions.md, Norm ladder.
+    """
+    if s < 0:
+        raise ValueError(f"weight exponent s must be >= 0, got {s}")
+    p = grid.wigner_p_points()
+    band = -float(p[0])
+    for cutoff in cutoffs:
+        if cutoff > band * (1 + 1e-12):
+            raise ValueError(
+                f"cutoff {cutoff:.6g} exceeds the field momentum half-width {band:.6g}"
+            )
+    n = grid.n_points
+    x2_all = grid.x_points()[:, None] ** 2
+    p2 = p**2
+    # fl(x^2 + p^2) >= p^2, so a rung's disc lies within the columns where
+    # p^2 <= cutoff^2.  Its masked product is built on those columns only;
+    # the zeros around them keep np.sum's pairwise order.
+    rungs = []
+    for cutoff in cutoffs:
+        c2 = cutoff**2
+        band_cols = np.flatnonzero(p2 <= c2)
+        lo, hi = (band_cols[0], band_cols[-1] + 1) if band_cols.size else (0, 0)
+        rungs.append((c2, lo, hi, []))
+    finite = True
+    weighted = scratch = None
+    for rows, values in blocks:
+        if weighted is None:
+            weighted = np.empty(values.shape)
+            scratch = np.empty_like(weighted)
+        w, buf = weighted[: len(values)], scratch[: len(values)]
+        x2 = x2_all[rows]
+        # An overflowing weight is refused below, so its warnings are noise.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # (|W| * weight) * wx keeps the formula's association; **= keeps
+            # numpy's sqrt path for s = 1.  Multiplying by 1.0 is exact, so
+            # the weight pass is skipped at s = 0 and the trapezoid weights
+            # wx touch only the two edge rows, where they are 0.5.
+            np.abs(values, out=w)
+            if s != 0:
+                np.add(1.0 + x2, p2, out=buf)
+                buf **= 0.5 * s
+                w *= buf
+            if rows.start == 0:
+                w[0] *= 0.5
+            if rows.stop == n:
+                w[-1] *= 0.5
+            finite = finite and math.isfinite(float(w.max()))
+            nearest = float(x2.min())
+            for c2, lo, hi, sums in rungs:
+                # fl(x^2 + p^2) >= x^2 too: a block whose rows all lie outside
+                # the disc sums to +0, unless a weighted value there is not
+                # finite, which `finite` already refuses.
+                if nearest > c2:
+                    sums.append(0.0)
+                    continue
+                buf[:, :lo] = 0.0
+                buf[:, hi:] = 0.0
+                disc = buf[:, lo:hi]
+                np.add(x2, p2[lo:hi], out=disc)
+                np.multiply(w[:, lo:hi], disc <= c2, out=disc)
+                sums.append(float(np.sum(buf)))
+    norms = [_pairwise_total(sums) * grid.dx * grid.dp for *_, sums in rungs]
+    # No rung reads a weighted value outside its columns, so a non-finite one
+    # there shows only in `finite`; it is refused wherever it lies.
+    if not (finite and all(math.isfinite(v) for v in norms)):
+        raise ValueError(f"weight exponent s = {s} overflows the weighted norm on this grid")
+    return tuple(norms)
+
+
 def weighted_l1_norm(
     field: PhaseSpaceField, s: float, cutoffs: tuple[float, ...]
 ) -> tuple[float, ...]:
@@ -66,60 +155,22 @@ def weighted_l1_norm(
     One value per cutoff.  The disc is invariant under rotations of phase
     space, so the ladder reads the same after a Fourier transform.
     """
-    if s < 0:
-        raise ValueError(f"weight exponent s must be >= 0, got {s}")
-    band = -float(field.p_axis[0])
-    for cutoff in cutoffs:
-        if cutoff > band * (1 + 1e-12):
-            raise ValueError(
-                f"cutoff {cutoff:.6g} exceeds the field momentum half-width {band:.6g}"
-            )
-    x2 = field.x_axis[:, None] ** 2
-    p2 = field.p_axis**2
-    # An overflowing weight is refused below, so its warnings are noise.
-    with np.errstate(over="ignore", invalid="ignore"):
-        # (|W| * weight) * wx keeps the formula's association; **= keeps
-        # numpy's sqrt path for s = 1.  Multiplying by 1.0 is exact, so the
-        # weight pass is skipped at s = 0 and the trapezoid weights wx touch
-        # only the two edge rows, where they are 0.5.
-        weighted = np.abs(field.values)
-        scratch = np.empty_like(weighted)
-        if s != 0:
-            np.add(1.0 + x2, p2, out=scratch)
-            scratch **= 0.5 * s
-            weighted *= scratch
-        weighted[[0, -1]] *= 0.5
-        finite = math.isfinite(float(weighted.max()))
-        norms = []
-        for cutoff in cutoffs:
-            # fl(x^2 + p^2) >= p^2, so the disc lies within the columns where
-            # p^2 <= cutoff^2.  The rung's masked product is built on those
-            # columns only; the zeros around it keep np.sum's pairwise order.
-            c2 = cutoff**2
-            band_cols = np.flatnonzero(p2 <= c2)
-            lo, hi = (band_cols[0], band_cols[-1] + 1) if band_cols.size else (0, 0)
-            scratch[:, :lo] = 0.0
-            scratch[:, hi:] = 0.0
-            disc = scratch[:, lo:hi]
-            np.add(x2, p2[lo:hi], out=disc)
-            np.multiply(weighted[:, lo:hi], disc <= c2, out=disc)
-            norms.append(float(np.sum(scratch)) * field.dx * field.dp)
-    # No rung reads a weighted value outside its columns, so a non-finite one
-    # there shows only in `finite`; it is refused wherever it lies.
-    if not (finite and all(math.isfinite(v) for v in norms)):
-        raise ValueError(f"weight exponent s = {s} overflows the weighted norm on this grid")
-    return tuple(norms)
+    n = field.grid.n_points
+    step = min(ROW_BLOCK, n)
+    rows = (slice(start, start + step) for start in range(0, n, step))
+    return _ladder(((r, field.values[r]) for r in rows), field.grid, s, cutoffs)
 
 
-def cutoff_ladder(field: PhaseSpaceField) -> tuple[float, float, float, float]:
+def cutoff_ladder(grid: PhaseSpaceGrid) -> tuple[float, float, float, float]:
     """Geometric cutoff ladder {P/8, P/4, P/2, P} used for verdicts.
 
-    The top rung is half the field's momentum half-width: the outermost
-    octave of a Wigner field is contaminated by the adjacent alias period
-    (for slowly decaying fields the error there approaches 27 percent of the
-    local magnitude), so partial norms are only trusted on the inner half.
+    The top rung is half the field's momentum half-width (n/4) * dp: the
+    outermost octave of a Wigner field is contaminated by the adjacent alias
+    period (for slowly decaying fields the error there approaches 27 percent
+    of the local magnitude), so partial norms are only trusted on the inner
+    half.
     """
-    top = 0.5 * (-float(field.p_axis[0]))
+    top = 0.5 * (-float(grid.wigner_p_points()[0]))
     return (top / 8.0, top / 4.0, top / 2.0, top)
 
 
@@ -150,14 +201,15 @@ def _fit_verdict(
 
 
 def _ladder_report(
-    field: PhaseSpaceField,
+    blocks: Iterable[tuple[slice, np.ndarray]],
+    grid: PhaseSpaceGrid,
     s: float,
     window_label: str,
     tail_tol: float,
     growth_threshold: float,
 ) -> WeightedNormReport:
-    cuts = cutoff_ladder(field)
-    partials = tuple(zip(cuts, weighted_l1_norm(field, s, cuts)))
+    cuts = cutoff_ladder(grid)
+    partials = tuple(zip(cuts, _ladder(blocks, grid, s, cuts)))
     verdict, growth = _fit_verdict(partials, tail_tol, growth_threshold)
     return WeightedNormReport(float(s), window_label, partials, verdict, growth)
 
@@ -180,9 +232,9 @@ def modulation_norm(
         raise ValueError(f"weight exponent s must be >= 0, got {s}")
     if isinstance(window, str):
         window = catalog_state(window, grid)
-    return _ladder_report(
-        cross_wigner(psi, window, grid), s, window.label, tail_tol, growth_threshold
-    )
+    # The cross field's blocks go straight into the ladder; no field is built.
+    blocks = _wigner_blocks(((1.0, psi, window),), grid, real=False)
+    return _ladder_report(blocks, grid, s, window.label, tail_tol, growth_threshold)
 
 
 def feichtinger_diagnostic(
@@ -204,7 +256,8 @@ def feichtinger_diagnostic(
         raise ValueError(
             f"diagnostic requires a unit-norm state, got norm {nrm:.8f} for {psi.label}"
         )
-    return _ladder_report(wigner(psi, grid), 0.0, "self", tail_tol, growth_threshold)
+    blocks = _wigner_blocks(((1.0, psi, psi),), grid, real=True)
+    return _ladder_report(blocks, grid, 0.0, "self", tail_tol, growth_threshold)
 
 
 def diagnostic_grid_warning(psi: SampledState, grid: PhaseSpaceGrid) -> str | None:

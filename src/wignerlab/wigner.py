@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -33,6 +33,12 @@ __all__ = [
 ]
 
 
+# Rows per slice FFT batch: a 32 x n complex block is 1 MB at n = 2048, so it
+# stays in a per-core L2 cache.  A power of two, so the norm ladder can sum a
+# field block by block in np.sum's own pairwise order (see modspace).
+ROW_BLOCK = 32
+
+
 def _padded_windows(values: np.ndarray, weight: float = 1.0) -> np.ndarray:
     """Row k is weight * values[k - n/2 : k + n/2 + 1], with 0 outside [0, n)."""
     n = values.size
@@ -45,13 +51,14 @@ def _padded_windows(values: np.ndarray, weight: float = 1.0) -> np.ndarray:
     return sliding_window_view(padded, n + 1)
 
 
-def _wigner_kernel(
+def _wigner_blocks(
     pairs: Sequence[tuple[float, SampledState, SampledState]],
     grid: PhaseSpaceGrid,
     real: bool,
-    row_block: int = 256,
-) -> PhaseSpaceField:
-    """sum_r w_r * W(psi_r, phi_r) over weighted pairs (w_r, psi_r, phi_r).
+    row_block: int = ROW_BLOCK,
+    out: np.ndarray | None = None,
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield (rows, values) for the rows of sum_r w_r * W(psi_r, phi_r), in order.
 
     Row j is the FFT over the signed half-offset lattice y = 2m*dx of the
     summed slice products sum_r w_r * psi_r(x_{j+m}) * conj(phi_r(x_{j-m})),
@@ -60,8 +67,11 @@ def _wigner_kernel(
     periodic in p with period n/2 * dp; the even FFT bins, centered, are its
     central alias-free period p_i = (i - n/4) * dp.
 
-    real=True returns the real part as float64 and raises CheckError when
-    the imaginary part exceeds 1e-10 of the largest magnitude in the field.
+    real=True gives the real part as float64 and raises CheckError, after
+    the last block, when the imaginary part exceeds 1e-10 of the largest
+    magnitude in the field.  Each block lands in its rows of out, an
+    (n, n/2) array of the matching dtype, when one is given; otherwise one
+    block buffer is reused, so a block is valid only until the next one.
     row_block bounds the x-slices per FFT batch; every blocking gives the
     same bits.
     """
@@ -78,9 +88,11 @@ def _wigner_kernel(
         for w, psi, phi in pairs
     ]
     scale = grid.dx / (math.pi * grid.hbar)
-    out = np.empty((n, h), dtype=np.float64 if real else np.complex128)
     slices = np.empty((min(row_block, n), n), dtype=np.complex128)
     term = np.empty_like(slices) if len(windows) > 1 else None
+    block = None
+    if out is None:
+        block = np.empty((len(slices), h), dtype=np.float64 if real else np.complex128)
     peak = imag_peak = 0.0
     for start in range(0, n, row_block):
         rows = slice(start, min(start + row_block, n))
@@ -92,6 +104,7 @@ def _wigner_kernel(
             if r:
                 buf += dst
         np.fft.fft(buf, axis=1, out=buf)
+        values = out[rows] if block is None else block[: len(buf)]
         # Even bins h, h+2, ... are p < 0 and 0, 2, ... are p >= 0.  A real
         # field scales them in place and copies out only their real parts.
         for cols, even in ((slice(0, q), buf[:, h::2]), (slice(q, h), buf[:, :h:2])):
@@ -99,13 +112,27 @@ def _wigner_kernel(
                 np.multiply(scale, even, out=even)
                 peak = max(peak, float(np.abs(even).max()))
                 imag_peak = max(imag_peak, float(np.abs(even.imag).max()))
-                out[rows, cols] = even.real
+                values[:, cols] = even.real
             else:
-                np.multiply(scale, even, out=out[rows, cols])
+                np.multiply(scale, even, out=values[:, cols])
+        yield rows, values
     if real and peak > 0.0 and imag_peak > 1e-10 * peak:
         raise CheckError(
             f"wigner: imaginary part {imag_peak:.3e} exceeds 1e-10 of max {peak:.3e}"
         )
+
+
+def _wigner_kernel(
+    pairs: Sequence[tuple[float, SampledState, SampledState]],
+    grid: PhaseSpaceGrid,
+    real: bool,
+    row_block: int = ROW_BLOCK,
+) -> PhaseSpaceField:
+    """The field sum_r w_r * W(psi_r, phi_r), every block of _wigner_blocks in its rows."""
+    n = grid.n_points
+    out = np.empty((n, n // 2), dtype=np.float64 if real else np.complex128)
+    for _ in _wigner_blocks(pairs, grid, real, row_block, out):
+        pass
     # Frozen and owning its data, out is taken over by the field, not copied.
     out.flags.writeable = False
     return PhaseSpaceField(grid, out)

@@ -327,6 +327,21 @@ def test_state_file_with_nan_x_is_usage_error(tmp_path, capsys, rows):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_state_file_with_nan_value_is_usage_error(tmp_path, capsys, part):
+    # SampledState refuses it too, but with a message that names no file.
+    grid = make_grid(64, 8.0)
+    values = catalog_state("hermite:0", grid).values.copy()
+    values[5] = complex(np.nan, 0.0) if part == "re" else complex(values[5].real, np.nan)
+    path = tmp_path / "r.csv"
+    write_state_csv(str(path), grid.x_points(), values)
+    out = tmp_path / "out"
+    argv = ["diagnose", "--state", f"file:{path}", "--grid-n", "64", "--grid-l", "8"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"{path}:7: re and im must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reproduce_unknown_scenario():
     assert main(["reproduce", "prop9"]) == 2
 

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wignerlab.grid import (
@@ -12,10 +12,12 @@ from wignerlab.grid import (
     SampledState,
     catalog_state,
     make_grid,
+    trapezoid_norm,
     trapezoid_weights,
 )
 from wignerlab.modspace import (
     DivergingStateError,
+    _fit_verdict,
     cutoff_ladder,
     diagnostic_grid_warning,
     feichtinger_diagnostic,
@@ -28,7 +30,7 @@ from wignerlab.wigner import apply_metaplectic, cross_wigner, wigner
 def test_weighted_norm_analytic_values(g51):
     h0 = catalog_state("hermite:0", g51)
     field = wigner(h0, g51)
-    top = cutoff_ladder(field)[-1]
+    top = cutoff_ladder(field.grid)[-1]
     # The ground-state field is a unit-mass Gaussian, so the full s=0 mass
     # is 1 and the s=2 weight adds its second moment: 1 + <x^2 + p^2> = 2.
     assert weighted_l1_norm(field, 0.0, (top,))[0] == pytest.approx(1.0, abs=1e-6)
@@ -38,7 +40,7 @@ def test_weighted_norm_analytic_values(g51):
 def test_weighted_norm_first_excited_value(sr1024):
     h1 = catalog_state("hermite:1", sr1024)
     field = wigner(h1, sr1024)
-    top = cutoff_ladder(field)[-1]
+    top = cutoff_ladder(field.grid)[-1]
     value = weighted_l1_norm(field, 0.0, (top,))[0]
     assert value == pytest.approx(4.0 * math.exp(-0.5) - 1.0, abs=5e-4)
 
@@ -70,7 +72,7 @@ def test_weight_overflowing_outside_the_top_disc_is_refused(s):
     grid = make_grid(64, 8.0)
     field = wigner(catalog_state("hermite:0", grid), grid)
     with pytest.raises(ValueError, match=f"s = {s}"):
-        weighted_l1_norm(field, s, cutoff_ladder(field))
+        weighted_l1_norm(field, s, cutoff_ladder(field.grid))
 
 
 def test_ladder_peak_memory_is_two_float_buffers(sr2048):
@@ -79,12 +81,13 @@ def test_ladder_peak_memory_is_two_float_buffers(sr2048):
     field = cross_wigner(box, h0, sr2048)
     tracemalloc.start()
     try:
-        weighted_l1_norm(field, 2.0, cutoff_ladder(field))
+        weighted_l1_norm(field, 2.0, cutoff_ladder(field.grid))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # |W| and one scratch buffer, n x n/2 float64 each, plus one rung's mask;
-    # 37.8 MB is the peak of a ladder whose rungs each span the whole field.
+    # The ladder holds |W| and one scratch buffer for one row block, once
+    # n x n/2 float64 each; 37.8 MB is the peak of a ladder whose rungs each
+    # span the whole field.
     assert peak <= 37.8e6
 
 
@@ -104,7 +107,7 @@ def test_ladder_matches_per_rung_formula(log2n, half_width, seed, s_drawn, frac)
     rng = np.random.default_rng(seed)
     values = rng.normal(size=(n, n // 2)) + 1j * rng.normal(size=(n, n // 2))
     field = PhaseSpaceField(grid, values)
-    cuts = cutoff_ladder(field) + (frac * -float(field.p_axis[0]),)
+    cuts = cutoff_ladder(field.grid) + (frac * -float(field.p_axis[0]),)
     x = field.x_axis[:, None]
     p = field.p_axis[None, :]
     wx = trapezoid_weights(n)[:, None]
@@ -117,10 +120,74 @@ def test_ladder_matches_per_rung_formula(log2n, half_width, seed, s_drawn, frac)
         assert weighted_l1_norm(field, s, cuts) == expected
 
 
+@st.composite
+def verdict_cases(draw):
+    """A unit-norm random state on n = 8 .. 512 and the window its ladder reads.
+
+    The window is "self" (feichtinger_diagnostic, s = 0), the default
+    hermite:0 or a random state (modulation_norm at a drawn s).
+    """
+    n = 2 ** draw(st.integers(3, 9))
+    grid = make_grid(n, draw(st.floats(1.0, 20.0)), draw(st.floats(0.5, 2.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=n) + 1j * rng.normal(size=n)
+    psi = SampledState(grid, values / trapezoid_norm(values, grid), "random")
+    kind = draw(st.sampled_from(["self", "hermite:0", "random"]))
+    if kind == "hermite:0":
+        try:
+            window = catalog_state(kind, grid)
+        except ValueError:
+            assume(False)
+    elif kind == "random":
+        window = SampledState(grid, rng.normal(size=n) + 1j * rng.normal(size=n), "w")
+    else:
+        window = None
+    return grid, psi, window, draw(st.floats(0.0, 6.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(verdict_cases())
+def test_streamed_verdicts_match_the_field_ladder(case):
+    # The verdict routes read the kernel's row blocks without building a
+    # field; their ladder must be, bit for bit, the ladder of the field.
+    grid, psi, window, s = case
+    if window is None:
+        s = 0.0
+        report = feichtinger_diagnostic(psi, grid)
+        field = wigner(psi, grid)
+    else:
+        report = modulation_norm(psi, s, grid, window=window)
+        field = cross_wigner(psi, window, grid)
+    cuts = cutoff_ladder(grid)
+    partials = tuple(zip(cuts, weighted_l1_norm(field, s, cuts)))
+    verdict, growth = _fit_verdict(partials, 1e-3, 0.5)
+    assert report.partial_norms == partials
+    assert report.growth_exponent == growth
+    assert report.verdict == verdict
+
+
+def test_verdicts_build_no_field(sr2048):
+    # One n x n/2 float field is 16.8 MB at n = 2048; the verdict routes
+    # hold a few row blocks of it at a time.
+    box = catalog_state("box:-0.5:0.5", sr2048)
+    quarter_field = 0.25 * 8 * sr2048.n_points * (sr2048.n_points // 2)
+    for verdict in (
+        lambda: feichtinger_diagnostic(box, sr2048),
+        lambda: modulation_norm(box, 2.0, sr2048),
+    ):
+        tracemalloc.start()
+        try:
+            verdict()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < quarter_field
+
+
 def test_cutoff_ladder_geometry(g512):
     h0 = catalog_state("hermite:0", g512)
     field = wigner(h0, g512)
-    ladder = cutoff_ladder(field)
+    ladder = cutoff_ladder(field.grid)
     band = -float(field.p_axis[0])
     assert ladder[-1] == pytest.approx(band / 2.0)
     for lo, hi in zip(ladder, ladder[1:]):
