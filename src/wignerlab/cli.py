@@ -90,11 +90,12 @@ class RunConfig:
             raise ValueError("hbar, grid_l, and dim must be positive")
         if self.grid_n < 8 or self.grid_n & (self.grid_n - 1):
             raise ValueError(f"grid_n must be a power of two >= 8, got {self.grid_n}")
-        # tracemalloc peaks at n = 2048: moments about 12 n^2 bytes (the
-        # covariance quadrature's temporaries), cross-wigner 8.5 n^2 (its
-        # complex n x n/2 field plus one slice block), the verdict commands
-        # below 1 n^2 (the ladder reads the kernel's row blocks).  16 n^2
-        # bytes still covers the largest of them.
+        # tracemalloc peaks at n = 2048: cross-wigner 8.5 n^2 bytes (its
+        # complex n x n/2 field plus one slice block), wigner 8.1 n^2,
+        # marginals and moments about 4.7 n^2 (the real mixed field; the
+        # covariance quadrature reads it in row blocks), the verdict
+        # commands below 1 n^2 (the ladder reads the kernel's row blocks).
+        # 16 n^2 bytes covers the largest of them.
         need = 16 * self.grid_n**2
         have = _physical_memory()
         if have is not None and need > have:

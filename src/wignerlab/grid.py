@@ -146,6 +146,25 @@ def trapezoid_weights(n: int) -> np.ndarray:
     return w
 
 
+# Rows per block wherever a field is built or read a block at a time: a
+# 32 x n complex block is 1 MB at n = 2048, so it stays in a per-core L2
+# cache.  A power of two, so a quadrature can sum a field block by block in
+# np.sum's own pairwise order (docs/conventions.md, Block sums).
+ROW_BLOCK = 32
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Consecutive slices of ROW_BLOCK rows covering n rows; the last may be short."""
+    return [slice(start, min(start + ROW_BLOCK, n)) for start in range(0, n, ROW_BLOCK)]
+
+
+def _pairwise_total(sums: list[float]) -> float:
+    """Add 2^k block sums pairwise in a balanced tree, neighbours first."""
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+    return sums[0]
+
+
 def trapezoid_norm(values: np.ndarray, grid: PhaseSpaceGrid) -> float:
     """L2 norm of samples on the grid by trapezoid quadrature."""
     w = trapezoid_weights(grid.n_points)

@@ -19,10 +19,12 @@ from .grid import (
     PhaseSpaceField,
     PhaseSpaceGrid,
     SampledState,
+    _pairwise_total,
+    _row_blocks,
     catalog_state,
     state_norm,
 )
-from .wigner import ROW_BLOCK, _wigner_blocks
+from .wigner import _wigner_blocks
 
 __all__ = [
     "DivergingStateError",
@@ -59,13 +61,6 @@ class WeightedNormReport:
     growth_exponent: float
 
 
-def _pairwise_total(sums: list[float]) -> float:
-    """Add 2^k block sums pairwise in a balanced tree, neighbours first."""
-    while len(sums) > 1:
-        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
-    return sums[0]
-
-
 def _ladder(
     blocks: Iterable[tuple[slice, np.ndarray]],
     grid: PhaseSpaceGrid,
@@ -78,7 +73,7 @@ def _ladder(
     either one block is the whole field or each holds at least 128 values.
     Each rung sums its masked block on its own and adds the block sums
     pairwise, which is np.sum's order over the whole field: see
-    docs/conventions.md, Norm ladder.
+    docs/conventions.md, Block sums.
     """
     if s < 0:
         raise ValueError(f"weight exponent s must be >= 0, got {s}")
@@ -155,10 +150,8 @@ def weighted_l1_norm(
     One value per cutoff.  The disc is invariant under rotations of phase
     space, so the ladder reads the same after a Fourier transform.
     """
-    n = field.grid.n_points
-    step = min(ROW_BLOCK, n)
-    rows = (slice(start, start + step) for start in range(0, n, step))
-    return _ladder(((r, field.values[r]) for r in rows), field.grid, s, cutoffs)
+    blocks = ((rows, field.values[rows]) for rows in _row_blocks(field.grid.n_points))
+    return _ladder(blocks, field.grid, s, cutoffs)
 
 
 def cutoff_ladder(grid: PhaseSpaceGrid) -> tuple[float, float, float, float]:

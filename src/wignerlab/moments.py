@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
@@ -18,8 +18,9 @@ from .ensemble import Ensemble
 from .grid import (
     PhaseSpaceField,
     PhaseSpaceGrid,
+    _pairwise_total,
+    _row_blocks,
     centered_fft,
-    field_integral,
     trapezoid_weights,
 )
 from .modspace import DivergingStateError, WeightedNormReport, feichtinger_diagnostic
@@ -66,10 +67,6 @@ class CovarianceReport:
             raise ValueError("sigma must be symmetric within 1e-10")
 
 
-# Field rows transformed along p per FFT call in _characteristic_block.
-_CHARFN_ROWS = 256
-
-
 def _characteristic_block(field: PhaseSpaceField, half_width: int) -> np.ndarray:
     """Characteristic function within half_width samples of the origin on both axes.
 
@@ -80,9 +77,9 @@ def _characteristic_block(field: PhaseSpaceField, half_width: int) -> np.ndarray
     columns are zero-padded by n/4 on each side, consistent with their
     compact-support reading.  Returns indices n/2 - h .. n/2 + h of each
     axis, clipped to the lattice, so h >= n/2 gives the whole n x n
-    transform.  Blocks of zero-padded, sign-multiplied field rows are
-    transformed along p and only the kept columns are then transformed along
-    x.  numpy transforms each 1-D line on its own and fftn does the last
+    transform.  Blocks of ROW_BLOCK zero-padded, sign-multiplied field rows
+    are transformed along p and only the kept columns are then transformed
+    along x.  numpy transforms each 1-D line on its own and fftn does the last
     axis first, so every value has the bits of grid.centered_fft over the
     padded n x n field.
     """
@@ -92,11 +89,10 @@ def _characteristic_block(field: PhaseSpaceField, half_width: int) -> np.ndarray
     off = n // 4
     lo, hi = max(n // 2 - half_width, 0), min(n // 2 + half_width + 1, n)
     kept = np.empty((n, hi - lo), dtype=np.complex128)
-    for r0 in range(0, n, _CHARFN_ROWS):
-        rows = slice(r0, min(r0 + _CHARFN_ROWS, n))
+    for rows in _row_blocks(n):
         # The whole padded block, zeros included, takes the sign product, as
         # in centered_fft.
-        block = np.zeros((rows.stop - r0, n), dtype=np.complex128)
+        block = np.zeros((rows.stop - rows.start, n), dtype=np.complex128)
         block[:, off : n - off] = field.values[rows]
         np.multiply(sign[rows, None] * sign, block, out=block)
         kept[rows] = np.fft.fft(block, axis=1)[:, lo:hi]
@@ -129,7 +125,10 @@ def marginals(rho_field: PhaseSpaceField, reference: Ensemble) -> MarginalReport
     vals = rho_field.values.real
     x_marginal = vals.sum(axis=1) * rho_field.dp
     wx = trapezoid_weights(grid.n_points)
-    p_marginal = (wx @ vals) * rho_field.dx
+    # The trapezoid sum over x gives both the p marginal and, summed over p,
+    # the field's integral.
+    x_sum = wx @ vals
+    p_marginal = x_sum * rho_field.dx
 
     x_target = np.zeros(grid.n_points)
     p_target = np.zeros(grid.n_points // 2)
@@ -139,7 +138,7 @@ def marginals(rho_field: PhaseSpaceField, reference: Ensemble) -> MarginalReport
 
     x_residual = float(np.abs(x_marginal - x_target).max())
     p_residual = float(np.abs(p_marginal - p_target).max())
-    norm_residual = abs(field_integral(rho_field) - 1.0)
+    norm_residual = abs(complex(np.sum(x_sum) * rho_field.dx * rho_field.dp) - 1.0)
     return MarginalReport(x_marginal, p_marginal, x_residual, p_residual, float(norm_residual))
 
 
@@ -161,6 +160,31 @@ def _require_convergent_s2(
             )
 
 
+def _quadratures(
+    rho_field: PhaseSpaceField,
+    x: np.ndarray,
+    terms: tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], ...],
+) -> list[float]:
+    """dx * dp * sum over the field of term(x, dens), one value per term.
+
+    x is a column of one value per field row, and dens is the real field
+    times the trapezoid weights in x.  The field is read ROW_BLOCK rows at a
+    time: each term's block product is summed with np.sum and the block sums
+    are added pairwise, which is np.sum's order over the whole (n, n/2)
+    product (docs/conventions.md, Block sums).
+    """
+    grid = rho_field.grid
+    values = rho_field.values.real
+    wx = trapezoid_weights(grid.n_points)[:, None]
+    sums: list[list[float]] = [[] for _ in terms]
+    for rows in _row_blocks(grid.n_points):
+        dens = values[rows] * wx[rows]
+        for term, block_sums in zip(terms, sums):
+            block_sums.append(float(np.sum(term(x[rows], dens))))
+    dz = grid.dx * grid.dp
+    return [_pairwise_total(block_sums) * dz for block_sums in sums]
+
+
 def covariance(
     rho_field: PhaseSpaceField,
     s_verdict: Union[WeightedNormReport, Iterable[WeightedNormReport]],
@@ -178,29 +202,31 @@ def covariance(
     grid = rho_field.grid
     x = rho_field.x_axis[:, None]
     p = rho_field.p_axis[None, :]
-    wx = trapezoid_weights(grid.n_points)[:, None]
-    dens = rho_field.values.real * wx
-    dz = rho_field.dx * rho_field.dp
 
-    mean_x = float(np.sum(x * dens)) * dz
-    mean_p = float(np.sum(p * dens)) * dz
+    mean_x, mean_p, xx, xp, pp = _quadratures(
+        rho_field,
+        x,
+        (
+            lambda x, dens: x * dens,
+            lambda x, dens: p * dens,
+            lambda x, dens: x * x * dens,
+            lambda x, dens: x * p * dens,
+            lambda x, dens: p * p * dens,
+        ),
+    )
     mean = np.array([mean_x, mean_p])
-    raw = np.array(
-        [
-            [float(np.sum(x * x * dens)) * dz, float(np.sum(x * p * dens)) * dz],
-            [0.0, float(np.sum(p * p * dens)) * dz],
-        ]
-    )
-    raw[1, 0] = raw[0, 1]
-    xc = x - mean_x
+    raw = np.array([[xx, xp], [xp, pp]])
     pc = p - mean_p
-    sigma = np.array(
-        [
-            [float(np.sum(xc * xc * dens)) * dz, float(np.sum(xc * pc * dens)) * dz],
-            [0.0, float(np.sum(pc * pc * dens)) * dz],
-        ]
+    sxx, sxp, spp = _quadratures(
+        rho_field,
+        x - mean_x,
+        (
+            lambda xc, dens: xc * xc * dens,
+            lambda xc, dens: xc * pc * dens,
+            lambda xc, dens: pc * pc * dens,
+        ),
     )
-    sigma[1, 0] = sigma[0, 1]
+    sigma = np.array([[sxx, sxp], [sxp, spp]])
 
     # The h and 2h stencils read only the 5 x 5 block around the origin.
     c = 2

@@ -10,6 +10,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import (
+    ROW_BLOCK,
     CheckError,
     PhaseSpaceField,
     PhaseSpaceGrid,
@@ -31,12 +32,6 @@ __all__ = [
     "apply_metaplectic",
     "symplectic_matrix",
 ]
-
-
-# Rows per slice FFT batch: a 32 x n complex block is 1 MB at n = 2048, so it
-# stays in a per-core L2 cache.  A power of two, so the norm ladder can sum a
-# field block by block in np.sum's own pairwise order (see modspace).
-ROW_BLOCK = 32
 
 
 def _padded_windows(values: np.ndarray, weight: float = 1.0) -> np.ndarray:

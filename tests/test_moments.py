@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wignerlab import grid as grid_module
 from wignerlab import moments
 from wignerlab.ensemble import Ensemble
 from wignerlab.grid import (
@@ -15,6 +16,7 @@ from wignerlab.grid import (
     catalog_state,
     centered_fft,
     make_grid,
+    state_norm,
     trapezoid_weights,
 )
 from wignerlab.modspace import DivergingStateError, WeightedNormReport, modulation_norm
@@ -163,7 +165,7 @@ def test_characteristic_block_matches_centered_fft_bitwise(
     oracle = centered_fft_oracle(field)
     c = n // 2
     keep = slice(max(c - half_width, 0), c + half_width + 1)
-    with mock.patch.object(moments, "_CHARFN_ROWS", block_rows):
+    with mock.patch.object(grid_module, "ROW_BLOCK", block_rows):
         block = moments._characteristic_block(field, half_width)
         full = moments._characteristic_block(field, n // 2)
     assert block.tobytes() == oracle[keep, keep].tobytes()
@@ -179,3 +181,107 @@ def test_covariance_holds_no_n_by_n_complex_array(cov_inputs_sr2048, sr2048):
     finally:
         tracemalloc.stop()
     assert peak < 16 * sr2048.n_points**2
+
+
+def test_covariance_reads_the_field_in_row_blocks(cov_inputs_sr2048, sr2048):
+    # One n x n/2 float field is 16.8 MB at n = 2048; the quadrature and the
+    # characteristic block hold a few row blocks of it at a time.
+    _, field, verdicts = cov_inputs_sr2048
+    quarter_field = 0.25 * 8 * sr2048.n_points * (sr2048.n_points // 2)
+    tracemalloc.start()
+    try:
+        covariance(field, verdicts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < quarter_field
+
+
+def covariance_oracle(field, route_tol=1e-3):
+    """covariance by whole-array quadrature and the full centered FFT of the field."""
+    grid = field.grid
+    n = grid.n_points
+    x = field.x_axis[:, None]
+    p = field.p_axis[None, :]
+    wx = trapezoid_weights(n)[:, None]
+    dens = field.values.real * wx
+    dz = field.dx * field.dp
+    mean_x = float(np.sum(x * dens)) * dz
+    mean_p = float(np.sum(p * dens)) * dz
+    raw = np.array(
+        [
+            [float(np.sum(x * x * dens)) * dz, float(np.sum(x * p * dens)) * dz],
+            [0.0, float(np.sum(p * p * dens)) * dz],
+        ]
+    )
+    raw[1, 0] = raw[0, 1]
+    xc = x - mean_x
+    pc = p - mean_p
+    sigma = np.array(
+        [
+            [float(np.sum(xc * xc * dens)) * dz, float(np.sum(xc * pc * dens)) * dz],
+            [0.0, float(np.sum(pc * pc * dens)) * dz],
+        ]
+    )
+    sigma[1, 0] = sigma[0, 1]
+    c = n // 2
+    f = centered_fft_oracle(field)[c - 2 : c + 3, c - 2 : c + 3]
+    step_xi = grid.dp
+    step_eta = 2.0 * math.pi * grid.hbar / (n * grid.dp)
+    prefactor = -(grid.hbar**2) * 2.0 * math.pi * grid.hbar
+
+    def stencil(k):
+        dxx = (f[2 + k, 2] - 2.0 * f[2, 2] + f[2 - k, 2]).real / (k * step_xi) ** 2
+        dpp = (f[2, 2 + k] - 2.0 * f[2, 2] + f[2, 2 - k]).real / (k * step_eta) ** 2
+        dxp = (f[2 + k, 2 + k] - f[2 + k, 2 - k] - f[2 - k, 2 + k] + f[2 - k, 2 - k]).real / (
+            4.0 * k * k * step_xi * step_eta
+        )
+        return prefactor * np.array([[dxx, dxp], [dxp, dpp]])
+
+    fd_h = stencil(1)
+    residual = float(np.abs(fd_h - raw).max())
+    fd_step_change = float(np.abs(fd_h - stencil(2)).max())
+    flags = ("numerically-unreliable",) if residual > route_tol else ()
+    return np.array([mean_x, mean_p]), sigma, fd_h, residual, fd_step_change, flags
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log_n=st.integers(3, 10),
+    hbar=st.sampled_from([0.5, 1.0, 2.0]),
+    members=st.integers(0, 3),
+    density=st.sampled_from([0.05, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_blocked_covariance_matches_whole_array_quadrature(
+    log_n, hbar, members, density, seed
+):
+    n = 2**log_n
+    grid = make_grid(n, 6.0, hbar)
+    rng = np.random.default_rng(seed)
+    if members:
+        # The mixed field of random unit-norm states with random weights.
+        states = []
+        for k in range(members):
+            vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            vals[rng.random(n) >= density] = 0.0
+            vals[n // 2] += 1.0
+            raw_state = SampledState(grid, vals, f"random{k}")
+            states.append(SampledState(grid, vals / state_norm(raw_state), f"random{k}"))
+        weights = rng.random(members) + 0.1
+        ens = Ensemble(tuple(zip(states, weights / weights.sum())), "random-mixture")
+        field = mixed_wigner(ens, grid)
+    else:
+        # Any real field, sparse and with zeros of both signs.
+        values = rng.standard_normal((n, n // 2))
+        values[rng.random((n, n // 2)) >= density] = 0.0
+        values[(values == 0) & (rng.random((n, n // 2)) < 0.5)] = -0.0
+        field = PhaseSpaceField(grid, values)
+    report = covariance(field, make_report(2.0, "convergent"))
+    mean, sigma, fd_h, residual, fd_step_change, flags = covariance_oracle(field)
+    assert report.mean.tobytes() == mean.tobytes()
+    assert report.sigma.tobytes() == sigma.tobytes()
+    assert report.second_moments_fd.tobytes() == fd_h.tobytes()
+    assert report.residual == residual
+    assert report.fd_step_change == fd_step_change
+    assert report.flags == flags
