@@ -37,7 +37,6 @@ from .grid import (
     write_state_csv,
 )
 from .io import (
-    complex_matrix_to_pairs,
     covariance_report_to_dict,
     field_metadata,
     load_ensemble_json,
@@ -78,29 +77,24 @@ def _physical_memory() -> int | None:
 
 @dataclass
 class RunConfig:
-    hbar: float = 1.0
-    grid_n: int = 1024
-    grid_l: float = 12.0
+    grid: PhaseSpaceGrid = field(default_factory=lambda: make_grid(1024, 12.0))
     dim: int = 32
     tolerances: dict = field(default_factory=lambda: dict(TOL_DEFAULTS))
     output_dir: str = "."
 
     def __post_init__(self) -> None:
-        if self.hbar <= 0 or self.grid_l <= 0 or self.dim <= 0:
-            raise ValueError("hbar, grid_l, and dim must be positive")
-        if self.grid_n < 8 or self.grid_n & (self.grid_n - 1):
-            raise ValueError(f"grid_n must be a power of two >= 8, got {self.grid_n}")
         # tracemalloc peaks at n = 2048: cross-wigner 8.5 n^2 bytes (its
         # complex n x n/2 field plus one slice block), wigner 8.1 n^2,
         # marginals and moments about 4.7 n^2 (the real mixed field; the
         # covariance quadrature reads it in row blocks), the verdict
         # commands below 1 n^2 (the ladder reads the kernel's row blocks).
         # 16 n^2 bytes covers the largest of them.
-        need = 16 * self.grid_n**2
+        n = self.grid.n_points
+        need = 16 * n**2
         have = _physical_memory()
         if have is not None and need > have:
             raise ValueError(
-                f"grid_n {self.grid_n} needs {need / 1e9:.3g} GB at its peak (16 n^2 bytes), "
+                f"grid_n {n} needs {need / 1e9:.3g} GB at its peak (16 n^2 bytes), "
                 f"more than the {have / 1e9:.3g} GB of physical memory"
             )
 
@@ -122,15 +116,12 @@ class RunConfig:
 
     def as_dict(self) -> dict:
         return {
-            "hbar": self.hbar,
-            "grid_n": self.grid_n,
-            "grid_l": self.grid_l,
+            "hbar": self.grid.hbar,
+            "grid_n": self.grid.n_points,
+            "grid_l": self.grid.half_width,
             "dim": self.dim,
             "tolerances": dict(self.tolerances),
         }
-
-    def grid(self) -> PhaseSpaceGrid:
-        return make_grid(self.grid_n, self.grid_l, self.hbar)
 
     def out(self, name: str) -> str:
         os.makedirs(self.output_dir, exist_ok=True)
@@ -148,45 +139,19 @@ def _finite_float(raw: str) -> float:
     return value
 
 
-def _extract_tol_flags(argv: list[str]) -> tuple[dict, list[str]]:
-    overrides: dict = {}
-    rest: list[str] = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token.startswith("--tol."):
-            name, eq, inline = token[6:].partition("=")
-            if name not in TOL_DEFAULTS:
-                raise ValueError(
-                    f"unknown tolerance {name!r}; known: {', '.join(sorted(TOL_DEFAULTS))}"
-                )
-            if eq:
-                raw = inline
-            else:
-                i += 1
-                if i >= len(argv):
-                    raise ValueError(f"--tol.{name} needs a value")
-                raw = argv[i]
-            try:
-                overrides[name] = _finite_float(raw)
-            except argparse.ArgumentTypeError as exc:
-                raise ValueError(f"--tol.{name}: {exc}") from None
-        else:
-            rest.append(token)
-        i += 1
-    return overrides, rest
-
-
-def _config_from(ns: argparse.Namespace, overrides: dict) -> RunConfig:
-    tols = dict(TOL_DEFAULTS)
-    tols.update(overrides)
+def _config_from(ns: argparse.Namespace) -> RunConfig:
+    tols = {name: getattr(ns, f"tol.{name}", value) for name, value in TOL_DEFAULTS.items()}
     out = ns.out or os.environ.get("WIGNERLAB_OUT") or "."
-    grid_flags = {k: getattr(ns, k) for k in ("hbar", "grid_n", "grid_l", "dim") if k in ns}
-    return RunConfig(**grid_flags, tolerances=tols, output_dir=out)
+    flags: dict = {}
+    if "grid_n" in ns:
+        flags["grid"] = make_grid(ns.grid_n, ns.grid_l, ns.hbar)
+    if "dim" in ns:
+        flags["dim"] = ns.dim
+    return RunConfig(**flags, tolerances=tols, output_dir=out)
 
 
 def _ensemble_from(ns: argparse.Namespace, cfg: RunConfig) -> Ensemble:
-    grid = cfg.grid()
+    grid = cfg.grid
     if ns.ensemble is not None:
         return load_ensemble_json(ns.ensemble, grid)
     state = catalog_state(ns.state, grid)
@@ -207,7 +172,7 @@ def _warn_coarse_grid(
 
 
 def cmd_wigner(ns: argparse.Namespace, cfg: RunConfig) -> int:
-    grid = cfg.grid()
+    grid = cfg.grid
     state = catalog_state(ns.state, grid)
     if ns.apply:
         state = apply_metaplectic(state, ns.apply)
@@ -221,7 +186,7 @@ def cmd_wigner(ns: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_cross_wigner(ns: argparse.Namespace, cfg: RunConfig) -> int:
-    grid = cfg.grid()
+    grid = cfg.grid
     psi = catalog_state(ns.state, grid)
     phi = catalog_state(ns.state2, grid)
     field = cross_wigner(psi, phi, grid)
@@ -234,7 +199,7 @@ def cmd_cross_wigner(ns: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_marginals(ns: argparse.Namespace, cfg: RunConfig) -> int:
-    grid = cfg.grid()
+    grid = cfg.grid
     ens = _ensemble_from(ns, cfg)
     warnings = _warn_coarse_grid(grid, (st for st, _ in ens.members), "member")
     rho = mixed_wigner(ens, grid)
@@ -255,7 +220,7 @@ def cmd_marginals(ns: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_moments(ns: argparse.Namespace, cfg: RunConfig) -> int:
-    grid = cfg.grid()
+    grid = cfg.grid
     ens = _ensemble_from(ns, cfg)
     warnings = _warn_coarse_grid(grid, (st for st, _ in ens.members), "member")
     verdicts = [modulation_norm(st, 2.0, grid, **cfg.ladder()) for st, _ in ens.members]
@@ -287,7 +252,7 @@ def _write_verdict(
 
 
 def cmd_modnorm(ns: argparse.Namespace, cfg: RunConfig) -> int:
-    grid = cfg.grid()
+    grid = cfg.grid
     state = catalog_state(ns.state, grid)
     window = catalog_state(ns.window, grid)
     warnings = _warn_coarse_grid(grid, [state], "state")
@@ -297,7 +262,7 @@ def cmd_modnorm(ns: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_diagnose(ns: argparse.Namespace, cfg: RunConfig) -> int:
-    grid = cfg.grid()
+    grid = cfg.grid
     state = catalog_state(ns.state, grid)
     warnings = _warn_coarse_grid(grid, [state], "state")
     report = feichtinger_diagnostic(state, grid, **cfg.ladder())
@@ -305,7 +270,7 @@ def cmd_diagnose(ns: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_ensemble_build(ns: argparse.Namespace, cfg: RunConfig) -> int:
-    grid = cfg.grid()
+    grid = cfg.grid
     ens = load_ensemble_json(ns.ensemble, grid)
     op = build_A(ens, cfg.dim)
     rho = density_matrix(op)
@@ -316,7 +281,7 @@ def cmd_ensemble_build(ns: argparse.Namespace, cfg: RunConfig) -> int:
         {
             "dim": op.dim,
             "basis": "hermite",
-            "matrix": complex_matrix_to_pairs(op.matrix),
+            "matrix": op.matrix,
             "residuals": {"truncation_residual": op.truncation_residual},
         },
     )
@@ -324,7 +289,7 @@ def cmd_ensemble_build(ns: argparse.Namespace, cfg: RunConfig) -> int:
         "ensemble_rho.json",
         {
             "dim": rho.dim,
-            "matrix": complex_matrix_to_pairs(rho.matrix),
+            "matrix": rho.matrix,
             "residuals": {
                 "trace_residual": rho.trace_residual,
                 "route_residual": route_residual,
@@ -336,7 +301,7 @@ def cmd_ensemble_build(ns: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_ensemble_equiv(ns: argparse.Namespace, cfg: RunConfig) -> int:
-    grid = cfg.grid()
+    grid = cfg.grid
     e1 = load_ensemble_json(ns.ensemble, grid)
     e2 = load_ensemble_json(ns.ensemble2, grid)
     warnings = _warn_coarse_grid(grid, (st for st, _ in e1.members + e2.members), "member")
@@ -351,7 +316,7 @@ def cmd_ensemble_equiv(ns: argparse.Namespace, cfg: RunConfig) -> int:
         "isometry.json",
         {
             "dim": a.dim,
-            "matrix": complex_matrix_to_pairs(isometry.matrix),
+            "matrix": isometry.matrix,
             "residuals": {"defect": isometry.defect},
             "rank": isometry.rank,
         },
@@ -379,7 +344,7 @@ def cmd_ensemble_equiv(ns: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_ensemble_spectral(ns: argparse.Namespace, cfg: RunConfig) -> int:
-    grid = cfg.grid()
+    grid = cfg.grid
     ens = load_ensemble_json(ns.ensemble, grid)
     rho = density_matrix(build_A(ens, cfg.dim))
     spectral = spectral_ensemble(rho, grid)
@@ -557,10 +522,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in COMMANDS.items():
-        reads = ", ".join(f"--tol.{t}" for t in cmd.tolerances) or "none"
-        p = sub.add_parser(name, help=cmd.help, epilog=f"tolerances read: {reads}")
+        # Without abbreviations a flag is read by its full name only, and any
+        # flag the command does not take is left over for main to refuse.
+        p = sub.add_parser(name, help=cmd.help, allow_abbrev=False)
         for flag in cmd.flags:
             p.add_argument(flag, **FLAGS[flag])
+        for tol in cmd.tolerances:
+            p.add_argument(
+                f"--tol.{tol}", type=_finite_float, default=TOL_DEFAULTS[tol],
+                metavar="VALUE", help="default %(default)g",
+            )
         if cmd.one_of:
             group = p.add_mutually_exclusive_group(required=True)
             for flag in cmd.one_of:
@@ -570,23 +541,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        overrides, rest = _extract_tol_flags(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        ns, unread = build_parser().parse_known_args(rest)
+        ns, unread = build_parser().parse_known_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cmd = COMMANDS[ns.command]
-    unread += [f"--tol.{name}" for name in overrides if name not in cmd.tolerances]
     if unread:
         print(f"error: {ns.command} does not take {' '.join(unread)}", file=sys.stderr)
         return 2
     try:
-        return cmd.run(ns, _config_from(ns, overrides))
+        return COMMANDS[ns.command].run(ns, _config_from(ns))
     except CheckError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1

@@ -1,7 +1,8 @@
 """Artifact serialization: deterministic JSON, field CSV, ensemble files.
 
 JSON output is byte-deterministic: keys are sorted, floats are printed with
-17 significant digits, and no whitespace depends on the environment.
+17 significant digits, complex values as [re, im] pairs, and no whitespace
+depends on the environment.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from .moments import CovarianceReport, MarginalReport
 __all__ = [
     "canonical_json",
     "write_json",
-    "complex_matrix_to_pairs",
-    "pairs_to_complex_matrix",
     "write_field_csv",
     "read_field_csv",
     "field_metadata",
@@ -43,44 +42,33 @@ def _format_float(value: float) -> str:
     return format(value, ".17g")
 
 
-def _plain(obj: Any) -> Any:
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.complexfloating, complex)):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    return obj
-
-
 def _emit(obj: Any) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _format_float(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _format_float(float(obj))
+    if isinstance(obj, (complex, np.complexfloating)):
+        return f"[{_format_float(float(obj.real))},{_format_float(float(obj.imag))}]"
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=True)
     if isinstance(obj, dict):
-        inner = ",".join(f"{json.dumps(k)}:{_emit(v)}" for k, v in sorted(obj.items()))
+        keyed = {str(k): v for k, v in obj.items()}
+        inner = ",".join(f"{json.dumps(k)}:{_emit(v)}" for k, v in sorted(keyed.items()))
         return "{" + inner + "}"
-    if isinstance(obj, list):
+    if isinstance(obj, np.ndarray):
+        return _emit(obj.tolist())
+    if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_emit(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__} to canonical JSON")
 
 
 def canonical_json(obj: Any) -> str:
     """Serialize to deterministic JSON (sorted keys, 17-digit floats)."""
-    return _emit(_plain(obj)) + "\n"
+    return _emit(obj) + "\n"
 
 
 def write_json(path: str, obj: Any) -> None:
@@ -88,19 +76,6 @@ def write_json(path: str, obj: Any) -> None:
     text = canonical_json(obj)
     with open(path, "w") as fh:
         fh.write(text)
-
-
-def complex_matrix_to_pairs(matrix: np.ndarray) -> list:
-    """Row-major nested list with each entry as a [re, im] pair."""
-    m = np.asarray(matrix, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
-
-def pairs_to_complex_matrix(pairs: list) -> np.ndarray:
-    rows = []
-    for row in pairs:
-        rows.append([complex(re, im) for re, im in row])
-    return np.array(rows, dtype=complex)
 
 
 def field_metadata(field: PhaseSpaceField) -> dict:

@@ -10,11 +10,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import (
-    ROW_BLOCK,
     CheckError,
     PhaseSpaceField,
     PhaseSpaceGrid,
     SampledState,
+    _row_blocks,
     centered_fft,
     field_integral,
     state_norm,
@@ -50,7 +50,6 @@ def _wigner_blocks(
     pairs: Sequence[tuple[float, SampledState, SampledState]],
     grid: PhaseSpaceGrid,
     real: bool,
-    row_block: int = ROW_BLOCK,
     out: np.ndarray | None = None,
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield (rows, values) for the rows of sum_r w_r * W(psi_r, phi_r), in order.
@@ -67,14 +66,12 @@ def _wigner_blocks(
     magnitude in the field.  Each block lands in its rows of out, an
     (n, n/2) array of the matching dtype, when one is given; otherwise one
     block buffer is reused, so a block is valid only until the next one.
-    row_block bounds the x-slices per FFT batch; every blocking gives the
-    same bits.
+    The rows come in the blocks of grid._row_blocks; every blocking gives
+    the same bits.
     """
     for _, psi, phi in pairs:
         if psi.grid != grid or phi.grid != grid:
             raise ValueError("cross_wigner: states are not sampled on this grid (n, L and hbar)")
-    if row_block < 1:
-        raise ValueError(f"row_block must be >= 1, got {row_block}")
     n = grid.n_points
     h, q = n // 2, n // 4
     # Column h + m of row j holds w * psi[j + m] and conj(phi[j - m]).
@@ -83,15 +80,15 @@ def _wigner_blocks(
         for w, psi, phi in pairs
     ]
     scale = grid.dx / (math.pi * grid.hbar)
-    slices = np.empty((min(row_block, n), n), dtype=np.complex128)
+    blocks = _row_blocks(n)
+    slices = np.empty((blocks[0].stop, n), dtype=np.complex128)
     term = np.empty_like(slices) if len(windows) > 1 else None
     block = None
     if out is None:
         block = np.empty((len(slices), h), dtype=np.float64 if real else np.complex128)
     peak = imag_peak = 0.0
-    for start in range(0, n, row_block):
-        rows = slice(start, min(start + row_block, n))
-        buf = slices[: rows.stop - start]
+    for rows in blocks:
+        buf = slices[: rows.stop - rows.start]
         for r, (psi_win, phi_win) in enumerate(windows):
             dst = term[: len(buf)] if r else buf
             np.multiply(psi_win[rows, h:], phi_win[rows, h:], out=dst[:, : h + 1])
@@ -121,12 +118,11 @@ def _wigner_kernel(
     pairs: Sequence[tuple[float, SampledState, SampledState]],
     grid: PhaseSpaceGrid,
     real: bool,
-    row_block: int = ROW_BLOCK,
 ) -> PhaseSpaceField:
     """The field sum_r w_r * W(psi_r, phi_r), every block of _wigner_blocks in its rows."""
     n = grid.n_points
     out = np.empty((n, n // 2), dtype=np.float64 if real else np.complex128)
-    for _ in _wigner_blocks(pairs, grid, real, row_block, out):
+    for _ in _wigner_blocks(pairs, grid, real, out):
         pass
     # Frozen and owning its data, out is taken over by the field, not copied.
     out.flags.writeable = False

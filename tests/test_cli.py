@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from wignerlab.cli import COMMANDS, FLAGS, TOL_DEFAULTS, RunConfig, main
 from wignerlab.ensemble import Ensemble
 from wignerlab.grid import catalog_state, make_grid, write_state_csv
-from wignerlab.io import pairs_to_complex_matrix, write_ensemble_json
+from wignerlab.io import write_ensemble_json
 
 from conftest import hermite_combination
 
@@ -23,20 +23,30 @@ def read_json(path):
         return json.load(fh)
 
 
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(grid_n=100)
-    with pytest.raises(ValueError):
-        RunConfig(hbar=-1.0)
+def test_run_config_validation(tmp_path, capsys):
+    # RunConfig carries the run's one PhaseSpaceGrid.  The grid refuses a bad
+    # size, step or hbar and the ensemble layer a bad dim, each with exit 2.
     cfg = RunConfig()
     assert cfg.tolerances == TOL_DEFAULTS
-    assert cfg.grid().n_points == 1024
+    assert cfg.grid == make_grid(1024, 12.0, 1.0)
+    eigen = str(tmp_path / "eigen.json")
+    write_ensemble_json(eigen, "pair:eigen", [(0.5, "hermite:0"), (0.5, "hermite:1")])
+    out = tmp_path / "out"
+    for argv, says in [
+        (["diagnose", "--state", "hermite:0", "--grid-n", "100"], "power of two >= 8, got 100"),
+        (["diagnose", "--state", "hermite:0", "--grid-l", "0"], "half_width 0.0 gives no"),
+        (["diagnose", "--state", "hermite:0", "--hbar", "-1"], "hbar -1.0 gives no"),
+        (["ensemble-build", "--ensemble", eigen, "--dim", "0"] + SMALL, "dim must be in 1..128"),
+    ]:
+        assert main(argv + ["--out", str(out)]) == 2
+        assert says in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_grid_larger_than_memory_is_refused(tmp_path, capsys):
-    # One n x n complex array at n = 2**20 is 17.6 TB; refused before any grid exists.
+    # One n x n complex array at n = 2**20 is 17.6 TB; refused before any array exists.
     with pytest.raises(ValueError, match="physical memory"):
-        RunConfig(grid_n=2**20)
+        RunConfig(make_grid(2**20, 12.0))
     args = ["diagnose", "--state", "hermite:0", "--grid-n", str(2**20), "--out", str(tmp_path)]
     assert main(args) == 2
     assert "physical memory" in capsys.readouterr().err
@@ -50,12 +60,6 @@ def test_help_and_usage_errors(capsys):
     assert main(["wigner"]) == 2
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
-
-
-def test_unknown_tolerance_flag(capsys):
-    assert main(["diagnose", "--state", "hermite:0", "--tol.bogus", "1"]) == 2
-    err = capsys.readouterr().err
-    assert "unknown tolerance" in err
 
 
 def test_wigner_writes_artifacts(tmp_path):
@@ -252,7 +256,7 @@ def test_ensemble_build_subcommand(tmp_path):
     args = ["ensemble-build", "--ensemble", eigen, "--out", str(tmp_path)] + SMALL + DIM
     assert main(args) == 0
     rho_doc = read_json(tmp_path / "ensemble_rho.json")
-    rho = pairs_to_complex_matrix(rho_doc["matrix"])
+    rho = np.array([[complex(re, im) for re, im in row] for row in rho_doc["matrix"]])
     assert rho.shape == (16, 16)
     assert abs(np.trace(rho) - 1.0) <= 1e-10
     assert rho_doc["residuals"]["route_residual"] <= 1e-12
@@ -482,16 +486,36 @@ BASE = {
 @pytest.mark.parametrize("command", sorted(READS))
 def test_each_command_refuses_flags_it_does_not_read(tmp_path, capsys, command):
     assert set(COMMANDS) == set(READS) == set(BASE)
-    assert set(COMMANDS[command].tolerances) == READS[command]
+    cmd = COMMANDS[command]
+    assert set(cmd.tolerances) == READS[command]
+    assert ("--dim" in cmd.flags) == (command in TAKES_DIM)
     out = tmp_path / "out"
-    unread = [f"--tol.{name}" for name in TOL_DEFAULTS if name not in READS[command]]
-    if command not in TAKES_DIM:
-        unread.append("--dim")
-    for flag in unread:
+    # Every flag of the table the command does not take, every tolerance it
+    # does not read, and a tolerance no command reads.
+    unread = [f for f in FLAGS if f.startswith("--") and f not in cmd.flags + cmd.one_of]
+    unread += [f"--tol.{name}" for name in TOL_DEFAULTS if name not in READS[command]]
+    for flag in unread + ["--tol.bogus"]:
         assert main([command, *BASE[command], flag, "1", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert flag in err and command in err
+        assert f"error: {command} does not take {flag} 1\n" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        (["diagnose", "--state", "hermite:0", "--stat", "hermite:1"], "take --stat hermite:1"),
+        (["diagnose", "--state", "hermite:0", "--tol.conv", "10"], "take --tol.conv 10"),
+        (["--tol.convergent_tail", "10", "diagnose", "--state", "hermite:0"], "choice: '10'"),
+    ],
+    ids=["state-prefix", "tol-prefix", "tol-before-subcommand"],
+)
+def test_flags_are_read_by_full_name_after_the_subcommand(tmp_path, capsys, argv, says):
+    # A prefix of a flag is no abbreviation, and the top-level parser takes
+    # no flag but --help.
+    out = tmp_path / "out"
+    assert main([*argv, *COARSE, "--out", str(out)]) == 2
+    assert says in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["marginals", "moments"])

@@ -12,13 +12,11 @@ from hypothesis import strategies as st
 from wignerlab.grid import PhaseSpaceField, catalog_state, make_grid, write_state_csv
 from wignerlab.io import (
     canonical_json,
-    complex_matrix_to_pairs,
     covariance_report_to_dict,
     field_metadata,
     load_ensemble_json,
     marginal_report_to_dict,
     norm_report_to_dict,
-    pairs_to_complex_matrix,
     read_field_csv,
     write_ensemble_json,
     write_field_csv,
@@ -54,6 +52,14 @@ def test_canonical_json_rejects_nonfinite():
 def test_canonical_json_complex_pairs():
     text = canonical_json({"z": 1.0 + 2.0j})
     assert json.loads(text) == {"z": [1.0, 2.0]}
+    # A complex matrix is written row-major, each entry one [re, im] pair
+    # that reads back to its bits.
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    pairs = json.loads(canonical_json({"matrix": m}))["matrix"]
+    back = np.array([[complex(re, im) for re, im in row] for row in pairs])
+    assert back.tobytes() == m.tobytes()
+    assert canonical_json(m[1]) == canonical_json(list(m[1]))
 
 
 def test_write_json_bytes_deterministic(tmp_path):
@@ -69,13 +75,6 @@ def test_refused_json_leaves_no_file(tmp_path):
     with pytest.raises(ValueError, match="non-finite"):
         write_json(str(path), {"partials": [1.0, float("nan")]})
     assert not path.exists()
-
-
-def test_complex_matrix_pairs_round_trip():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    back = pairs_to_complex_matrix(complex_matrix_to_pairs(m))
-    np.testing.assert_array_equal(back, m)
 
 
 def test_real_field_csv_round_trip(tmp_path, g512):

@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wignerlab import grid as grid_module
 from wignerlab.ensemble import Ensemble
 from wignerlab.grid import (
     CheckError,
@@ -87,8 +89,9 @@ def random_mixtures(draw):
     return grid, Ensemble(tuple(members), "random")
 
 
-def blocked_cross_wigner(psi, phi, grid, row_block):
-    return _wigner_kernel(((1.0, psi, phi),), grid, real=False, row_block=row_block)
+def row_blocks_of(block_rows):
+    """Patch grid.ROW_BLOCK, the row count of every kernel block."""
+    return mock.patch.object(grid_module, "ROW_BLOCK", block_rows)
 
 
 def test_row_sums_reproduce_pointwise_overlap(g512):
@@ -113,8 +116,8 @@ def test_real_field_refuses_an_imaginary_part(g512):
     # Only a diagonal pair is real; a real field of a cross pair must be refused.
     h0 = catalog_state("hermite:0", g512)
     h1 = catalog_state("hermite:1", g512)
-    with pytest.raises(CheckError, match="imaginary part"):
-        _wigner_kernel(((1.0, h0, h1),), g512, real=True, row_block=77)
+    with row_blocks_of(77), pytest.raises(CheckError, match="imaginary part"):
+        _wigner_kernel(((1.0, h0, h1),), g512, real=True)
 
 
 def test_cross_wigner_hermiticity(g512):
@@ -130,18 +133,21 @@ def test_cross_wigner_hermiticity(g512):
 def test_row_blocks_are_bitwise_identical(g512):
     h1 = catalog_state("hermite:1", g512)
     box = catalog_state("box:-0.5:0.5", g512)
-    reference = blocked_cross_wigner(h1, box, g512, 512).values
+    with row_blocks_of(512):
+        reference = cross_wigner(h1, box, g512).values
+        diagonal = wigner(box, g512).values
     for block in (1, 64, 137, 256):
-        chunked = blocked_cross_wigner(h1, box, g512, block).values
-        np.testing.assert_array_equal(chunked, reference)
+        with row_blocks_of(block):
+            np.testing.assert_array_equal(cross_wigner(h1, box, g512).values, reference)
+            np.testing.assert_array_equal(wigner(box, g512).values, diagonal)
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_state_pairs(), st.data())
 def test_windowed_kernel_matches_gather_bitwise(pair, data):
     grid, psi, phi = pair
-    row_block = data.draw(st.integers(1, grid.n_points))
-    field = blocked_cross_wigner(psi, phi, grid, row_block)
+    with row_blocks_of(data.draw(st.integers(1, grid.n_points))):
+        field = cross_wigner(psi, phi, grid)
     expected = reference_cross_wigner(psi.values, phi.values, grid)
     np.testing.assert_array_equal(field.values, expected)
     if np.all(psi.values != 0):
@@ -189,9 +195,8 @@ def test_one_member_mixture_is_the_wigner_field(mixture):
 @given(random_mixtures(), st.data())
 def test_mixed_row_blocks_are_bitwise_identical(mixture, data):
     grid, ens = mixture
-    row_block = data.draw(st.integers(1, grid.n_points))
-    members = tuple((weight, state, state) for state, weight in ens.members)
-    blocked = _wigner_kernel(members, grid, real=True, row_block=row_block)
+    with row_blocks_of(data.draw(st.integers(1, grid.n_points))):
+        blocked = mixed_wigner(ens, grid)
     assert blocked.values.tobytes() == mixed_wigner(ens, grid).values.tobytes()
 
 
