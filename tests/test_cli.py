@@ -62,6 +62,12 @@ def test_help_and_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_unknown_tolerance_flag(capsys):
+    assert main(["diagnose", "--state", "hermite:0", "--tol.bogus", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "error: diagnose does not take --tol.bogus 1\n" in err
+
+
 def test_wigner_writes_artifacts(tmp_path):
     out = str(tmp_path)
     code = main(["wigner", "--state", "hermite:0", "--out", out] + SMALL)

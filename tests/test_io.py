@@ -52,6 +52,9 @@ def test_canonical_json_rejects_nonfinite():
 def test_canonical_json_complex_pairs():
     text = canonical_json({"z": 1.0 + 2.0j})
     assert json.loads(text) == {"z": [1.0, 2.0]}
+
+
+def test_complex_matrix_pairs_round_trip():
     # A complex matrix is written row-major, each entry one [re, im] pair
     # that reads back to its bits.
     rng = np.random.default_rng(3)
