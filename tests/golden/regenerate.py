@@ -1,0 +1,139 @@
+"""Pinned artifact bytes: one fixed set of CLI invocations and their digests.
+
+digests.json holds the sha256 of every artifact each invocation writes and
+its exit code, next to a fingerprint of the numpy and BLAS build that wrote
+them.  OpenBLAS picks its kernels per CPU, so the bytes are pinned per
+fingerprint, not across machines.  tests/test_golden.py runs the same
+invocations and compares.
+
+Regenerate, from the repository root:
+
+    PYTHONPATH=src python tests/golden/regenerate.py
+
+A change to any digest is a change to the artifact contract: list every
+changed artifact with the reason it moved.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import glob
+import hashlib
+import json
+import os
+import platform
+import sys
+import tempfile
+
+import numpy as np
+
+DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "digests.json")
+REGENERATE = "PYTHONPATH=src python tests/golden/regenerate.py"
+
+SMALL = ["--grid-n", "256", "--grid-l", "8"]
+ENSEMBLE = ["--grid-n", "512", "--grid-l", "10", "--dim", "8"]
+
+# Every path is relative to the working directory: a file member's label
+# embeds the ensemble file's directory, and the label is in the artifacts.
+INVOCATIONS = {
+    "wigner": ["wigner", "--state", "hermite:1", *SMALL],
+    "wigner-scale": ["wigner", "--state", "gaussian:0.7", "--apply", "scale:1.3", *SMALL],
+    "cross-wigner": ["cross-wigner", "--state", "hermite:0", "--state2", "hermite:1", *SMALL],
+    "marginals": ["marginals", "--ensemble", "inputs/trio.json", *SMALL],
+    "moments": ["moments", "--ensemble", "inputs/trio.json", *SMALL],
+    "modnorm": ["modnorm", "--state", "box:-1:1", "--s", "1", *SMALL],
+    "diagnose": ["diagnose", "--state", "hermite:0", *SMALL],
+    "diagnose-coarse": ["diagnose", "--state", "box:-0.5:0.5", "--grid-n", "64", "--grid-l", "8"],
+    "marginals-refused": ["marginals", "--state", "hermite:0", "--grid-n", "64", "--grid-l", "8"],
+    "ensemble-build": ["ensemble-build", "--ensemble", "inputs/eigen.json", *ENSEMBLE],
+    "ensemble-equiv": [
+        "ensemble-equiv", "--ensemble", "inputs/eigen.json",
+        "--ensemble2", "inputs/rotated.json", *ENSEMBLE,
+    ],
+    "ensemble-spectral": ["ensemble-spectral", "--ensemble", "inputs/trio.json", *ENSEMBLE],
+    "reproduce-prop1": ["reproduce", "prop1"],
+    "reproduce-prop2": ["reproduce", "prop2"],
+    "reproduce-prop3": ["reproduce", "prop3"],
+    "reproduce-cor5": ["reproduce", "cor5"],
+}
+
+
+def _openblas_core() -> str:
+    """The CPU core OpenBLAS picked at run time, which may differ from its build target."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes = []
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return "unknown"
+
+
+def fingerprint() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "machine": platform.machine(),
+        "openblas_core": _openblas_core(),
+    }
+
+
+def _write_inputs() -> None:
+    from wignerlab.grid import hermite_combination, make_grid, write_state_csv
+
+    os.makedirs("inputs")
+    grid = make_grid(512, 10.0)
+    for name, coeffs in (("plus", (1.0, 1.0)), ("minus", (1.0, -1.0))):
+        state = hermite_combination(grid, coeffs, name)
+        write_state_csv(f"inputs/{name}.csv", grid.x_points(), state.values)
+    ensembles = {
+        "eigen": [(0.5, "hermite:0"), (0.5, "hermite:1")],
+        "rotated": [(0.5, "plus.csv"), (0.5, "minus.csv")],
+        "trio": [(0.5, "hermite:0"), (0.25, "hermite:1"), (0.25, "hermite:2")],
+    }
+    for name, members in ensembles.items():
+        doc = {"label": name, "members": [{"weight": w, "state": s} for w, s in members]}
+        with open(f"inputs/{name}.json", "w") as fh:
+            json.dump(doc, fh)
+
+
+def run_invocations() -> dict:
+    """Run every invocation in the working directory; return each exit code and digests."""
+    from wignerlab.cli import main
+
+    _write_inputs()
+    results = {}
+    for name, argv in INVOCATIONS.items():
+        out = os.path.join("out", name)
+        code = main([*argv, "--out", out])
+        artifacts = {}
+        for artifact in sorted(os.listdir(out)) if os.path.isdir(out) else []:
+            with open(os.path.join(out, artifact), "rb") as fh:
+                artifacts[artifact] = hashlib.sha256(fh.read()).hexdigest()
+        results[name] = {"argv": " ".join(argv), "exit": code, "artifacts": artifacts}
+    return results
+
+
+def main() -> int:
+    doc = {"fingerprint": fingerprint()}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            doc["invocations"] = run_invocations()
+        finally:
+            os.chdir(cwd)
+    with open(DIGESTS, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    count = sum(len(r["artifacts"]) for r in doc["invocations"].values())
+    print(f"wrote {count} digests of {len(INVOCATIONS)} invocations to {DIGESTS}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
