@@ -136,14 +136,15 @@ class DensityMatrix:
 class PartialIsometry:
     """Matrix U with U*U an orthogonal projection (within the stated defect).
 
-    factor_residual is ||A - A' U||_F for the two operators U was recovered
-    from.
+    For the two operators U was recovered from, factor_residual is
+    ||A - A' U||_F and density_residual is ||A A* - A' A'*||_F.
     """
 
     matrix: np.ndarray
     rank: int
     defect: float
     factor_residual: float
+    density_residual: float
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=np.complex128, copy=True)
@@ -268,14 +269,13 @@ def find_partial_isometry(
 
     U is pinv(A') A with singular values below 1e-10 treated as 0, which
     completes U by zero on the kernel: a partial isometry, not a unitary.
-    Raises CheckError when the density matrices differ beyond density_tol
-    (no such U exists) or when the factorization residual exceeds factor_tol.
+    Both density matrices pass the DensityMatrix checks first.  Raises
+    CheckError when they differ beyond density_tol (no such U exists) or
+    when the factorization residual exceeds factor_tol.
     """
     if a.dim != a_prime.dim:
         raise ValueError(f"operator dimensions differ: {a.dim} vs {a_prime.dim}")
-    rho_gap = float(
-        np.linalg.norm(a.matrix @ a.matrix.conj().T - a_prime.matrix @ a_prime.matrix.conj().T)
-    )
+    rho_gap = float(np.linalg.norm(density_matrix(a).matrix - density_matrix(a_prime).matrix))
     if rho_gap > density_tol:
         raise CheckError(
             f"density matrices differ by {rho_gap:.3e} (> {density_tol:.1e}); "
@@ -290,7 +290,7 @@ def find_partial_isometry(
     uu = u.conj().T @ u
     defect = float(np.linalg.norm(uu @ uu - uu))
     rank = int(np.sum(np.linalg.svd(a.matrix, compute_uv=False) > SV_CUTOFF))
-    return PartialIsometry(u, rank, defect, factor_gap)
+    return PartialIsometry(u, rank, defect, factor_gap, rho_gap)
 
 
 @dataclass(frozen=True)
@@ -304,7 +304,6 @@ class ClosureReport:
     """
 
     s: float
-    density_residual: float
     field_residual: float
     e1_verdicts: tuple[str, ...]
     e2_verdicts: tuple[str, ...]
@@ -313,32 +312,16 @@ class ClosureReport:
 
 
 def feichtinger_closure_check(
-    e1: Ensemble,
-    e2: Ensemble,
-    a1: EnsembleOperator,
-    a2: EnsembleOperator,
-    grid: PhaseSpaceGrid,
-    s: float = 0.0,
-    density_tol: float = 1e-6,
-    field_tol: float = 1e-5,
+    e1: Ensemble, e2: Ensemble, s: float = 0.0, field_tol: float = 1e-5
 ) -> ClosureReport:
     """Check that equal mixtures keep the integrability class of their members.
 
-    a1 and a2 are the operators build_A made of e1 and e2.  Equality of the
-    two mixed states is verified both ways before any verdicts are taken:
-    through the truncated density matrices (within density_tol) and
-    pointwise through the mixed Wigner fields (within field_tol).  Then
+    The two mixed states are compared pointwise through their mixed Wigner
+    fields on e1's grid (within field_tol) before any verdicts are taken;
+    find_partial_isometry compares their density matrices.  Then
     modulation_norm(member, s) runs on every member of both ensembles.
     """
-    if a1.dim != a2.dim:
-        raise ValueError(f"operator dimensions differ: {a1.dim} vs {a2.dim}")
-    rho1 = density_matrix(a1).matrix
-    rho2 = density_matrix(a2).matrix
-    density_residual = float(np.linalg.norm(rho1 - rho2))
-    if density_residual > density_tol:
-        raise CheckError(
-            f"density matrices differ by {density_residual:.3e} (> {density_tol:.1e})"
-        )
+    grid = e1.grid
     f1 = mixed_wigner(e1, grid)
     f2 = mixed_wigner(e2, grid)
     field_residual = float(np.abs(f1.values - f2.values).max())
@@ -352,6 +335,4 @@ def feichtinger_closure_check(
     all1 = all(v == "convergent" for v in v1)
     all2 = all(v == "convergent" for v in v2)
     implication = (not all1) or all2 or inconclusive
-    return ClosureReport(
-        float(s), density_residual, field_residual, v1, v2, implication, inconclusive
-    )
+    return ClosureReport(float(s), field_residual, v1, v2, implication, inconclusive)

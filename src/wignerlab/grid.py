@@ -90,11 +90,6 @@ class PhaseSpaceGrid:
         """Position lattice, n_points samples from -L."""
         return -self.half_width + self.dx * np.arange(self.n_points)
 
-    def p_points(self) -> np.ndarray:
-        """Full momentum lattice, n_points samples centered at 0."""
-        n = self.n_points
-        return (np.arange(n) - n // 2) * self.dp
-
     def wigner_p_points(self) -> np.ndarray:
         """Central half of the momentum lattice (n/2 samples).
 
@@ -295,7 +290,8 @@ def catalog_state(spec: str, grid: PhaseSpaceGrid) -> SampledState:
     Descriptors: ``hermite:k``, ``gaussian:sigma``, ``box:a:b`` and
     ``file:path`` (CSV with header x,re,im sampled on the same grid).
     Analytic states are renormalized to unit trapezoid norm on construction;
-    file samples keep their raw normalization.
+    file samples keep their raw normalization, and a file whose trapezoid
+    norm overflows is refused.
     """
     if not isinstance(spec, str) or not spec:
         raise ValueError(f"bad state descriptor {spec!r}")
@@ -359,6 +355,10 @@ def catalog_state(spec: str, grid: PhaseSpaceGrid) -> SampledState:
             )
         if not np.abs(fx - x).max() <= 1e-9 * grid.dx:
             raise ValueError(f"{path}: sample positions do not match the grid")
+        with np.errstate(over="ignore"):
+            nrm = trapezoid_norm(fvals, grid)
+        if not math.isfinite(nrm):
+            raise ValueError(f"{path}: the state's norm overflows on this grid")
         return SampledState(grid, fvals, spec)
 
     raise ValueError(f"unknown state descriptor {spec!r}")
@@ -398,18 +398,6 @@ class PhaseSpaceField:
     def x_axis(self) -> np.ndarray:
         return self.grid.x_points()
 
-    @property
-    def dx(self) -> float:
-        return self.grid.dx
-
-    @property
-    def dp(self) -> float:
-        return self.grid.dp
-
-    @property
-    def hbar(self) -> float:
-        return self.grid.hbar
-
 
 def field_integral(field: PhaseSpaceField) -> complex:
     """Integral over phase space: trapezoid in x, uniform weights in p.
@@ -418,4 +406,4 @@ def field_integral(field: PhaseSpaceField) -> complex:
     so the periodic rectangle rule is the natural quadrature there.
     """
     w = trapezoid_weights(field.grid.n_points)
-    return complex(np.sum(w @ field.values) * field.dx * field.dp)
+    return complex(np.sum(w @ field.values) * field.grid.dx * field.grid.dp)

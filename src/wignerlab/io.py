@@ -7,8 +7,6 @@ depends on the environment.
 
 from __future__ import annotations
 
-import csv
-import itertools
 import json
 import math
 import os
@@ -25,14 +23,12 @@ __all__ = [
     "canonical_json",
     "write_json",
     "write_field_csv",
-    "read_field_csv",
     "field_metadata",
     "norm_report_to_dict",
     "covariance_report_to_dict",
     "marginal_report_to_dict",
     "write_marginal_csv",
     "load_ensemble_json",
-    "write_ensemble_json",
 ]
 
 
@@ -113,50 +109,6 @@ def write_field_csv(path: str, field: PhaseSpaceField) -> None:
             fh.write("".join(lines))
 
 
-def read_field_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read a field CSV back as (x values, p values, value matrix).
-
-    Every row must hold one number per header column, and the rows must run
-    over the lattice in the order write_field_csv writes it: each x repeated
-    for every p, the p values tiled.  A row that breaks either rule raises
-    ValueError naming path:line.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header not in (["x", "p", "value"], ["x", "p", "re", "im"]):
-            raise ValueError(f"{path}: unexpected header {header}")
-        is_complex = header == ["x", "p", "re", "im"]
-        lines, xs, ps, vals = [], [], [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}:{reader.line_num}: expected {len(header)} columns, got {len(row)}"
-                )
-            try:
-                nums = [float(v) for v in row]
-            except ValueError:
-                raise ValueError(f"{path}:{reader.line_num}: non-numeric entry in {row}") from None
-            lines.append(reader.line_num)
-            xs.append(nums[0])
-            ps.append(nums[1])
-            vals.append(complex(nums[2], nums[3]) if is_complex else nums[2])
-    x = np.unique(np.asarray(xs))
-    p = np.unique(np.asarray(ps))
-    for k, (xk, pk) in enumerate(itertools.product(x.tolist(), p.tolist())):
-        if k == len(xs) or (xs[k], ps[k]) != (xk, pk):
-            line = lines[k] if k < len(lines) else lines[-1] + 1
-            raise ValueError(f"{path}:{line}: expected the row x={xk!r}, p={pk!r}")
-    if len(xs) > x.size * p.size:
-        raise ValueError(
-            f"{path}:{lines[x.size * p.size]}: more rows than the {x.size} x {p.size} lattice"
-        )
-    matrix = np.asarray(vals).reshape(x.size, p.size)
-    return x, p, matrix
-
-
 def norm_report_to_dict(report: WeightedNormReport) -> dict:
     return {
         "s": report.s,
@@ -226,12 +178,3 @@ def load_ensemble_json(path: str, grid: PhaseSpaceGrid) -> Ensemble:
         members.append((state, weight))
     label = str(doc.get("label", os.path.basename(path)))
     return Ensemble(tuple(members), label)
-
-
-def write_ensemble_json(path: str, label: str, members: list[tuple[float, str]]) -> None:
-    """Write an ensemble file from (weight, state descriptor) pairs."""
-    doc = {
-        "label": label,
-        "members": [{"weight": w, "state": desc} for w, desc in members],
-    }
-    write_json(path, doc)

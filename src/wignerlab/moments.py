@@ -123,12 +123,12 @@ def marginals(rho_field: PhaseSpaceField, reference: Ensemble) -> MarginalReport
                 "marginals are only validated for convergent members"
             )
     vals = rho_field.values.real
-    x_marginal = vals.sum(axis=1) * rho_field.dp
+    x_marginal = vals.sum(axis=1) * grid.dp
     wx = trapezoid_weights(grid.n_points)
     # The trapezoid sum over x gives both the p marginal and, summed over p,
     # the field's integral.
     x_sum = wx @ vals
-    p_marginal = x_sum * rho_field.dx
+    p_marginal = x_sum * grid.dx
 
     x_target = np.zeros(grid.n_points)
     p_target = np.zeros(grid.n_points // 2)
@@ -138,7 +138,7 @@ def marginals(rho_field: PhaseSpaceField, reference: Ensemble) -> MarginalReport
 
     x_residual = float(np.abs(x_marginal - x_target).max())
     p_residual = float(np.abs(p_marginal - p_target).max())
-    norm_residual = abs(complex(np.sum(x_sum) * rho_field.dx * rho_field.dp) - 1.0)
+    norm_residual = abs(complex(np.sum(x_sum) * grid.dx * grid.dp) - 1.0)
     return MarginalReport(x_marginal, p_marginal, x_residual, p_residual, float(norm_residual))
 
 

@@ -254,7 +254,8 @@ def apply_metaplectic(psi: SampledState, op: str) -> SampledState:
     vals = _fourier_state(psi) if name == "fourier" else _scaled_state(psi, lam)
     out = SampledState(psi.grid, vals, f"{op}({psi.label})")
     before, after = state_norm(psi), state_norm(out)
-    if abs(after - before) > 1e-3:
+    # Written so that a NaN gap, from two infinite norms, is refused too.
+    if not abs(after - before) <= 1e-3:
         raise ValueError(
             f"{op} does not keep the norm of {psi.label} on this grid: "
             f"{before:.6g} -> {after:.6g}"

@@ -17,7 +17,6 @@ import pytest
 from wignerlab.cli import main
 from wignerlab.ensemble import build_A, density_matrix, find_partial_isometry
 from wignerlab.grid import catalog_state, make_grid, state_overlap, trapezoid_weights
-from wignerlab.io import read_field_csv
 from wignerlab.modspace import feichtinger_diagnostic, modulation_norm
 from wignerlab.moments import covariance, marginals
 from wignerlab.wigner import apply_metaplectic, cross_wigner, mixed_wigner, wigner
@@ -72,7 +71,9 @@ def test_first_excited_wigner_off_unit_hbar(tmp_path, hbar):
     # W_1 = (-1/(pi*hbar)) exp(-r^2/hbar) L_1(2 r^2/hbar), with L_1(u) = 1 - u.
     argv = ["wigner", "--state", "hermite:1", "--hbar", hbar, "--grid-n", "512", "--grid-l", "10"]
     assert main(argv + ["--out", str(tmp_path)]) == 0
-    x, p, values = read_field_csv(str(tmp_path / "wigner_field.csv"))
+    rows = np.loadtxt(tmp_path / "wigner_field.csv", delimiter=",", skiprows=1)
+    x, p = np.unique(rows[:, 0]), np.unique(rows[:, 1])
+    values = rows[:, 2].reshape(x.size, p.size)
     h = float(hbar)
     u = 2.0 * (x[:, None] ** 2 + p[None, :] ** 2) / h
     exact = -np.exp(-0.5 * u) * (1.0 - u) / (math.pi * h)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from wignerlab.cli import COMMANDS, FLAGS, TOL_DEFAULTS, RunConfig, main
 from wignerlab.ensemble import Ensemble
 from wignerlab.grid import catalog_state, make_grid, write_state_csv
-from wignerlab.io import write_ensemble_json
 
 from conftest import hermite_combination
 
@@ -23,6 +22,12 @@ def read_json(path):
         return json.load(fh)
 
 
+def write_ensemble(path, label, members):
+    """Ensemble file from (weight, state descriptor) pairs."""
+    with open(path, "w") as fh:
+        json.dump({"label": label, "members": [{"weight": w, "state": d} for w, d in members]}, fh)
+
+
 def test_run_config_validation(tmp_path, capsys):
     # RunConfig carries the run's one PhaseSpaceGrid.  The grid refuses a bad
     # size, step or hbar and the ensemble layer a bad dim, each with exit 2.
@@ -30,7 +35,7 @@ def test_run_config_validation(tmp_path, capsys):
     assert cfg.tolerances == TOL_DEFAULTS
     assert cfg.grid == make_grid(1024, 12.0, 1.0)
     eigen = str(tmp_path / "eigen.json")
-    write_ensemble_json(eigen, "pair:eigen", [(0.5, "hermite:0"), (0.5, "hermite:1")])
+    write_ensemble(eigen, "pair:eigen", [(0.5, "hermite:0"), (0.5, "hermite:1")])
     out = tmp_path / "out"
     for argv, says in [
         (["diagnose", "--state", "hermite:0", "--grid-n", "100"], "power of two >= 8, got 100"),
@@ -217,7 +222,7 @@ def test_passing_reports_record_grid_warnings(tmp_path, capsys, command):
 
 def test_ensemble_equiv_warns_on_coarse_grid(tmp_path, capsys):
     ens = str(tmp_path / "ens.json")
-    write_ensemble_json(ens, "pair", [(0.5, "hermite:0"), (0.5, "hermite:1")])
+    write_ensemble(ens, "pair", [(0.5, "hermite:0"), (0.5, "hermite:1")])
     args = ["ensemble-equiv", "--ensemble", ens, "--ensemble2", ens, "--dim", "8",
             "--grid-n", "128", "--grid-l", "8", "--out", str(tmp_path)]
     assert main(args) == 0
@@ -251,8 +256,8 @@ def write_pair_files(tmp_path, grid):
     write_state_csv(minus_csv, grid.x_points(), minus.values)
     eigen = str(tmp_path / "eigen.json")
     rotated = str(tmp_path / "rotated.json")
-    write_ensemble_json(eigen, "pair:eigen", [(0.5, "hermite:0"), (0.5, "hermite:1")])
-    write_ensemble_json(rotated, "pair:rotated", [(0.5, plus_csv), (0.5, minus_csv)])
+    write_ensemble(eigen, "pair:eigen", [(0.5, "hermite:0"), (0.5, "hermite:1")])
+    write_ensemble(rotated, "pair:rotated", [(0.5, plus_csv), (0.5, minus_csv)])
     return eigen, rotated
 
 
@@ -349,6 +354,21 @@ def test_state_file_with_nan_value_is_usage_error(tmp_path, capsys, part):
     argv = ["diagnose", "--state", f"file:{path}", "--grid-n", "64", "--grid-l", "8"]
     assert main(argv + ["--out", str(out)]) == 2
     assert f"{path}:7: re and im must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["wigner", "cross-wigner", "modnorm"])
+def test_state_file_whose_norm_overflows_is_usage_error(tmp_path, capsys, command):
+    # Every sample is finite, but the squares overflow; the field was all inf and nan.
+    grid = make_grid(64, 8.0)
+    path = tmp_path / "big.csv"
+    write_state_csv(str(path), grid.x_points(), 1e200 * catalog_state("hermite:0", grid).values)
+    state = f"file:{path}"
+    second = {"wigner": [], "cross-wigner": ["--state2", state], "modnorm": ["--window", state]}
+    out = tmp_path / "out"
+    argv = [command, "--state", state, *second[command], "--grid-n", "64", "--grid-l", "8"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"{path}: the state's norm overflows" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -554,7 +574,7 @@ def test_inputs_that_raised_now_exit_2(tmp_path, capsys, argv, says):
     # Each of these raised a traceback, except huge-hbar, which exited 2 but
     # left wigner_field.csv behind.
     eigen = str(tmp_path / "eigen.json")
-    write_ensemble_json(eigen, "pair:eigen", [(0.5, "hermite:0"), (0.5, "hermite:1")])
+    write_ensemble(eigen, "pair:eigen", [(0.5, "hermite:0"), (0.5, "hermite:1")])
     out = tmp_path / "out"
     argv = [eigen if a == "EIGEN" else a for a in argv]
     assert main(argv + ["--out", str(out)]) == 2

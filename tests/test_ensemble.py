@@ -112,7 +112,7 @@ def test_density_matrix_validation():
 
 def test_partial_isometry_defect_guard():
     with pytest.raises(CheckError):
-        PartialIsometry(np.array([[0.7, 0.7], [0.0, 0.0]]), 1, 0.3, 0.0)
+        PartialIsometry(np.array([[0.7, 0.7], [0.0, 0.0]]), 1, 0.3, 0.0, 0.0)
 
 
 def test_find_partial_isometry_hadamard(hadamard_pair_512):
@@ -121,6 +121,7 @@ def test_find_partial_isometry_hadamard(hadamard_pair_512):
     a_prime = build_A(e2, 16)
     isometry = find_partial_isometry(a, a_prime)
     assert isometry.rank == 2
+    assert isometry.density_residual <= 1e-12
     residual = np.linalg.norm(a.matrix - a_prime.matrix @ isometry.matrix)
     assert residual <= 1e-10
     assert isometry.factor_residual == residual
@@ -164,8 +165,7 @@ def test_mixed_wigner_is_weighted_sum(g512, hadamard_pair_512):
 
 def test_closure_check_on_equivalent_pair(g512, hadamard_pair_512):
     e1, e2 = hadamard_pair_512
-    report = feichtinger_closure_check(e1, e2, build_A(e1, 16), build_A(e2, 16), g512, s=0.0)
-    assert report.density_residual <= 1e-12
+    report = feichtinger_closure_check(e1, e2, s=0.0)
     assert report.field_residual <= 1e-12
     assert report.implication_holds
     assert not report.inconclusive
@@ -178,8 +178,9 @@ def test_closure_check_rejects_unequal_densities(g512):
     h1 = catalog_state("hermite:1", g512)
     e1 = Ensemble(((h0, 1.0),), "pure0")
     e2 = Ensemble(((h1, 1.0),), "pure1")
-    with pytest.raises(CheckError):
-        feichtinger_closure_check(e1, e2, build_A(e1, 8), build_A(e2, 8), g512)
+    # Unequal mixtures have unequal fields, so the field check refuses them.
+    with pytest.raises(CheckError, match="mixed Wigner fields differ"):
+        feichtinger_closure_check(e1, e2)
 
 
 def test_seeded_combination_round_trip(g1024):

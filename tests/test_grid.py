@@ -37,9 +37,6 @@ def test_grid_spacings():
     x = g.x_points()
     assert x[256] == 0.0
     assert x[0] == -10.0
-    p = g.p_points()
-    assert p.shape == (512,)
-    assert p[256] == 0.0
     half = g.wigner_p_points()
     assert half.shape == (256,)
     assert half[128] == 0.0
@@ -188,7 +185,7 @@ def test_file_state_norm_guard(tmp_path, g512):
 def test_phase_space_field_validates_p_axis(g512):
     vals = np.zeros((512, 256))
     good = PhaseSpaceField(g512, vals)
-    assert good.dx == g512.dx
+    assert good.grid is g512
     np.testing.assert_array_equal(good.p_axis, g512.wigner_p_points())
     for shape in [(512, 100), (512, 512), (256, 256)]:
         with pytest.raises(ValueError, match="does not match"):

@@ -205,7 +205,7 @@ def covariance_oracle(field, route_tol=1e-3):
     p = field.p_axis[None, :]
     wx = trapezoid_weights(n)[:, None]
     dens = field.values.real * wx
-    dz = field.dx * field.dp
+    dz = grid.dx * grid.dp
     mean_x = float(np.sum(x * dens)) * dz
     mean_p = float(np.sum(p * dens)) * dz
     raw = np.array(

@@ -108,7 +108,7 @@ def test_wigner_is_real_and_labels_carry_sources(g512):
     h1 = catalog_state("hermite:1", g512)
     result = wigner(h1, g512)
     assert result.values.dtype == np.float64
-    assert result.hbar == 1.0
+    assert result.grid.hbar == 1.0
     assert result.values.tobytes() == cross_wigner(h1, h1, g512).values.real.tobytes()
 
 
@@ -253,10 +253,16 @@ def test_scale_preserves_norm_and_inverts(g512):
     np.testing.assert_allclose(back.values, h0.values, atol=1e-5)
 
 
-def test_metaplectic_refuses_results_that_lose_the_norm(g512):
+def test_metaplectic_refuses_results_that_lose_the_norm(g512, sr1024):
     h0 = catalog_state("hermite:0", g512)
     with pytest.raises(ValueError, match=r"scale:100 does not keep the norm of hermite:0"):
         apply_metaplectic(h0, "scale:100")
+    # Finite samples whose norm overflows: both norms are inf, and their gap NaN.
+    for grid, op in ((g512, "scale:1.1"), (sr1024, "fourier")):
+        big = SampledState(grid, 1e200 * catalog_state("hermite:0", grid).values, "big")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=rf"{op} does not keep the norm of big"):
+                apply_metaplectic(big, op)
 
 
 def test_scale_minus_one_is_parity(g512):
