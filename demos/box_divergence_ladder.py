@@ -23,12 +23,12 @@ print(f"grid: n={grid.n_points}, dx={grid.dx:.5f}, "
 box_report = None
 for spec in ("hermite:0", "box:-0.5:0.5"):
     state = catalog_state(spec, grid)
-    warning = diagnostic_grid_warning(state, grid)
-    report = feichtinger_diagnostic(state, grid)
+    warning = diagnostic_grid_warning(state)
+    report = feichtinger_diagnostic(state)
     print(f"\n{spec}")
     if warning:
         print(f"  warning: {warning}")
-    for cutoff, value in report.partial_norms:
+    for cutoff, value in report.partials:
         print(f"  cutoff {cutoff:8.2f}  integral {value:.6f}")
     print(f"  verdict: {report.verdict}  growth exponent {report.growth_exponent:.3f}")
     if spec.startswith("box"):
@@ -37,7 +37,7 @@ for spec in ("hermite:0", "box:-0.5:0.5"):
 # The box increments settle near 4/pi^2 per octave: each slice of the
 # squared window transforms to sin(2 a p) / (pi p), each momentum tail of
 # |sin| / p adds 2/pi^2 per doubling, and the ladder sweeps in both tails.
-values = [v for _, v in box_report.partial_norms]
+values = [v for _, v in box_report.partials]
 increments = [b - a for a, b in zip(values, values[1:])]
 rate = sum(increments) / (len(increments) * math.log(2.0))
 print(f"\nbox octave rate {rate:.4f}  vs 4/pi^2 = {4.0 / math.pi**2:.4f}")

@@ -56,6 +56,6 @@ for state, weight in spectral.members:
     print(f"  weight {weight:.6f}  label {state.label}")
 
 # Both ensembles also share one mixed Wigner field.
-field1 = mixed_wigner(e1, grid)
-field2 = mixed_wigner(e2, grid)
+field1 = mixed_wigner(e1)
+field2 = mixed_wigner(e2)
 print(f"\nmixed field gap: {np.abs(field1.values - field2.values).max():.2e}")

@@ -34,8 +34,8 @@ print(f"scale:2 S = {symplectic_matrix('scale:2').tolist()}")
 # The rotation by S maps the point (x_j, p_i) to (-p_i, x_j), which on this
 # grid is again a lattice point; compare the two fields directly.
 gauss = catalog_state("gaussian:2", grid)
-base = wigner(gauss, grid).values
-rotated = wigner(apply_metaplectic(gauss, "fourier"), grid).values
+base = wigner(gauss).values
+rotated = wigner(apply_metaplectic(gauss, "fourier")).values
 n = grid.n_points
 rows = np.arange(n // 4, 3 * n // 4)
 cols = np.arange(n // 2)
@@ -46,11 +46,11 @@ print(f"\nfourier remap deviation on the central block: {dev:.2e}")
 # scale:2 stretches x by 2 and squeezes p by 2, so XX quadruples and PP
 # drops to a quarter while the uncertainty product is unchanged.
 h0 = catalog_state("hermite:0", grid)
-verdict = [modulation_norm(h0, 2.0, grid)]
-before = covariance(wigner(h0, grid), verdict).sigma
+verdict = [modulation_norm(h0, 2.0)]
+before = covariance(wigner(h0), verdict).sigma
 wide = apply_metaplectic(h0, "scale:2")
-scaled_field = wigner(wide, grid)
-after = covariance(scaled_field, [modulation_norm(wide, 2.0, grid)]).sigma
+scaled_field = wigner(wide)
+after = covariance(scaled_field, [modulation_norm(wide, 2.0)]).sigma
 print(f"\nXX before {before[0, 0]:.6f} -> after {after[0, 0]:.6f}")
 print(f"PP before {before[1, 1]:.6f} -> after {after[1, 1]:.6f}")
 print(f"total mass after scaling: {field_integral(scaled_field).real:.8f}")

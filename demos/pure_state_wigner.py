@@ -19,13 +19,13 @@ print(f"grid: n={grid.n_points}, L={grid.half_width}, "
 h0 = catalog_state("hermite:0", grid)
 h1 = catalog_state("hermite:1", grid)
 
-w0 = wigner(h0, grid)
+w0 = wigner(h0)
 peak = w0.values.max()
 print(f"\nground state: max W = {peak:.8f}  (1/pi = {1.0 / np.pi:.8f})")
 print(f"total mass   = {field_integral(w0).real:.8f}")
 
 # The first excited state dips to the negative extreme -1/pi at the origin.
-w1 = wigner(h1, grid)
+w1 = wigner(h1)
 print(f"\nfirst excited: min W = {w1.values.min():.8f} "
       f"(-1/pi = {-1.0 / np.pi:.8f})")
 

@@ -36,16 +36,7 @@ from .grid import (
     make_self_reciprocal_grid,
     write_state_csv,
 )
-from .io import (
-    covariance_report_to_dict,
-    field_metadata,
-    load_ensemble_json,
-    marginal_report_to_dict,
-    norm_report_to_dict,
-    write_field_csv,
-    write_json,
-    write_marginal_csv,
-)
+from .io import field_metadata, load_ensemble_json, write_field_csv, write_json, write_marginal_csv
 from .modspace import (
     WeightedNormReport,
     diagnostic_grid_warning,
@@ -151,20 +142,17 @@ def _config_from(ns: argparse.Namespace) -> RunConfig:
 
 
 def _ensemble_from(ns: argparse.Namespace, cfg: RunConfig) -> Ensemble:
-    grid = cfg.grid
     if ns.ensemble is not None:
-        return load_ensemble_json(ns.ensemble, grid)
-    state = catalog_state(ns.state, grid)
+        return load_ensemble_json(ns.ensemble, cfg.grid)
+    state = catalog_state(ns.state, cfg.grid)
     return Ensemble(((state, 1.0),), ns.state)
 
 
-def _warn_coarse_grid(
-    grid: PhaseSpaceGrid, states: Iterable[SampledState], role: str
-) -> list[str]:
+def _warn_coarse_grid(states: Iterable[SampledState], role: str) -> list[str]:
     """Print diagnostic_grid_warning's message for each state it flags; return them."""
     messages = []
     for state in states:
-        warning = diagnostic_grid_warning(state, grid)
+        warning = diagnostic_grid_warning(state)
         if warning:
             messages.append(f"{role} {state.label}: {warning}")
             print(f"warning: {messages[-1]}", file=sys.stderr)
@@ -172,11 +160,10 @@ def _warn_coarse_grid(
 
 
 def cmd_wigner(ns: argparse.Namespace, cfg: RunConfig) -> int:
-    grid = cfg.grid
-    state = catalog_state(ns.state, grid)
+    state = catalog_state(ns.state, cfg.grid)
     if ns.apply:
         state = apply_metaplectic(state, ns.apply)
-    field = wigner(state, grid)
+    field = wigner(state)
     write_field_csv(cfg.out("wigner_field.csv"), field)
     meta = field_metadata(field)
     meta.update({"source": state.label, "max_abs": float(np.abs(field.values).max())})
@@ -201,17 +188,20 @@ def cmd_cross_wigner(ns: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_marginals(ns: argparse.Namespace, cfg: RunConfig) -> int:
     grid = cfg.grid
     ens = _ensemble_from(ns, cfg)
-    warnings = _warn_coarse_grid(grid, (st for st, _ in ens.members), "member")
-    rho = mixed_wigner(ens, grid)
-    report = marginals(rho, ens)
+    warnings = _warn_coarse_grid((st for st, _ in ens.members), "member")
+    report = marginals(mixed_wigner(ens), ens)
     doc = {
         "ensemble": ens.label,
         "members": [st.label for st, _ in ens.members],
-        "report": marginal_report_to_dict(report),
+        "report": {
+            "x_residual": report.x_residual,
+            "p_residual": report.p_residual,
+            "norm_residual": report.norm_residual,
+        },
     }
     cfg.write("marginals_report.json", doc, warnings)
-    write_marginal_csv(cfg.out("marginal_x.csv"), "x", rho.x_axis, report.x_marginal)
-    write_marginal_csv(cfg.out("marginal_p.csv"), "p", rho.p_axis, report.p_marginal)
+    write_marginal_csv(cfg.out("marginal_x.csv"), "x", grid.x_points(), report.x_marginal)
+    write_marginal_csv(cfg.out("marginal_p.csv"), "p", grid.wigner_p_points(), report.p_marginal)
     print(
         f"marginal residuals: x={report.x_residual:.3e} p={report.p_residual:.3e} "
         f"norm={report.norm_residual:.3e}"
@@ -220,17 +210,16 @@ def cmd_marginals(ns: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_moments(ns: argparse.Namespace, cfg: RunConfig) -> int:
-    grid = cfg.grid
     ens = _ensemble_from(ns, cfg)
-    warnings = _warn_coarse_grid(grid, (st for st, _ in ens.members), "member")
-    verdicts = [modulation_norm(st, 2.0, grid, **cfg.ladder()) for st, _ in ens.members]
-    rho = mixed_wigner(ens, grid)
+    warnings = _warn_coarse_grid((st for st, _ in ens.members), "member")
+    verdicts = [modulation_norm(st, 2.0, **cfg.ladder()) for st, _ in ens.members]
+    rho = mixed_wigner(ens)
     report = covariance(rho, verdicts, route_tol=cfg.tolerances["route_agreement"])
     doc = {
         "ensemble": ens.label,
         "members": [st.label for st, _ in ens.members],
-        "member_verdicts": [norm_report_to_dict(v) for v in verdicts],
-        "covariance": covariance_report_to_dict(report),
+        "member_verdicts": [vars(v) for v in verdicts],
+        "covariance": vars(report),
     }
     cfg.write("moments_report.json", doc, warnings)
     if report.flags:
@@ -246,32 +235,28 @@ def _write_verdict(
     report: WeightedNormReport,
     warnings: list[str],
 ) -> int:
-    cfg.write(name, {"state": state.label, **norm_report_to_dict(report)}, warnings)
+    cfg.write(name, {"state": state.label, **vars(report)}, warnings)
     print(f"verdict {report.verdict} (growth_exponent {report.growth_exponent:.4f})")
     return 0
 
 
 def cmd_modnorm(ns: argparse.Namespace, cfg: RunConfig) -> int:
-    grid = cfg.grid
-    state = catalog_state(ns.state, grid)
-    window = catalog_state(ns.window, grid)
-    warnings = _warn_coarse_grid(grid, [state], "state")
-    warnings += _warn_coarse_grid(grid, [window], "window")
-    report = modulation_norm(state, ns.s, grid, window=window, **cfg.ladder())
+    state = catalog_state(ns.state, cfg.grid)
+    window = catalog_state(ns.window, cfg.grid)
+    warnings = _warn_coarse_grid([state], "state") + _warn_coarse_grid([window], "window")
+    report = modulation_norm(state, ns.s, window=window, **cfg.ladder())
     return _write_verdict(cfg, "modnorm_report.json", state, report, warnings)
 
 
 def cmd_diagnose(ns: argparse.Namespace, cfg: RunConfig) -> int:
-    grid = cfg.grid
-    state = catalog_state(ns.state, grid)
-    warnings = _warn_coarse_grid(grid, [state], "state")
-    report = feichtinger_diagnostic(state, grid, **cfg.ladder())
+    state = catalog_state(ns.state, cfg.grid)
+    warnings = _warn_coarse_grid([state], "state")
+    report = feichtinger_diagnostic(state, **cfg.ladder())
     return _write_verdict(cfg, "diagnose_report.json", state, report, warnings)
 
 
 def cmd_ensemble_build(ns: argparse.Namespace, cfg: RunConfig) -> int:
-    grid = cfg.grid
-    ens = load_ensemble_json(ns.ensemble, grid)
+    ens = load_ensemble_json(ns.ensemble, cfg.grid)
     op = build_A(ens, cfg.dim)
     rho = density_matrix(op)
     direct = density_matrix_direct(ens, cfg.dim)
@@ -304,7 +289,7 @@ def cmd_ensemble_equiv(ns: argparse.Namespace, cfg: RunConfig) -> int:
     grid = cfg.grid
     e1 = load_ensemble_json(ns.ensemble, grid)
     e2 = load_ensemble_json(ns.ensemble2, grid)
-    warnings = _warn_coarse_grid(grid, (st for st, _ in e1.members + e2.members), "member")
+    warnings = _warn_coarse_grid((st for st, _ in e1.members + e2.members), "member")
     a = build_A(e1, cfg.dim)
     a_prime = build_A(e2, cfg.dim)
     tol = cfg.tolerances
@@ -397,15 +382,15 @@ def cmd_reproduce(ns: argparse.Namespace, cfg: RunConfig) -> int:
     if scenario == "prop1":
         grid = make_grid(1024, 12.0, 1.0)
         ens = _eigen_pair(grid)
-        report = marginals(mixed_wigner(ens, grid), ens)
+        report = marginals(mixed_wigner(ens), ens)
         checks.append(_check("norm_residual", report.norm_residual, 1e-6))
         checks.append(_check("x_marginal_residual", report.x_residual, 1e-6))
         checks.append(_check("p_marginal_residual", report.p_residual, 1e-6))
     elif scenario == "prop2":
         grid = make_self_reciprocal_grid(2048, 1.0)
         ens = _eigen_pair(grid)
-        verdicts = [modulation_norm(st, 2.0, grid) for st, _ in ens.members]
-        report = covariance(mixed_wigner(ens, grid), verdicts)
+        verdicts = [modulation_norm(st, 2.0) for st, _ in ens.members]
+        report = covariance(mixed_wigner(ens), verdicts)
         sigma_gap = float(np.abs(report.sigma - np.eye(2)).max())
         checks.append(_check("sigma_vs_identity", sigma_gap, 1e-5))
         checks.append(_check("route_agreement", report.residual, 1e-3))

@@ -316,21 +316,23 @@ def feichtinger_closure_check(
 ) -> ClosureReport:
     """Check that equal mixtures keep the integrability class of their members.
 
-    The two mixed states are compared pointwise through their mixed Wigner
-    fields on e1's grid (within field_tol) before any verdicts are taken;
-    find_partial_isometry compares their density matrices.  Then
-    modulation_norm(member, s) runs on every member of both ensembles.
+    Both ensembles must lie on one grid.  The two mixed states are compared
+    pointwise through their mixed Wigner fields (within field_tol) before any
+    verdicts are taken; find_partial_isometry compares their density
+    matrices.  Then modulation_norm(member, s) runs on every member of both
+    ensembles.
     """
-    grid = e1.grid
-    f1 = mixed_wigner(e1, grid)
-    f2 = mixed_wigner(e2, grid)
+    if e2.grid != e1.grid:
+        raise ValueError("closure check: the ensembles are on different grids")
+    f1 = mixed_wigner(e1)
+    f2 = mixed_wigner(e2)
     field_residual = float(np.abs(f1.values - f2.values).max())
     if field_residual > field_tol:
         raise CheckError(
             f"mixed Wigner fields differ by {field_residual:.3e} (> {field_tol:.1e})"
         )
-    v1 = tuple(modulation_norm(st, s, grid).verdict for st, _ in e1.members)
-    v2 = tuple(modulation_norm(st, s, grid).verdict for st, _ in e2.members)
+    v1 = tuple(modulation_norm(st, s).verdict for st, _ in e1.members)
+    v2 = tuple(modulation_norm(st, s).verdict for st, _ in e2.members)
     inconclusive = "inconclusive" in v1 or "inconclusive" in v2
     all1 = all(v == "convergent" for v in v1)
     all2 = all(v == "convergent" for v in v2)

@@ -291,7 +291,7 @@ def catalog_state(spec: str, grid: PhaseSpaceGrid) -> SampledState:
     ``file:path`` (CSV with header x,re,im sampled on the same grid).
     Analytic states are renormalized to unit trapezoid norm on construction;
     file samples keep their raw normalization, and a file whose trapezoid
-    norm overflows is refused.
+    norm is 0 or overflows is refused.
     """
     if not isinstance(spec, str) or not spec:
         raise ValueError(f"bad state descriptor {spec!r}")
@@ -359,6 +359,8 @@ def catalog_state(spec: str, grid: PhaseSpaceGrid) -> SampledState:
             nrm = trapezoid_norm(fvals, grid)
         if not math.isfinite(nrm):
             raise ValueError(f"{path}: the state's norm overflows on this grid")
+        if nrm == 0.0:
+            raise ValueError(f"{path}: the state has zero norm on this grid")
         return SampledState(grid, fvals, spec)
 
     raise ValueError(f"unknown state descriptor {spec!r}")
@@ -389,14 +391,6 @@ class PhaseSpaceField:
             raise ValueError(f"values shape {vals.shape} does not match ({n}, {n // 2})")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    @property
-    def p_axis(self) -> np.ndarray:
-        return self.grid.wigner_p_points()
-
-    @property
-    def x_axis(self) -> np.ndarray:
-        return self.grid.x_points()
 
 
 def field_integral(field: PhaseSpaceField) -> complex:

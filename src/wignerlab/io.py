@@ -1,8 +1,8 @@
 """Artifact serialization: deterministic JSON, field CSV, ensemble files.
 
 JSON output is byte-deterministic: keys are sorted, floats are printed with
-17 significant digits, complex values as [re, im] pairs, and no whitespace
-depends on the environment.
+17 significant digits, complex values as [re, im] pairs, tuples and arrays
+as lists, and no whitespace depends on the environment.
 """
 
 from __future__ import annotations
@@ -16,17 +16,12 @@ import numpy as np
 
 from .ensemble import Ensemble
 from .grid import PhaseSpaceField, PhaseSpaceGrid, catalog_state
-from .modspace import WeightedNormReport
-from .moments import CovarianceReport, MarginalReport
 
 __all__ = [
     "canonical_json",
     "write_json",
     "write_field_csv",
     "field_metadata",
-    "norm_report_to_dict",
-    "covariance_report_to_dict",
-    "marginal_report_to_dict",
     "write_marginal_csv",
     "load_ensemble_json",
 ]
@@ -95,10 +90,10 @@ def write_field_csv(path: str, field: PhaseSpaceField) -> None:
     """
     values = field.values
     is_complex = np.iscomplexobj(values)
-    ps = [f"{p:.17g}" for p in field.p_axis.tolist()]
+    ps = [f"{p:.17g}" for p in field.grid.wigner_p_points().tolist()]
     with open(path, "w", newline="") as fh:
         fh.write("x,p,re,im\r\n" if is_complex else "x,p,value\r\n")
-        for xv, row in zip(field.x_axis.tolist(), values):
+        for xv, row in zip(field.grid.x_points().tolist(), values):
             xs = f"{xv:.17g}"
             if is_complex:
                 lines = [
@@ -107,35 +102,6 @@ def write_field_csv(path: str, field: PhaseSpaceField) -> None:
             else:
                 lines = [f"{xs},{p},{v:.17g}\r\n" for p, v in zip(ps, row.tolist())]
             fh.write("".join(lines))
-
-
-def norm_report_to_dict(report: WeightedNormReport) -> dict:
-    return {
-        "s": report.s,
-        "window": report.window_label,
-        "partials": [[cut, value] for cut, value in report.partial_norms],
-        "growth_exponent": report.growth_exponent,
-        "verdict": report.verdict,
-    }
-
-
-def covariance_report_to_dict(report: CovarianceReport) -> dict:
-    return {
-        "mean": list(report.mean),
-        "sigma": [list(row) for row in report.sigma],
-        "second_moments_fd": [list(row) for row in report.second_moments_fd],
-        "residual": report.residual,
-        "fd_step_change": report.fd_step_change,
-        "flags": list(report.flags),
-    }
-
-
-def marginal_report_to_dict(report: MarginalReport) -> dict:
-    return {
-        "x_residual": report.x_residual,
-        "p_residual": report.p_residual,
-        "norm_residual": report.norm_residual,
-    }
 
 
 def write_marginal_csv(path: str, axis_name: str, axis: np.ndarray, values: np.ndarray) -> None:

@@ -55,8 +55,8 @@ class WeightedNormReport:
     """
 
     s: float
-    window_label: str
-    partial_norms: tuple[tuple[float, float], ...]
+    window: str
+    partials: tuple[tuple[float, float], ...]
     verdict: str
     growth_exponent: float
 
@@ -197,20 +197,19 @@ def _ladder_report(
     blocks: Iterable[tuple[slice, np.ndarray]],
     grid: PhaseSpaceGrid,
     s: float,
-    window_label: str,
+    window: str,
     tail_tol: float,
     growth_threshold: float,
 ) -> WeightedNormReport:
     cuts = cutoff_ladder(grid)
     partials = tuple(zip(cuts, _ladder(blocks, grid, s, cuts)))
     verdict, growth = _fit_verdict(partials, tail_tol, growth_threshold)
-    return WeightedNormReport(float(s), window_label, partials, verdict, growth)
+    return WeightedNormReport(float(s), window, partials, verdict, growth)
 
 
 def modulation_norm(
     psi: SampledState,
     s: float,
-    grid: PhaseSpaceGrid,
     window: str | SampledState = "hermite:0",
     tail_tol: float = 1e-3,
     growth_threshold: float = 0.5,
@@ -218,21 +217,20 @@ def modulation_norm(
     """Partial weighted norms of the cross-Wigner transform against a window.
 
     The window is a catalog descriptor, by default the ground Gaussian, or a
-    state already sampled on the grid; any nonzero window distinguishes the
+    state already sampled on psi's grid; any nonzero window distinguishes the
     same class of states, only the values change.
     """
     if s < 0:
         raise ValueError(f"weight exponent s must be >= 0, got {s}")
     if isinstance(window, str):
-        window = catalog_state(window, grid)
+        window = catalog_state(window, psi.grid)
     # The cross field's blocks go straight into the ladder; no field is built.
-    blocks = _wigner_blocks(((1.0, psi, window),), grid, real=False)
-    return _ladder_report(blocks, grid, s, window.label, tail_tol, growth_threshold)
+    blocks = _wigner_blocks(((1.0, psi, window),), real=False)
+    return _ladder_report(blocks, psi.grid, s, window.label, tail_tol, growth_threshold)
 
 
 def feichtinger_diagnostic(
     psi: SampledState,
-    grid: PhaseSpaceGrid,
     tail_tol: float = 1e-3,
     growth_threshold: float = 0.5,
 ) -> WeightedNormReport:
@@ -249,17 +247,18 @@ def feichtinger_diagnostic(
         raise ValueError(
             f"diagnostic requires a unit-norm state, got norm {nrm:.8f} for {psi.label}"
         )
-    blocks = _wigner_blocks(((1.0, psi, psi),), grid, real=True)
-    return _ladder_report(blocks, grid, 0.0, "self", tail_tol, growth_threshold)
+    blocks = _wigner_blocks(((1.0, psi, psi),), real=True)
+    return _ladder_report(blocks, psi.grid, 0.0, "self", tail_tol, growth_threshold)
 
 
-def diagnostic_grid_warning(psi: SampledState, grid: PhaseSpaceGrid) -> str | None:
+def diagnostic_grid_warning(psi: SampledState) -> str | None:
     """Warn when the momentum band is too narrow to trust a divergence verdict.
 
     Divergence shows up over decades of p; the band must reach well past the
     reciprocal support scale.  Returns a message, or None if the grid is
     adequate.
     """
+    grid = psi.grid
     mags = np.abs(psi.values)
     nz = np.flatnonzero(mags > 1e-8 * mags.max())
     width = (nz[-1] - nz[0] + 1) * grid.dx if nz.size else grid.dx

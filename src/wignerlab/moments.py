@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -115,8 +115,10 @@ def marginals(rho_field: PhaseSpaceField, reference: Ensemble) -> MarginalReport
     is refused.
     """
     grid = rho_field.grid
+    if reference.grid != grid:
+        raise ValueError("marginals: field and ensemble are on different grids")
     for state, _ in reference.members:
-        report = feichtinger_diagnostic(state, grid)
+        report = feichtinger_diagnostic(state)
         if report.verdict != "convergent":
             raise DivergingStateError(
                 f"member {state.label!r} has verdict {report.verdict!r}; "
@@ -142,10 +144,8 @@ def marginals(rho_field: PhaseSpaceField, reference: Ensemble) -> MarginalReport
     return MarginalReport(x_marginal, p_marginal, x_residual, p_residual, float(norm_residual))
 
 
-def _require_convergent_s2(
-    s_verdict: Union[WeightedNormReport, Iterable[WeightedNormReport]],
-) -> None:
-    reports = [s_verdict] if isinstance(s_verdict, WeightedNormReport) else list(s_verdict)
+def _require_convergent_s2(s_verdict: Iterable[WeightedNormReport]) -> None:
+    reports = list(s_verdict)
     if not reports:
         raise DivergingStateError("covariance requires at least one s >= 2 verdict")
     for rep in reports:
@@ -156,7 +156,7 @@ def _require_convergent_s2(
         if rep.verdict != "convergent":
             raise DivergingStateError(
                 f"covariance refused: verdict {rep.verdict!r} for window "
-                f"{rep.window_label!r} (convergent s >= 2 required)"
+                f"{rep.window!r} (convergent s >= 2 required)"
             )
 
 
@@ -187,7 +187,7 @@ def _quadratures(
 
 def covariance(
     rho_field: PhaseSpaceField,
-    s_verdict: Union[WeightedNormReport, Iterable[WeightedNormReport]],
+    s_verdict: Iterable[WeightedNormReport],
     route_tol: float = 1e-3,
 ) -> CovarianceReport:
     """Mean vector and covariance matrix of a normalized phase-space field.
@@ -200,8 +200,8 @@ def covariance(
     """
     _require_convergent_s2(s_verdict)
     grid = rho_field.grid
-    x = rho_field.x_axis[:, None]
-    p = rho_field.p_axis[None, :]
+    x = grid.x_points()[:, None]
+    p = grid.wigner_p_points()[None, :]
 
     mean_x, mean_p, xx, xp, pp = _quadratures(
         rho_field,

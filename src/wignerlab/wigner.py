@@ -48,7 +48,6 @@ def _padded_windows(values: np.ndarray, weight: float = 1.0) -> np.ndarray:
 
 def _wigner_blocks(
     pairs: Sequence[tuple[float, SampledState, SampledState]],
-    grid: PhaseSpaceGrid,
     real: bool,
     out: np.ndarray | None = None,
 ) -> Iterator[tuple[slice, np.ndarray]]:
@@ -59,7 +58,8 @@ def _wigner_blocks(
     stored in FFT order (m = 0 .. n/2, then 1-n/2 .. -1), so a mixture costs
     one FFT per row block whatever the number of pairs.  The transform is
     periodic in p with period n/2 * dp; the even FFT bins, centered, are its
-    central alias-free period p_i = (i - n/4) * dp.
+    central alias-free period p_i = (i - n/4) * dp.  Every state must lie
+    on the grid of the first, which is the field's grid.
 
     real=True gives the real part as float64 and raises CheckError, after
     the last block, when the imaginary part exceeds 1e-10 of the largest
@@ -69,9 +69,10 @@ def _wigner_blocks(
     The rows come in the blocks of grid._row_blocks; every blocking gives
     the same bits.
     """
+    grid = pairs[0][1].grid
     for _, psi, phi in pairs:
         if psi.grid != grid or phi.grid != grid:
-            raise ValueError("cross_wigner: states are not sampled on this grid (n, L and hbar)")
+            raise ValueError("wigner: states are not sampled on one grid (n, L and hbar)")
     n = grid.n_points
     h, q = n // 2, n // 4
     # Column h + m of row j holds w * psi[j + m] and conj(phi[j - m]).
@@ -115,14 +116,13 @@ def _wigner_blocks(
 
 
 def _wigner_kernel(
-    pairs: Sequence[tuple[float, SampledState, SampledState]],
-    grid: PhaseSpaceGrid,
-    real: bool,
+    pairs: Sequence[tuple[float, SampledState, SampledState]], real: bool
 ) -> PhaseSpaceField:
     """The field sum_r w_r * W(psi_r, phi_r), every block of _wigner_blocks in its rows."""
+    grid = pairs[0][1].grid
     n = grid.n_points
     out = np.empty((n, n // 2), dtype=np.float64 if real else np.complex128)
-    for _ in _wigner_blocks(pairs, grid, real, out):
+    for _ in _wigner_blocks(pairs, real, out):
         pass
     # Frozen and owning its data, out is taken over by the field, not copied.
     out.flags.writeable = False
@@ -140,24 +140,26 @@ def cross_wigner(
     with y restricted to even multiples of dx so that both arguments stay on
     the grid.  Out-of-range samples are treated as 0 (compact-support
     embedding, no periodic wraparound).  See docs/conventions.md for the
-    lattice and the FFT order of the slices.
+    lattice and the FFT order of the slices.  Both states must lie on grid.
     """
-    return _wigner_kernel(((1.0, psi, phi),), grid, real=False)
+    if psi.grid != grid:
+        raise ValueError("cross_wigner: states are not sampled on this grid (n, L and hbar)")
+    return _wigner_kernel(((1.0, psi, phi),), real=False)
 
 
-def wigner(psi: SampledState, grid: PhaseSpaceGrid) -> PhaseSpaceField:
+def wigner(psi: SampledState) -> PhaseSpaceField:
     """Wigner transform: the diagonal cross-Wigner, returned real-valued."""
-    return _wigner_kernel(((1.0, psi, psi),), grid, real=True)
+    return _wigner_kernel(((1.0, psi, psi),), real=True)
 
 
-def mixed_wigner(ensemble: Ensemble, grid: PhaseSpaceGrid) -> PhaseSpaceField:
+def mixed_wigner(ensemble: Ensemble) -> PhaseSpaceField:
     """Wigner transform of the mixture, sum_j w_j * W(psi_j), real-valued.
 
     The members' weighted slices are summed before each row block's FFT,
     so no member field is built.
     """
     members = tuple((weight, state, state) for state, weight in ensemble.members)
-    return _wigner_kernel(members, grid, real=True)
+    return _wigner_kernel(members, real=True)
 
 
 def overlap_identity_check(

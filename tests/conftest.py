@@ -57,7 +57,7 @@ def eigen_pair_1024(g1024):
 
 @pytest.fixture(scope="session")
 def mix_field_1024(g1024, eigen_pair_1024):
-    return mixed_wigner(eigen_pair_1024, g1024)
+    return mixed_wigner(eigen_pair_1024)
 
 
 @pytest.fixture(scope="session")
@@ -65,6 +65,6 @@ def cov_inputs_sr2048(sr2048):
     h0 = catalog_state("hermite:0", sr2048)
     h1 = catalog_state("hermite:1", sr2048)
     ens = Ensemble(((h0, 0.5), (h1, 0.5)), "pair:eigen")
-    verdicts = [modulation_norm(st, 2.0, sr2048) for st, _ in ens.members]
-    field = mixed_wigner(ens, sr2048)
+    verdicts = [modulation_norm(st, 2.0) for st, _ in ens.members]
+    field = mixed_wigner(ens)
     return ens, field, verdicts

@@ -40,14 +40,14 @@ def quartet_fields_g51(g51):
 def wide_box_report():
     grid = make_grid(4096, 2048.0 / 151.0, 1.0)
     box = catalog_state("box:-0.5:0.5", grid)
-    return feichtinger_diagnostic(box, grid)
+    return feichtinger_diagnostic(box)
 
 
 def test_ground_state_wigner_matches_gaussian(g512):
     h0 = catalog_state("hermite:0", g512)
-    field = wigner(h0, g512)
-    x = field.x_axis[:, None]
-    p = field.p_axis[None, :]
+    field = wigner(h0)
+    x = field.grid.x_points()[:, None]
+    p = field.grid.wigner_p_points()[None, :]
     exact = np.exp(-(x**2) - p**2) / math.pi
     err = float(np.abs(field.values - exact).max())
     print(f"ground-state max abs error {err:.3e} (tol 1e-08)")
@@ -56,9 +56,9 @@ def test_ground_state_wigner_matches_gaussian(g512):
 
 def test_first_excited_wigner_matches_laguerre_form(g512):
     h1 = catalog_state("hermite:1", g512)
-    field = wigner(h1, g512)
-    x = field.x_axis[:, None]
-    p = field.p_axis[None, :]
+    field = wigner(h1)
+    x = field.grid.x_points()[:, None]
+    p = field.grid.wigner_p_points()[None, :]
     r2 = x**2 + p**2
     exact = np.exp(-r2) * (2.0 * r2 - 1.0) / math.pi
     err = float(np.abs(field.values - exact).max())
@@ -112,7 +112,7 @@ def test_box_state_divergence_rate_window(wide_box_report):
     [0.30, 0.70].  The quadrature oracle is tied to the same closed form.
     """
     report = wide_box_report
-    values = [v for _, v in report.partial_norms]
+    values = [v for _, v in report.partials]
     increments = np.diff(values) / math.log(2.0)
     c = float(increments.mean())
     oracle = brute_force_octave_rate()
@@ -135,7 +135,7 @@ def test_pair_mixture_marginals_match_closed_forms(g1024, eigen_pair_1024, mix_f
     total = float(np.sum(w * report.x_marginal) * g1024.dx)
     x = g1024.x_points()
     closed_x = 0.5 * np.exp(-(x**2)) * (1.0 + 2.0 * x**2) / math.sqrt(math.pi)
-    p = mix_field_1024.p_axis
+    p = mix_field_1024.grid.wigner_p_points()
     closed_p = 0.5 * np.exp(-(p**2)) * (1.0 + 2.0 * p**2) / math.sqrt(math.pi)
     err_x = float(np.abs(report.x_marginal - closed_x).max())
     err_p = float(np.abs(report.p_marginal - closed_p).max())
@@ -179,8 +179,8 @@ def test_cross_wigner_integral_matches_overlap(g51, quartet_fields_g51):
 
 def test_fourier_rotates_field_and_scaling_maps_covariance(sr1024, sr2048):
     h1 = catalog_state("hermite:1", sr1024)
-    base = wigner(h1, sr1024).values
-    rotated = wigner(apply_metaplectic(h1, "fourier"), sr1024).values
+    base = wigner(h1).values
+    rotated = wigner(apply_metaplectic(h1, "fourier")).values
     n = sr1024.n_points
     rows = np.arange(n // 4, 3 * n // 4)
     cols = np.arange(n // 2)
@@ -190,10 +190,8 @@ def test_fourier_rotates_field_and_scaling_maps_covariance(sr1024, sr2048):
 
     h0 = catalog_state("hermite:0", sr2048)
     scaled = apply_metaplectic(h0, "scale:2")
-    sigma = covariance(wigner(h0, sr2048), modulation_norm(h0, 2.0, sr2048)).sigma
-    sigma_scaled = covariance(
-        wigner(scaled, sr2048), modulation_norm(scaled, 2.0, sr2048)
-    ).sigma
+    sigma = covariance(wigner(h0), [modulation_norm(h0, 2.0)]).sigma
+    sigma_scaled = covariance(wigner(scaled), [modulation_norm(scaled, 2.0)]).sigma
     xx_gap = abs(sigma_scaled[0, 0] - 4.0 * sigma[0, 0])
     print(
         f"rotation error {rot_err:.3e} (tol 1e-06), far rows {outside:.3e}, "
@@ -260,11 +258,11 @@ def test_spectral_round_trip_recovers_density(g1024):
 
 def test_mixed_fields_agree_and_members_convergent(g512, hadamard_pair_512):
     e1, e2 = hadamard_pair_512
-    f1 = mixed_wigner(e1, g512)
-    f2 = mixed_wigner(e2, g512)
+    f1 = mixed_wigner(e1)
+    f2 = mixed_wigner(e2)
     field_gap = float(np.abs(f1.values - f2.values).max())
     verdicts = [
-        modulation_norm(st, 0.0, g512).verdict
+        modulation_norm(st, 0.0).verdict
         for ens in (e1, e2)
         for st, _ in ens.members
     ]

@@ -372,6 +372,21 @@ def test_state_file_whose_norm_overflows_is_usage_error(tmp_path, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["wigner", "cross-wigner", "modnorm", "diagnose"])
+def test_state_file_of_zero_norm_is_usage_error(tmp_path, capsys, command):
+    # An all-zero state gave an all-zero field and a "convergent" modnorm verdict.
+    grid = make_grid(64, 8.0)
+    path = tmp_path / "zero.csv"
+    write_state_csv(str(path), grid.x_points(), np.zeros(64))
+    state = f"file:{path}"
+    second = {"cross-wigner": ["--state2", state], "modnorm": ["--s", "2"]}
+    out = tmp_path / "out"
+    argv = [command, "--state", state, *second.get(command, []), "--grid-n", "64", "--grid-l", "8"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"{path}: the state has zero norm" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reproduce_unknown_scenario():
     assert main(["reproduce", "prop9"]) == 2
 
@@ -475,7 +490,7 @@ def test_mixed_wigner_makes_one_kernel_pass(monkeypatch):
     ens = Ensemble(tuple(zip(states, (0.5, 0.3, 0.2))), "three")
     crosses = count_calls(monkeypatch, cross_wigner)
     diagonals = count_calls(monkeypatch, wigner)
-    mixed_wigner(ens, grid)
+    mixed_wigner(ens)
     assert crosses == [] and diagonals == []
 
 

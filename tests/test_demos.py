@@ -1,5 +1,6 @@
 import glob
 import os
+import re
 import subprocess
 import sys
 
@@ -22,3 +23,11 @@ def test_demo_runs(demo, tmp_path):
         [sys.executable, demo], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs(capsys):
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        section = fh.read().split("## Quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "convergent\n"

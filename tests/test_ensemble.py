@@ -153,14 +153,11 @@ def test_spectral_ensemble_of_pure_state(g512):
 
 def test_mixed_wigner_is_weighted_sum(g512, hadamard_pair_512):
     e1, _ = hadamard_pair_512
-    field = mixed_wigner(e1, g512)
+    field = mixed_wigner(e1)
     total = np.zeros_like(field.values)
     for state, weight in e1.members:
-        total += weight * wigner(state, g512).values
+        total += weight * wigner(state).values
     np.testing.assert_allclose(field.values, total, atol=1e-15)
-    other = make_grid(512, 9.0)
-    with pytest.raises(ValueError):
-        mixed_wigner(e1, other)
 
 
 def test_closure_check_on_equivalent_pair(g512, hadamard_pair_512):
@@ -181,6 +178,14 @@ def test_closure_check_rejects_unequal_densities(g512):
     # Unequal mixtures have unequal fields, so the field check refuses them.
     with pytest.raises(CheckError, match="mixed Wigner fields differ"):
         feichtinger_closure_check(e1, e2)
+
+
+def test_closure_check_refuses_ensembles_on_two_grids(hadamard_pair_512):
+    # Equal n, so without the check the two fields would be compared entrywise.
+    e1, _ = hadamard_pair_512
+    h0 = catalog_state("hermite:0", make_grid(512, 9.0))
+    with pytest.raises(ValueError, match="different grids"):
+        feichtinger_closure_check(e1, Ensemble(((h0, 1.0),), "other grid"))
 
 
 def test_seeded_combination_round_trip(g1024):

@@ -11,11 +11,8 @@ from hypothesis import strategies as st
 from wignerlab.grid import PhaseSpaceField, catalog_state, make_grid, write_state_csv
 from wignerlab.io import (
     canonical_json,
-    covariance_report_to_dict,
     field_metadata,
     load_ensemble_json,
-    marginal_report_to_dict,
-    norm_report_to_dict,
     write_field_csv,
     write_json,
     write_marginal_csv,
@@ -87,14 +84,14 @@ def _read_field_csv(path, field):
 
 def test_real_field_csv_round_trip(tmp_path, g512):
     h0 = catalog_state("hermite:0", g512)
-    field = wigner(h0, g512)
+    field = wigner(h0)
     path = str(tmp_path / "field.csv")
     write_field_csv(path, field)
     header = open(path).readline().strip()
     assert header == "x,p,value"
     x, p, values = _read_field_csv(path, field)
-    np.testing.assert_array_equal(x, np.repeat(field.x_axis, 256))
-    np.testing.assert_array_equal(p, np.tile(field.p_axis, 512))
+    np.testing.assert_array_equal(x, np.repeat(field.grid.x_points(), 256))
+    np.testing.assert_array_equal(p, np.tile(field.grid.wigner_p_points(), 512))
     np.testing.assert_array_equal(values, field.values)
 
 
@@ -113,7 +110,7 @@ def test_complex_field_csv_round_trip(tmp_path, g512):
 
 def test_field_metadata_keys(g512):
     h0 = catalog_state("hermite:0", g512)
-    field = wigner(h0, g512)
+    field = wigner(h0)
     meta = field_metadata(field)
     assert meta["n"] == 512
     assert meta["hbar"] == 1.0
@@ -122,16 +119,20 @@ def test_field_metadata_keys(g512):
 
 
 def test_report_dicts_serialize(g512, eigen_pair_1024, mix_field_1024):
+    # The report field names are the artifact keys.
     h0 = catalog_state("hermite:0", g512)
-    norm_report = modulation_norm(h0, 2.0, g512)
-    doc = norm_report_to_dict(norm_report)
+    norm_report = modulation_norm(h0, 2.0)
+    doc = vars(norm_report)
+    assert set(doc) == {"s", "window", "partials", "verdict", "growth_exponent"}
     assert doc["verdict"] == "convergent"
     assert doc["s"] == 2.0
     assert len(doc["partials"]) == 4
-    cov_report = covariance(wigner(h0, g512), norm_report)
-    cov_doc = covariance_report_to_dict(cov_report)
+    cov_doc = vars(covariance(wigner(h0), [norm_report]))
+    assert set(cov_doc) == {
+        "mean", "sigma", "second_moments_fd", "residual", "fd_step_change", "flags"
+    }
     assert len(cov_doc["sigma"]) == 2
-    marg_doc = marginal_report_to_dict(marginals(mix_field_1024, eigen_pair_1024))
+    marg_doc = vars(marginals(mix_field_1024, eigen_pair_1024))
     assert canonical_json({"a": doc, "b": cov_doc, "c": marg_doc})
 
 
@@ -187,8 +188,8 @@ def csv_writer_oracle(path, header, rows):
 
 
 def field_rows(field):
-    for xv, row in zip(field.x_axis, field.values):
-        for pv, v in zip(field.p_axis, row):
+    for xv, row in zip(field.grid.x_points(), field.values):
+        for pv, v in zip(field.grid.wigner_p_points(), row):
             yield (xv, pv, v.real, v.imag) if np.iscomplexobj(row) else (xv, pv, v)
 
 

@@ -35,17 +35,17 @@ def test_covariance_requires_convergent_s2(cov_inputs_sr2048):
     with pytest.raises(DivergingStateError):
         covariance(field, [])
     with pytest.raises(DivergingStateError):
-        covariance(field, make_report(1.5, "convergent"))
+        covariance(field, [make_report(1.5, "convergent")])
     with pytest.raises(DivergingStateError):
-        covariance(field, make_report(2.0, "inconclusive"))
+        covariance(field, [make_report(2.0, "inconclusive")])
     with pytest.raises(DivergingStateError):
         covariance(field, [make_report(2.0, "convergent"), make_report(2.0, "diverging")])
 
 
 def test_oscillator_eigenstate_covariances(sr2048, cov_inputs_sr2048):
     h0 = catalog_state("hermite:0", sr2048)
-    field = wigner(h0, sr2048)
-    report = covariance(field, modulation_norm(h0, 2.0, sr2048))
+    field = wigner(h0)
+    report = covariance(field, [modulation_norm(h0, 2.0)])
     np.testing.assert_allclose(report.sigma, 0.5 * np.eye(2), atol=1e-10)
     np.testing.assert_allclose(report.mean, [0.0, 0.0], atol=1e-10)
     assert report.flags == ()
@@ -72,8 +72,8 @@ def test_mean_tracks_displacement(g512):
     x = g512.x_points()
     vals = np.pi ** (-0.25) * np.exp(-0.5 * (x - 1.0) ** 2)
     shifted = SampledState(g512, vals, "shifted-gaussian")
-    field = wigner(shifted, g512)
-    report = covariance(field, modulation_norm(shifted, 2.0, g512))
+    field = wigner(shifted)
+    report = covariance(field, [modulation_norm(shifted, 2.0)])
     np.testing.assert_allclose(report.mean, [1.0, 0.0], atol=1e-8)
     np.testing.assert_allclose(report.sigma, 0.5 * np.eye(2), atol=1e-8)
 
@@ -106,9 +106,17 @@ def test_marginals_match_member_densities(g1024, eigen_pair_1024, mix_field_1024
 def test_marginals_refuse_nonintegrable_members(g1024):
     box = catalog_state("box:-0.5:0.5", g1024)
     ens = Ensemble(((box, 1.0),), "box-only")
-    field = mixed_wigner(ens, g1024)
+    field = mixed_wigner(ens)
     with pytest.raises(DivergingStateError):
         marginals(field, ens)
+
+
+def test_marginals_refuse_a_reference_on_another_grid(eigen_pair_1024):
+    # Equal n, so without the check the densities would be compared entrywise.
+    other = make_grid(1024, 11.0)
+    field = mixed_wigner(Ensemble(((catalog_state("hermite:0", other), 1.0),), "other"))
+    with pytest.raises(ValueError, match="different grids"):
+        marginals(field, eigen_pair_1024)
 
 
 def test_characteristic_function_normalization(cov_inputs_sr2048, sr2048):
@@ -201,8 +209,8 @@ def covariance_oracle(field, route_tol=1e-3):
     """covariance by whole-array quadrature and the full centered FFT of the field."""
     grid = field.grid
     n = grid.n_points
-    x = field.x_axis[:, None]
-    p = field.p_axis[None, :]
+    x = field.grid.x_points()[:, None]
+    p = field.grid.wigner_p_points()[None, :]
     wx = trapezoid_weights(n)[:, None]
     dens = field.values.real * wx
     dz = grid.dx * grid.dp
@@ -270,14 +278,14 @@ def test_row_blocked_covariance_matches_whole_array_quadrature(
             states.append(SampledState(grid, vals / state_norm(raw_state), f"random{k}"))
         weights = rng.random(members) + 0.1
         ens = Ensemble(tuple(zip(states, weights / weights.sum())), "random-mixture")
-        field = mixed_wigner(ens, grid)
+        field = mixed_wigner(ens)
     else:
         # Any real field, sparse and with zeros of both signs.
         values = rng.standard_normal((n, n // 2))
         values[rng.random((n, n // 2)) >= density] = 0.0
         values[(values == 0) & (rng.random((n, n // 2)) < 0.5)] = -0.0
         field = PhaseSpaceField(grid, values)
-    report = covariance(field, make_report(2.0, "convergent"))
+    report = covariance(field, [make_report(2.0, "convergent")])
     mean, sigma, fd_h, residual, fd_step_change, flags = covariance_oracle(field)
     assert report.mean.tobytes() == mean.tobytes()
     assert report.sigma.tobytes() == sigma.tobytes()

@@ -106,7 +106,7 @@ def test_row_sums_reproduce_pointwise_overlap(g512):
 
 def test_wigner_is_real_and_labels_carry_sources(g512):
     h1 = catalog_state("hermite:1", g512)
-    result = wigner(h1, g512)
+    result = wigner(h1)
     assert result.values.dtype == np.float64
     assert result.grid.hbar == 1.0
     assert result.values.tobytes() == cross_wigner(h1, h1, g512).values.real.tobytes()
@@ -117,7 +117,7 @@ def test_real_field_refuses_an_imaginary_part(g512):
     h0 = catalog_state("hermite:0", g512)
     h1 = catalog_state("hermite:1", g512)
     with row_blocks_of(77), pytest.raises(CheckError, match="imaginary part"):
-        _wigner_kernel(((1.0, h0, h1),), g512, real=True)
+        _wigner_kernel(((1.0, h0, h1),), real=True)
 
 
 def test_cross_wigner_hermiticity(g512):
@@ -135,11 +135,11 @@ def test_row_blocks_are_bitwise_identical(g512):
     box = catalog_state("box:-0.5:0.5", g512)
     with row_blocks_of(512):
         reference = cross_wigner(h1, box, g512).values
-        diagonal = wigner(box, g512).values
+        diagonal = wigner(box).values
     for block in (1, 64, 137, 256):
         with row_blocks_of(block):
             np.testing.assert_array_equal(cross_wigner(h1, box, g512).values, reference)
-            np.testing.assert_array_equal(wigner(box, g512).values, diagonal)
+            np.testing.assert_array_equal(wigner(box).values, diagonal)
 
 
 @settings(max_examples=60, deadline=None)
@@ -174,10 +174,10 @@ def test_row_sums_are_pointwise_products(pair):
 @given(random_mixtures())
 def test_mixture_is_weighted_sum_of_member_fields(mixture):
     grid, ens = mixture
-    fields = [(weight, wigner(state, grid).values) for state, weight in ens.members]
+    fields = [(weight, wigner(state).values) for state, weight in ens.members]
     expected = sum(weight * values for weight, values in fields)
     scale = sum(weight * np.abs(values).max() for weight, values in fields)
-    field = mixed_wigner(ens, grid)
+    field = mixed_wigner(ens)
     assert field.values.dtype == np.float64
     np.testing.assert_allclose(field.values, expected, rtol=0, atol=1e-13 * scale)
 
@@ -187,8 +187,8 @@ def test_mixture_is_weighted_sum_of_member_fields(mixture):
 def test_one_member_mixture_is_the_wigner_field(mixture):
     grid, ens = mixture
     state = ens.members[0][0]
-    single = mixed_wigner(Ensemble(((state, 1.0),), "single"), grid)
-    assert single.values.tobytes() == wigner(state, grid).values.tobytes()
+    single = mixed_wigner(Ensemble(((state, 1.0),), "single"))
+    assert single.values.tobytes() == wigner(state).values.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -196,13 +196,13 @@ def test_one_member_mixture_is_the_wigner_field(mixture):
 def test_mixed_row_blocks_are_bitwise_identical(mixture, data):
     grid, ens = mixture
     with row_blocks_of(data.draw(st.integers(1, grid.n_points))):
-        blocked = mixed_wigner(ens, grid)
-    assert blocked.values.tobytes() == mixed_wigner(ens, grid).values.tobytes()
+        blocked = mixed_wigner(ens)
+    assert blocked.values.tobytes() == mixed_wigner(ens).values.tobytes()
 
 
 def test_momentum_marginal_is_nonnegative(g512):
     h1 = catalog_state("hermite:1", g512)
-    field = wigner(h1, g512)
+    field = wigner(h1)
     w = trapezoid_weights(g512.n_points)[:, None]
     p_marginal = (w * field.values).sum(axis=0) * g512.dx
     assert p_marginal.min() >= -1e-15
@@ -303,8 +303,8 @@ def test_fourier_remaps_wigner_indices(sr1024):
     # must decay inside the grid in both domains; slow 1/x transform tails
     # wrap at the edges and break the permutation at the 1e-2 level.
     gauss = catalog_state("gaussian:2", sr1024)
-    base = wigner(gauss, sr1024).values
-    rotated = wigner(apply_metaplectic(gauss, "fourier"), sr1024).values
+    base = wigner(gauss).values
+    rotated = wigner(apply_metaplectic(gauss, "fourier")).values
     n = sr1024.n_points
     rows = np.arange(n // 4, 3 * n // 4)
     cols = np.arange(n // 2)
@@ -323,14 +323,14 @@ def test_cross_wigner_grid_mismatch(g512):
 
 def test_state_on_another_hbar_is_refused(g512):
     # The grid carries hbar: a state built at hbar = 2 on the same n and L
-    # lies off the hbar = 1 grid.
+    # lies off the hbar = 1 grid, so a pair of the two has no one grid.
     h0 = catalog_state("hermite:0", g512)
     other = catalog_state("hermite:0", make_grid(512, 10.0, 2.0))
     for psi, phi in ((other, h0), (h0, other)):
-        with pytest.raises(ValueError):
-            cross_wigner(psi, phi, g512)
-    with pytest.raises(ValueError):
-        mixed_wigner(Ensemble(((other, 1.0),), "hbar 2"), g512)
+        with pytest.raises(ValueError, match="not sampled on one grid"):
+            cross_wigner(psi, phi, psi.grid)
+        with pytest.raises(ValueError, match="not sampled on this grid"):
+            cross_wigner(psi, phi, phi.grid)
     with pytest.raises(ValueError, match="share one grid and hbar"):
         Ensemble(((h0, 0.5), (other, 0.5)), "two hbars")
 
@@ -347,7 +347,7 @@ def test_overlap_integral_over_field(g512):
 def test_wigner_peak_value(g512):
     # A unit Gaussian peaks at 1/pi at the origin of phase space.
     h0 = catalog_state("hermite:0", g512)
-    field = wigner(h0, g512)
+    field = wigner(h0)
     assert field.values.max() == pytest.approx(1.0 / math.pi, abs=1e-10)
     j0 = g512.n_points // 2
     i0 = g512.n_points // 4
