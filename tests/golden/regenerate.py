@@ -41,6 +41,11 @@ INVOCATIONS = {
     "cross-wigner": ["cross-wigner", "--state", "hermite:0", "--state2", "hermite:1", *SMALL],
     "marginals": ["marginals", "--ensemble", "inputs/trio.json", *SMALL],
     "moments": ["moments", "--ensemble", "inputs/trio.json", *SMALL],
+    "wigner-blocks": ["wigner", "--state", "hermite:3"],
+    "cross-wigner-blocks": [
+        "cross-wigner", "--state", "box:-1:1", "--state2", "hermite:2",
+        "--grid-n", "512", "--grid-l", "10",
+    ],
     "modnorm": ["modnorm", "--state", "box:-1:1", "--s", "1", *SMALL],
     "diagnose": ["diagnose", "--state", "hermite:0", *SMALL],
     "diagnose-coarse": ["diagnose", "--state", "box:-0.5:0.5", "--grid-n", "64", "--grid-l", "8"],
