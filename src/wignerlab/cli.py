@@ -34,9 +34,15 @@ from .grid import (
     hermite_combination,
     make_grid,
     make_self_reciprocal_grid,
+)
+from .io import (
+    field_metadata,
+    load_ensemble_json,
+    write_field_csv,
+    write_json,
+    write_marginal_csv,
     write_state_csv,
 )
-from .io import field_metadata, load_ensemble_json, write_field_csv, write_json, write_marginal_csv
 from .modspace import (
     WeightedNormReport,
     diagnostic_grid_warning,

@@ -30,7 +30,6 @@ __all__ = [
     "state_overlap",
     "field_integral",
     "read_state_csv",
-    "write_state_csv",
 ]
 
 
@@ -264,17 +263,6 @@ def read_state_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     if np.abs(steps - dx).max() > 1e-9 * abs(dx):
         raise ValueError(f"{path}: x spacing is not uniform")
     return x, np.asarray(res) + 1j * np.asarray(ims)
-
-
-def write_state_csv(path: str, x: np.ndarray, values: np.ndarray) -> None:
-    """State CSV: columns x,re,im, ``%.17g`` numbers, CRLF line ends."""
-    x = np.asarray(x, dtype=float).tolist()
-    values = np.asarray(values, dtype=complex).tolist()
-    with open(path, "w", newline="") as fh:
-        fh.write("x,re,im\r\n")
-        fh.write(
-            "".join([f"{xv:.17g},{v.real:.17g},{v.imag:.17g}\r\n" for xv, v in zip(x, values)])
-        )
 
 
 def _normalized(values: np.ndarray, grid: PhaseSpaceGrid, what: str) -> np.ndarray:

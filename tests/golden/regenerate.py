@@ -88,7 +88,8 @@ def fingerprint() -> dict:
 
 
 def _write_inputs() -> None:
-    from wignerlab.grid import hermite_combination, make_grid, write_state_csv
+    from wignerlab.grid import hermite_combination, make_grid
+    from wignerlab.io import write_state_csv
 
     os.makedirs("inputs")
     grid = make_grid(512, 10.0)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from wignerlab.cli import COMMANDS, FLAGS, TOL_DEFAULTS, RunConfig, main
 from wignerlab.ensemble import Ensemble
-from wignerlab.grid import catalog_state, make_grid, write_state_csv
+from wignerlab.grid import catalog_state, make_grid
+from wignerlab.io import write_state_csv
 
 from conftest import hermite_combination
 

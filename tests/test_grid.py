@@ -16,8 +16,8 @@ from wignerlab.grid import (
     state_norm,
     state_overlap,
     trapezoid_weights,
-    write_state_csv,
 )
+from wignerlab.io import write_state_csv
 
 
 def test_grid_rejects_bad_sizes():

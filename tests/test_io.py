@@ -8,14 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wignerlab.grid import PhaseSpaceField, catalog_state, make_grid, write_state_csv
+from wignerlab.grid import PhaseSpaceField, catalog_state, make_grid
 from wignerlab.io import (
+    _decimal17,
+    _number_text,
     canonical_json,
     field_metadata,
     load_ensemble_json,
     write_field_csv,
     write_json,
     write_marginal_csv,
+    write_state_csv,
 )
 from wignerlab.modspace import modulation_norm
 from wignerlab.moments import covariance, marginals
@@ -241,3 +244,43 @@ def test_csv_writers_match_csv_writer_oracle(n, half_width, data):
     pairs = data.draw(st.lists(st.tuples(numbers, numbers), min_size=m, max_size=m))
     axis, values = (np.array(c) for c in zip(*pairs))
     assert_writers_match_oracle(field, axis, values)
+
+
+def number_texts(values):
+    """The fast formatter's text of each value, NUL padding dropped."""
+    return [row[row != 0].tobytes().decode() for row in _number_text(values)]
+
+
+def assert_texts_match_format(values):
+    values = np.asarray(values, dtype=float)
+    assert number_texts(values) == [format(v, ".17g") for v in values.tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bits=st.lists(st.integers(0, 2**64 - 1), max_size=64),
+    floats=st.lists(st.floats(width=64), max_size=64),
+)
+def test_number_text_matches_format(bits, floats):
+    assert_texts_match_format(np.array(bits, dtype=np.uint64).view(np.float64))
+    assert_texts_match_format(floats)
+
+
+def test_number_text_matches_format_where_rounding_is_hard():
+    # Powers of ten and their neighbours straddle the log10 exponent guess
+    # and the ends of the fast range; 2251799813685247.75 is an exact
+    # decimal tie at 17 digits; rounded decimals end in zeros in every layout.
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    rng = np.random.default_rng(18)
+    digits = rng.integers(-(10**7), 10**7, 3000).astype(float)
+    shifts = 10.0 ** rng.integers(0, 8, 3000)
+    decimals = np.concatenate([digits / shifts, digits * shifts])
+    values = np.concatenate([
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        [5e-324, 2.5e-310, 0.0, -0.0, np.inf, -np.inf, np.nan],
+        [1e16, 99999999999999999.0, 2251799813685247.75],
+        decimals, decimals * 1e-6, np.exp(rng.uniform(-700.0, 700.0, 3000)),
+    ])
+    assert_texts_match_format(np.concatenate([values, -values]))
+    proved = _decimal17(values)[2]
+    assert proved.any() and not proved.all()

@@ -19,7 +19,7 @@ COUNTED = {
     "modspace": ("weighted_l1_norm",),
     "ensemble": ("project_to_basis",),
     "grid": ("catalog_state",),
-    "io": ("write_json", "write_field_csv", "write_marginal_csv"),
+    "io": ("write_json", "write_field_csv", "write_marginal_csv", "write_state_csv"),
 }
 
 
