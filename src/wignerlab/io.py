@@ -195,7 +195,8 @@ def _number_text(values: np.ndarray) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     flat = v.reshape(-1)
     digits, e, proved = _decimal17(flat)
-    # Floor division by a constant is fast in numpy; remainders are not.
+    # digits = lead·10^16 + four groups of four digits.  Floor division by a
+    # constant is fast in numpy; remainders are not.
     high = digits // 10**8
     low = digits - high * 10**8
     lead = high // 10**8
@@ -204,6 +205,7 @@ def _number_text(values: np.ndarray) -> np.ndarray:
     for j, half in ((0, high), (2, low)):
         groups[:, j] = quotient = half // 10**4
         groups[:, j + 1] = half - quotient * 10**4
+    # A group's trailing zeros count only when every later group is 0.
     trailing = t.zeros4[groups[:, 3]]
     for j, full in ((2, 4), (1, 8), (0, 12)):
         trailing += (trailing == full) * t.zeros4[groups[:, j]]
@@ -234,6 +236,7 @@ def _number_text(values: np.ndarray) -> np.ndarray:
         s = format(float(flat[i]), ".17g").encode()
         text[i] = 0
         text[i, : len(s)] = np.frombuffer(s, np.uint8)
+    # Bytes 29..31 are always NUL, and bytes 24..28 hold only an exponent.
     width = 24 if fixed.all() else 29
     return text[:, :width].reshape(*v.shape, width)
 
@@ -266,14 +269,15 @@ def write_field_csv(path: str, field: PhaseSpaceField) -> None:
     once; the values are formatted and written ROW_BLOCK x rows at a time.
     """
     values = field.values
-    parts = (np.real, np.imag) if np.iscomplexobj(values) else (np.asarray,)
+    is_complex = np.iscomplexobj(values)
     xs = _number_text(field.grid.x_points())[:, None]
     ps = _number_text(field.grid.wigner_p_points())
     with open(path, "wb") as fh:
-        fh.write(b"x,p,re,im\r\n" if len(parts) == 2 else b"x,p,value\r\n")
+        fh.write(b"x,p,re,im\r\n" if is_complex else b"x,p,value\r\n")
         for rows in _row_blocks(len(values)):
             block = values[rows]
-            fh.write(_csv_lines(xs[rows], ps, *(_number_text(part(block)) for part in parts)))
+            cells = (block.real, block.imag) if is_complex else (block,)
+            fh.write(_csv_lines(xs[rows], ps, *map(_number_text, cells)))
 
 
 def write_marginal_csv(path: str, axis_name: str, axis: np.ndarray, values: np.ndarray) -> None:

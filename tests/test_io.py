@@ -271,7 +271,7 @@ def test_number_text_matches_format_where_rounding_is_hard():
     # and the ends of the fast range; 2251799813685247.75 is an exact
     # decimal tie at 17 digits; rounded decimals end in zeros in every layout.
     powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
-    rng = np.random.default_rng(18)
+    rng = np.random.default_rng(5)
     digits = rng.integers(-(10**7), 10**7, 3000).astype(float)
     shifts = 10.0 ** rng.integers(0, 8, 3000)
     decimals = np.concatenate([digits / shifts, digits * shifts])
