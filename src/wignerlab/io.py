@@ -98,7 +98,7 @@ _TIE_MARGIN = 1e-6
 
 
 class _TextTables(NamedTuple):
-    powers: np.ndarray  # rows per e: 10^(16-e) as hi, hi's Veltkamp halves, and lo
+    powers: np.ndarray  # rows hi, hi's Veltkamp halves and lo of 10^(16-e), by e - _E_MIN
     digits4: np.ndarray  # "<u4" per 0..9999: its four ASCII digits in text order
     zeros4: np.ndarray  # trailing zeros of each four-digit group, 4 for 0
     prefixes: np.ndarray  # "<u8" per e = -4 .. 0: NUL, then "0.000" .. "0." or nothing
