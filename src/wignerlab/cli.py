@@ -9,11 +9,15 @@ codes: 0 success, 1 failed numerical check, 2 usage or file error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import functools
+import glob
 import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -528,7 +532,62 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Symbol names of numpy's bundled OpenBLAS: the scipy-openblas build (64-bit
+# integers, prefixed and suffixed names) first, then a plain OpenBLAS build.
+_OPENBLAS_SYMBOLS = ("scipy_openblas_{}64_", "openblas_{}")
+# The OpenBLAS functions used here: name -> (result type, argument types).
+_OPENBLAS_API = {
+    "get_num_threads": (ctypes.c_int, []),
+    "set_num_threads": (None, [ctypes.c_int]),
+    "get_corename": (ctypes.c_char_p, []),
+}
+
+
+@functools.cache
+def _openblas() -> dict[str, Callable] | None:
+    """The _OPENBLAS_API functions of numpy's bundled OpenBLAS, looked up once
+    per process; None when numpy carries no OpenBLAS with that API (MKL,
+    Accelerate, a system BLAS)."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for pattern in _OPENBLAS_SYMBOLS:
+            if all(hasattr(lib, pattern.format(name)) for name in _OPENBLAS_API):
+                api = {}
+                for name, (restype, argtypes) in _OPENBLAS_API.items():
+                    fn = api[name] = getattr(lib, pattern.format(name))
+                    fn.restype, fn.argtypes = restype, argtypes
+                return api
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the body on one OpenBLAS thread, then restore the process's count.
+
+    Every BLAS call in the package is a matrix-vector product of at most
+    1024 x 512, too small to gain from a helper thread, which would only spin
+    on the caller's CPU.  The thread count does not move any result's bits.
+    """
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    before = blas["get_num_threads"]()
+    blas["set_num_threads"](1)
+    try:
+        yield
+    finally:
+        blas["set_num_threads"](before)
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; return its exit code.
+
+    The command runs on one OpenBLAS thread, and the count in force before
+    is restored on every exit.  That count belongs to the whole process, so
+    main is not meant to be entered from two threads at once.
+    """
     try:
         ns, unread = build_parser().parse_known_args(argv)
     except SystemExit as exc:
@@ -537,7 +596,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {ns.command} does not take {' '.join(unread)}", file=sys.stderr)
         return 2
     try:
-        return COMMANDS[ns.command].run(ns, _config_from(ns))
+        with _one_blas_thread():
+            return COMMANDS[ns.command].run(ns, _config_from(ns))
     except CheckError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .grid import (
     CheckError,
     PhaseSpaceGrid,
     SampledState,
+    catalog_state,
     hermite_functions,
     state_norm,
     trapezoid_norm,
@@ -179,19 +181,30 @@ def hermite_basis(grid: PhaseSpaceGrid, dim: int) -> np.ndarray:
     return basis
 
 
+def _projections(
+    states: Sequence[SampledState], dim: int
+) -> list[tuple[np.ndarray, float]]:
+    """project_to_basis of each state, for states on one grid: the basis is built once."""
+    grid = states[0].grid
+    weighted = hermite_basis(grid, dim) * trapezoid_weights(grid.n_points)
+    projections = []
+    for psi in states:
+        coeffs = weighted @ psi.values * psi.grid.dx
+        residual = float(state_norm(psi) ** 2 - np.sum(np.abs(coeffs) ** 2))
+        if residual < -1e-8:
+            raise CheckError(f"projection residual {residual:.3e} < -1e-8")
+        projections.append((coeffs, residual))
+    return projections
+
+
 def project_to_basis(psi: SampledState, dim: int) -> tuple[np.ndarray, float]:
     """Expansion coefficients of a state in the truncated oscillator basis.
 
     Returns (coefficients, residual) where residual is the squared norm left
     outside the truncation, 1 - sum |a_k|^2 for a unit state.
     """
-    basis = hermite_basis(psi.grid, dim)
-    w = trapezoid_weights(psi.grid.n_points)
-    coeffs = (basis * w) @ psi.values * psi.grid.dx
-    residual = float(state_norm(psi) ** 2 - np.sum(np.abs(coeffs) ** 2))
-    if residual < -1e-8:
-        raise CheckError(f"projection residual {residual:.3e} < -1e-8")
-    return coeffs, residual
+    (projection,) = _projections([psi], dim)
+    return projection
 
 
 def build_A(ensemble: Ensemble, dim: int) -> EnsembleOperator:
@@ -203,8 +216,8 @@ def build_A(ensemble: Ensemble, dim: int) -> EnsembleOperator:
         )
     matrix = np.zeros((dim, dim), dtype=np.complex128)
     truncation = 0.0
-    for col, (state, weight) in enumerate(ensemble.members):
-        coeffs, residual = project_to_basis(state, dim)
+    projections = _projections([state for state, _ in ensemble.members], dim)
+    for col, ((_, weight), (coeffs, residual)) in enumerate(zip(ensemble.members, projections)):
         matrix[:, col] = math.sqrt(weight) * coeffs
         truncation += weight * residual
     return EnsembleOperator(matrix, truncation)
@@ -224,8 +237,8 @@ def density_matrix_direct(ensemble: Ensemble, dim: int) -> np.ndarray:
     """
     _check_dim(dim)
     rho = np.zeros((dim, dim), dtype=np.complex128)
-    for state, weight in ensemble.members:
-        coeffs, _ = project_to_basis(state, dim)
+    projections = _projections([state for state, _ in ensemble.members], dim)
+    for (_, weight), (coeffs, _) in zip(ensemble.members, projections):
         rho += weight * np.outer(coeffs, coeffs.conj())
     return rho
 
@@ -320,7 +333,7 @@ def feichtinger_closure_check(
     pointwise through their mixed Wigner fields (within field_tol) before any
     verdicts are taken; find_partial_isometry compares their density
     matrices.  Then modulation_norm(member, s) runs on every member of both
-    ensembles.
+    ensembles, against one hermite:0 window sampled once on e1's grid.
     """
     if e2.grid != e1.grid:
         raise ValueError("closure check: the ensembles are on different grids")
@@ -331,8 +344,9 @@ def feichtinger_closure_check(
         raise CheckError(
             f"mixed Wigner fields differ by {field_residual:.3e} (> {field_tol:.1e})"
         )
-    v1 = tuple(modulation_norm(st, s).verdict for st, _ in e1.members)
-    v2 = tuple(modulation_norm(st, s).verdict for st, _ in e2.members)
+    window = catalog_state("hermite:0", e1.grid)
+    v1 = tuple(modulation_norm(st, s, window).verdict for st, _ in e1.members)
+    v2 = tuple(modulation_norm(st, s, window).verdict for st, _ in e2.members)
     inconclusive = "inconclusive" in v1 or "inconclusive" in v2
     all1 = all(v == "convergent" for v in v1)
     all2 = all(v == "convergent" for v in v2)

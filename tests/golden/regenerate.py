@@ -16,8 +16,6 @@ changed artifact with the reason it moved.
 
 from __future__ import annotations
 
-import ctypes
-import glob
 import hashlib
 import json
 import os
@@ -65,16 +63,10 @@ INVOCATIONS = {
 
 def _openblas_core() -> str:
     """The CPU core OpenBLAS picked at run time, which may differ from its build target."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
-        lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                fn.argtypes = []
-                fn.restype = ctypes.c_char_p
-                return fn().decode()
-    return "unknown"
+    from wignerlab.cli import _openblas
+
+    blas = _openblas()
+    return "unknown" if blas is None else blas["get_corename"]().decode()
 
 
 def fingerprint() -> dict:

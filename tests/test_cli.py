@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import sys
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wignerlab import cli
 from wignerlab.cli import COMMANDS, FLAGS, TOL_DEFAULTS, RunConfig, main
 from wignerlab.ensemble import Ensemble
-from wignerlab.grid import catalog_state, make_grid
+from wignerlab.grid import CheckError, catalog_state, make_grid
 from wignerlab.io import write_state_csv
 
 from conftest import hermite_combination
@@ -467,7 +469,7 @@ def count_calls(monkeypatch, fn):
 
 
 def test_each_command_computes_each_object_once(tmp_path, monkeypatch):
-    from wignerlab.ensemble import build_A
+    from wignerlab.ensemble import build_A, hermite_basis
     from wignerlab.wigner import cross_wigner
 
     transforms = count_calls(monkeypatch, cross_wigner)
@@ -478,9 +480,12 @@ def test_each_command_computes_each_object_once(tmp_path, monkeypatch):
     grid = make_grid(512, 10.0, 1.0)
     eigen, rotated = write_pair_files(tmp_path, grid)
     operators = count_calls(monkeypatch, build_A)
+    bases = count_calls(monkeypatch, hermite_basis)
     args = ["ensemble-equiv", "--ensemble", eigen, "--ensemble2", rotated, "--out", str(tmp_path)]
     assert main(args + SMALL + DIM) == 0
     assert len(operators) == 2
+    # One basis per operator, not one per member.
+    assert len(bases) == 2
 
 
 def test_mixed_wigner_makes_one_kernel_pass(monkeypatch):
@@ -493,6 +498,64 @@ def test_mixed_wigner_makes_one_kernel_pass(monkeypatch):
     diagonals = count_calls(monkeypatch, wigner)
     mixed_wigner(ens)
     assert crosses == [] and diagonals == []
+
+
+@pytest.fixture
+def blas_threads():
+    """get_num_threads of numpy's OpenBLAS, with the count set to 2 for the test."""
+    blas = cli._openblas()
+    if blas is None:
+        pytest.skip("numpy carries no bundled OpenBLAS, so main leaves the BLAS threads alone")
+    before = blas["get_num_threads"]()
+    blas["set_num_threads"](2)
+    yield blas["get_num_threads"]
+    blas["set_num_threads"](before)
+
+
+def handled_by(monkeypatch, handler):
+    """Make diagnose run handler, keeping its flags."""
+    monkeypatch.setitem(COMMANDS, "diagnose", dataclasses.replace(COMMANDS["diagnose"], run=handler))
+    return ["diagnose", "--state", "hermite:0"]
+
+
+def test_commands_run_on_one_blas_thread(monkeypatch, blas_threads):
+    seen = []
+
+    def handler(ns, cfg):
+        seen.append(blas_threads())
+        return 0
+
+    assert main(handled_by(monkeypatch, handler)) == 0
+    assert seen == [1]
+    assert blas_threads() == 2
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize(
+    "handler, argv_tail, code",
+    [
+        (lambda ns, cfg: _raise(CheckError("failed")), [], 1),
+        (lambda ns, cfg: _raise(ValueError("bad input")), [], 2),
+        (lambda ns, cfg: 0, ["--bogus"], 2),
+        (lambda ns, cfg: 0, ["--grid-n", "x"], 2),
+    ],
+    ids=["check-error", "value-error", "unread-flag", "bad-flag-value"],
+)
+def test_blas_thread_count_is_restored_on_every_exit_code(
+    monkeypatch, capsys, blas_threads, handler, argv_tail, code
+):
+    assert main(handled_by(monkeypatch, handler) + argv_tail) == code
+    assert blas_threads() == 2
+
+
+def test_blas_thread_count_is_restored_after_an_unexpected_exception(monkeypatch, blas_threads):
+    argv = handled_by(monkeypatch, lambda ns, cfg: _raise(RuntimeError("unexpected")))
+    with pytest.raises(RuntimeError, match="unexpected"):
+        main(argv)
+    assert blas_threads() == 2
 
 
 # What each command reads, as the README states it; the command table must agree.

@@ -170,6 +170,24 @@ def test_closure_check_on_equivalent_pair(g512, hadamard_pair_512):
     assert report.e2_verdicts == ("convergent", "convergent")
 
 
+def test_closure_check_samples_its_window_once(monkeypatch, hadamard_pair_512):
+    import wignerlab.ensemble as ensemble_mod
+    import wignerlab.modspace as modspace_mod
+
+    e1, e2 = hadamard_pair_512
+    descriptors = []
+
+    def counted(descriptor, grid):
+        descriptors.append(descriptor)
+        return catalog_state(descriptor, grid)
+
+    for mod in (ensemble_mod, modspace_mod):
+        monkeypatch.setattr(mod, "catalog_state", counted)
+    report = feichtinger_closure_check(e1, e2)
+    assert descriptors == ["hermite:0"]
+    assert report.e1_verdicts == report.e2_verdicts == ("convergent", "convergent")
+
+
 def test_closure_check_rejects_unequal_densities(g512):
     h0 = catalog_state("hermite:0", g512)
     h1 = catalog_state("hermite:1", g512)
