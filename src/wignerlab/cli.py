@@ -140,6 +140,14 @@ def _finite_float(raw: str) -> float:
     return value
 
 
+def _tolerance(raw: str) -> float:
+    """Parse a --tol.* value: finite and >= 0."""
+    value = _finite_float(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a tolerance >= 0, got {raw!r}")
+    return value
+
+
 def _config_from(ns: argparse.Namespace) -> RunConfig:
     tols = {name: getattr(ns, f"tol.{name}", value) for name, value in TOL_DEFAULTS.items()}
     out = ns.out or os.environ.get("WIGNERLAB_OUT") or "."
@@ -521,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **FLAGS[flag])
         for tol in cmd.tolerances:
             p.add_argument(
-                f"--tol.{tol}", type=_finite_float, default=TOL_DEFAULTS[tol],
+                f"--tol.{tol}", type=_tolerance, default=TOL_DEFAULTS[tol],
                 metavar="VALUE", help="default %(default)g",
             )
         if cmd.one_of:

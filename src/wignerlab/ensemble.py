@@ -37,7 +37,6 @@ __all__ = [
     "PartialIsometry",
     "ClosureReport",
     "hermite_basis",
-    "project_to_basis",
     "build_A",
     "density_matrix",
     "density_matrix_direct",
@@ -184,7 +183,11 @@ def hermite_basis(grid: PhaseSpaceGrid, dim: int) -> np.ndarray:
 def _projections(
     states: Sequence[SampledState], dim: int
 ) -> list[tuple[np.ndarray, float]]:
-    """project_to_basis of each state, for states on one grid: the basis is built once."""
+    """(coefficients, residual) of each state in the truncated oscillator basis.
+
+    residual is the squared norm left outside the truncation, 1 - sum |a_k|^2
+    for a unit state.  The states share one grid, so the basis is built once.
+    """
     grid = states[0].grid
     weighted = hermite_basis(grid, dim) * trapezoid_weights(grid.n_points)
     projections = []
@@ -195,16 +198,6 @@ def _projections(
             raise CheckError(f"projection residual {residual:.3e} < -1e-8")
         projections.append((coeffs, residual))
     return projections
-
-
-def project_to_basis(psi: SampledState, dim: int) -> tuple[np.ndarray, float]:
-    """Expansion coefficients of a state in the truncated oscillator basis.
-
-    Returns (coefficients, residual) where residual is the squared norm left
-    outside the truncation, 1 - sum |a_k|^2 for a unit state.
-    """
-    (projection,) = _projections([psi], dim)
-    return projection
 
 
 def build_A(ensemble: Ensemble, dim: int) -> EnsembleOperator:
@@ -235,9 +228,8 @@ def density_matrix_direct(ensemble: Ensemble, dim: int) -> np.ndarray:
     Exists as an independent route for validating density_matrix(build_A(e));
     both must agree to rounding.
     """
-    _check_dim(dim)
-    rho = np.zeros((dim, dim), dtype=np.complex128)
     projections = _projections([state for state, _ in ensemble.members], dim)
+    rho = np.zeros((dim, dim), dtype=np.complex128)
     for (_, weight), (coeffs, _) in zip(ensemble.members, projections):
         rho += weight * np.outer(coeffs, coeffs.conj())
     return rho
@@ -266,9 +258,9 @@ def spectral_ensemble(rho: DensityMatrix, grid: PhaseSpaceGrid) -> Ensemble:
     return Ensemble(tuple(members), "spectral")
 
 
-def _pinv(matrix: np.ndarray, cutoff: float = SV_CUTOFF) -> np.ndarray:
+def _pinv(matrix: np.ndarray) -> np.ndarray:
     u, s, vh = np.linalg.svd(matrix)
-    inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
+    inv = np.where(s > SV_CUTOFF, 1.0 / np.where(s > SV_CUTOFF, s, 1.0), 0.0)
     return vh.conj().T @ (inv[:, None] * u.conj().T)
 
 

@@ -16,11 +16,9 @@ import numpy as np
 
 from .grid import (
     CheckError,
-    PhaseSpaceField,
     PhaseSpaceGrid,
     SampledState,
     _pairwise_total,
-    _row_blocks,
     catalog_state,
     state_norm,
 )
@@ -29,7 +27,6 @@ from .wigner import _wigner_blocks
 __all__ = [
     "DivergingStateError",
     "WeightedNormReport",
-    "weighted_l1_norm",
     "cutoff_ladder",
     "modulation_norm",
     "feichtinger_diagnostic",
@@ -67,23 +64,17 @@ def _ladder(
     s: float,
     cutoffs: tuple[float, ...],
 ) -> tuple[float, ...]:
-    """The weighted-L1 ladder of a field read as (rows, values) row blocks in order.
+    """Quadratures of |W| * (1 + x^2 + p^2)^(s/2) over the discs x^2 + p^2 <= cutoff^2.
 
-    The blocks tile the (n, n/2) field with one power-of-two row count, and
-    either one block is the whole field or each holds at least 128 values.
-    Each rung sums its masked block on its own and adds the block sums
-    pairwise, which is np.sum's order over the whole field: see
-    docs/conventions.md, Block sums.
+    W is a field read as (rows, values) row blocks in order, s >= 0, and the
+    cutoffs are those of cutoff_ladder.  One value per cutoff.  The blocks
+    tile the (n, n/2) field with one power-of-two row count, and either one
+    block is the whole field or each holds at least 128 values.  Each rung
+    sums its masked block on its own and adds the block sums pairwise, which
+    is np.sum's order over the whole field: see docs/conventions.md, Block
+    sums.
     """
-    if s < 0:
-        raise ValueError(f"weight exponent s must be >= 0, got {s}")
     p = grid.wigner_p_points()
-    band = -float(p[0])
-    for cutoff in cutoffs:
-        if cutoff > band * (1 + 1e-12):
-            raise ValueError(
-                f"cutoff {cutoff:.6g} exceeds the field momentum half-width {band:.6g}"
-            )
     n = grid.n_points
     x2_all = grid.x_points()[:, None] ** 2
     p2 = p**2
@@ -140,18 +131,6 @@ def _ladder(
     if not (finite and all(math.isfinite(v) for v in norms)):
         raise ValueError(f"weight exponent s = {s} overflows the weighted norm on this grid")
     return tuple(norms)
-
-
-def weighted_l1_norm(
-    field: PhaseSpaceField, s: float, cutoffs: tuple[float, ...]
-) -> tuple[float, ...]:
-    """Quadratures of |field| * (1 + x^2 + p^2)^(s/2) over the discs x^2 + p^2 <= cutoff^2.
-
-    One value per cutoff.  The disc is invariant under rotations of phase
-    space, so the ladder reads the same after a Fourier transform.
-    """
-    blocks = ((rows, field.values[rows]) for rows in _row_blocks(field.grid.n_points))
-    return _ladder(blocks, field.grid, s, cutoffs)
 
 
 def cutoff_ladder(grid: PhaseSpaceGrid) -> tuple[float, float, float, float]:

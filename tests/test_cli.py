@@ -417,22 +417,39 @@ def test_reproduce_tight_tolerance_fails(tmp_path, capsys):
     capsys.readouterr()
 
 
+NUMBER = "weight must be a number"
+
+
 @pytest.mark.parametrize(
-    "body, member",
+    "body, member, says",
     [
-        ('{"members": 5}', None),
-        ('{"members": [{"weight": null, "state": "hermite:0"}]}', 0),
-        ('{"members": [{"weight": 1%s, "state": "hermite:0"}]}' % ("0" * 400), 0),
+        ('{"members": 5}', None, "'members' list"),
+        ('{"members": [{"weight": null, "state": "hermite:0"}]}', 0, NUMBER),
+        ('{"members": [{"weight": 1%s, "state": "hermite:0"}]}' % ("0" * 400), 0, NUMBER),
+        ('{"members": [{"weight": true, "state": "hermite:0"}]}', 0, NUMBER),
+        (
+            '{"members": [{"weight": 0.5, "state": "hermite:0"},'
+            ' {"weight": "0.5", "state": "hermite:1"}]}',
+            1,
+            NUMBER,
+        ),
+        ('{"members": [{"weight": 1, "state": 7}]}', 0, "state must be a string, got 7"),
     ],
-    ids=["members-not-a-list", "null-weight", "weight-overflows-float"],
+    ids=[
+        "members-not-a-list", "null-weight", "weight-overflows-float", "boolean-weight",
+        "string-weight", "number-state",
+    ],
 )
-def test_ensemble_file_shape_errors_are_usage_errors(tmp_path, capsys, body, member):
+def test_ensemble_file_shape_errors_are_usage_errors(tmp_path, capsys, body, member, says):
+    # Each of the last three used to be read: true as weight 1, "0.5" as 0.5
+    # and the state 7 as the path of a state file.
     path = tmp_path / "bad.json"
     path.write_text(body)
     args = ["ensemble-build", "--ensemble", str(path), "--out", str(tmp_path)] + SMALL + DIM
     assert main(args) == 2
     err = capsys.readouterr().err
     assert str(path) in err
+    assert says in err
     if member is not None:
         assert f"member {member}" in err
 
@@ -442,16 +459,34 @@ def test_ensemble_file_shape_errors_are_usage_errors(tmp_path, capsys, body, mem
     [
         (["--tol.convergent_tail", "nan"], "--tol.convergent_tail"),
         (["--tol.diverging_growth=inf"], "--tol.diverging_growth"),
+        (["--tol.convergent_tail", "-1"], "--tol.convergent_tail"),
+        (["--tol.diverging_growth=-1"], "--tol.diverging_growth"),
         (["--s", "inf"], "--s"),
         (["--s", "nan"], "--s"),
     ],
-    ids=["tol-nan", "tol-inf-inline", "s-inf", "s-nan"],
+    ids=["tol-nan", "tol-inf-inline", "tol-negative", "tol-negative-inline", "s-inf", "s-nan"],
 )
 def test_non_finite_flag_values_rejected_at_parse_time(tmp_path, capsys, flag_args, flag):
     argv = ["modnorm", "--state", "hermite:0", "--out", str(tmp_path)] + flag_args
     assert main(argv + SMALL) == 2
     assert flag in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, tol",
+    [(name, tol) for name, cmd in sorted(COMMANDS.items()) for tol in cmd.tolerances],
+)
+def test_negative_tolerances_are_usage_errors(tmp_path, capsys, command, tol):
+    # A negative tolerance used to reach the check: ensemble-equiv failed it
+    # (exit 1) and diagnose read every ladder as inconclusive (exit 0).
+    out = tmp_path / "out"
+    argv = [command, *BASE[command], "--out", str(out)]
+    assert main(argv + [f"--tol.{tol}", "-1"]) == 2
+    assert f"argument --tol.{tol}: expected a tolerance >= 0, got '-1'" in capsys.readouterr().err
+    assert not out.exists()
+    ns = cli.build_parser().parse_args(argv + [f"--tol.{tol}", "0"])
+    assert getattr(ns, f"tol.{tol}") == 0.0
 
 
 def count_calls(monkeypatch, fn):

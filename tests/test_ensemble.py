@@ -12,7 +12,6 @@ from wignerlab.ensemble import (
     feichtinger_closure_check,
     find_partial_isometry,
     hermite_basis,
-    project_to_basis,
     spectral_ensemble,
 )
 from wignerlab.grid import CheckError, SampledState, catalog_state, make_grid
@@ -58,9 +57,19 @@ def test_hermite_basis_orthonormal_and_guarded(g512):
         hermite_basis(g512, 128)
 
 
+def projection(state, dim):
+    """Coefficients and truncation residual of one state: build_A of it at weight 1.
+
+    Column 0 is sqrt(1.0) times the coefficients and the residual 1.0 times
+    the state's, both exact, so these are the projection's bits.
+    """
+    op = build_A(Ensemble(((state, 1.0),), state.label), dim)
+    return op.matrix[:, 0], op.truncation_residual
+
+
 def test_projection_of_eigenstates(g512):
     h2 = catalog_state("hermite:2", g512)
-    coeffs, residual = project_to_basis(h2, 8)
+    coeffs, residual = projection(h2, 8)
     expected = np.zeros(8)
     expected[2] = 1.0
     np.testing.assert_allclose(np.abs(coeffs), expected, atol=1e-10)
@@ -70,7 +79,7 @@ def test_projection_of_eigenstates(g512):
 def test_box_projection_residuals_shrink():
     grid = make_grid(4096, 24.0, 1.0)
     box = catalog_state("box:-0.5:0.5", grid)
-    residuals = [project_to_basis(box, dim)[1] for dim in (32, 64, 128)]
+    residuals = [projection(box, dim)[1] for dim in (32, 64, 128)]
     assert residuals[0] > residuals[1] > residuals[2]
     np.testing.assert_allclose(residuals, [0.09019, 0.05175, 0.03974], atol=1e-4)
 

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -8,10 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wignerlab._csvtext import _decimal17, _number_text
 from wignerlab.grid import PhaseSpaceField, catalog_state, make_grid
 from wignerlab.io import (
-    _decimal17,
-    _number_text,
     canonical_json,
     field_metadata,
     load_ensemble_json,
@@ -284,3 +285,24 @@ def test_number_text_matches_format_where_rounding_is_hard():
     assert_texts_match_format(np.concatenate([values, -values]))
     proved = _decimal17(values)[2]
     assert proved.any() and not proved.all()
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [(["diagnose", "--state", "hermite:0"], False), (["wigner", "--state", "hermite:0"], True)],
+    ids=["diagnose", "wigner"],
+)
+def test_only_a_csv_writer_loads_the_formatter(tmp_path, argv, loaded):
+    # The formatter module is imported by the CSV writers when they run, so
+    # a command that writes no CSV does not compile it.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    script = (
+        "import sys; from wignerlab.cli import main; "
+        "code = main(sys.argv[1:]); print(code, 'wignerlab._csvtext' in sys.modules)"
+    )
+    argv = [*argv, "--grid-n", "64", "--grid-l", "8", "--out", str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.stdout.split()[-2:] == ["0", str(loaded)], proc.stderr

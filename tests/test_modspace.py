@@ -10,6 +10,7 @@ from wignerlab.grid import (
     CheckError,
     PhaseSpaceField,
     SampledState,
+    _row_blocks,
     catalog_state,
     make_grid,
     trapezoid_norm,
@@ -18,13 +19,19 @@ from wignerlab.grid import (
 from wignerlab.modspace import (
     DivergingStateError,
     _fit_verdict,
+    _ladder,
     cutoff_ladder,
     diagnostic_grid_warning,
     feichtinger_diagnostic,
     modulation_norm,
-    weighted_l1_norm,
 )
 from wignerlab.wigner import apply_metaplectic, cross_wigner, wigner
+
+
+def field_ladder(field, s, cutoffs):
+    """The ladder of a built field: _ladder over the field's own row blocks."""
+    blocks = ((rows, field.values[rows]) for rows in _row_blocks(field.grid.n_points))
+    return _ladder(blocks, field.grid, s, cutoffs)
 
 
 def test_weighted_norm_analytic_values(g51):
@@ -33,26 +40,16 @@ def test_weighted_norm_analytic_values(g51):
     top = cutoff_ladder(field.grid)[-1]
     # The ground-state field is a unit-mass Gaussian, so the full s=0 mass
     # is 1 and the s=2 weight adds its second moment: 1 + <x^2 + p^2> = 2.
-    assert weighted_l1_norm(field, 0.0, (top,))[0] == pytest.approx(1.0, abs=1e-6)
-    assert weighted_l1_norm(field, 2.0, (top,))[0] == pytest.approx(2.0, abs=1e-5)
+    assert field_ladder(field, 0.0, (top,))[0] == pytest.approx(1.0, abs=1e-6)
+    assert field_ladder(field, 2.0, (top,))[0] == pytest.approx(2.0, abs=1e-5)
 
 
 def test_weighted_norm_first_excited_value(sr1024):
     h1 = catalog_state("hermite:1", sr1024)
     field = wigner(h1)
     top = cutoff_ladder(field.grid)[-1]
-    value = weighted_l1_norm(field, 0.0, (top,))[0]
+    value = field_ladder(field, 0.0, (top,))[0]
     assert value == pytest.approx(4.0 * math.exp(-0.5) - 1.0, abs=5e-4)
-
-
-def test_weighted_norm_argument_validation(g512):
-    h0 = catalog_state("hermite:0", g512)
-    field = wigner(h0)
-    band = -float(field.grid.wigner_p_points()[0])
-    with pytest.raises(ValueError):
-        weighted_l1_norm(field, -1.0, (1.0,))
-    with pytest.raises(ValueError):
-        weighted_l1_norm(field, 0.0, (1.0, 2.0 * band))
 
 
 def test_overflowing_weight_is_refused_not_inconclusive():
@@ -72,7 +69,7 @@ def test_weight_overflowing_outside_the_top_disc_is_refused(s):
     grid = make_grid(64, 8.0)
     field = wigner(catalog_state("hermite:0", grid))
     with pytest.raises(ValueError, match=f"s = {s}"):
-        weighted_l1_norm(field, s, cutoff_ladder(field.grid))
+        field_ladder(field, s, cutoff_ladder(field.grid))
 
 
 def test_ladder_peak_memory_is_two_float_buffers(sr2048):
@@ -81,7 +78,7 @@ def test_ladder_peak_memory_is_two_float_buffers(sr2048):
     field = cross_wigner(box, h0, sr2048)
     tracemalloc.start()
     try:
-        weighted_l1_norm(field, 2.0, cutoff_ladder(field.grid))
+        field_ladder(field, 2.0, cutoff_ladder(field.grid))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -117,7 +114,7 @@ def test_ladder_matches_per_rung_formula(log2n, half_width, seed, s_drawn, frac)
             float(np.sum(np.abs(values) * weight * wx * ((x**2 + p**2) <= c**2)) * grid.dx * grid.dp)
             for c in cuts
         )
-        assert weighted_l1_norm(field, s, cuts) == expected
+        assert field_ladder(field, s, cuts) == expected
 
 
 @st.composite
@@ -159,7 +156,7 @@ def test_streamed_verdicts_match_the_field_ladder(case):
         report = modulation_norm(psi, s, window=window)
         field = cross_wigner(psi, window, grid)
     cuts = cutoff_ladder(grid)
-    partials = tuple(zip(cuts, weighted_l1_norm(field, s, cuts)))
+    partials = tuple(zip(cuts, field_ladder(field, s, cuts)))
     verdict, growth = _fit_verdict(partials, 1e-3, 0.5)
     assert report.partials == partials
     assert report.growth_exponent == growth

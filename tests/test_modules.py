@@ -1,7 +1,9 @@
 """The public surface: each module's ``__all__``, and a package that re-exports nothing."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 import sys
 
 import pytest
@@ -16,8 +18,6 @@ LAYERS = ("cli", "grid", "wigner", "modspace", "moments", "ensemble", "io")
 # spans of these by name, so they stay listed.
 COUNTED = {
     "wigner": ("cross_wigner",),
-    "modspace": ("weighted_l1_norm",),
-    "ensemble": ("project_to_basis",),
     "grid": ("catalog_state",),
     "io": ("write_json", "write_field_csv", "write_marginal_csv", "write_state_csv"),
 }
@@ -37,6 +37,42 @@ def test_every_listed_name_resolves(layer):
     for name in mod.__all__:
         getattr(mod, name)
     assert set(COUNTED.get(layer, ())) <= set(mod.__all__)
+
+
+def loaded_names(path):
+    """Names a file reads, as a Name or an Attribute, outside the definition of that name.
+
+    An import binds a name without reading it, and a def or class reading
+    its own name (recursion) is not a use from outside.
+    """
+    names = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(getattr(node, "ctx", None), ast.Load):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name is not None and name not in inside:
+                names.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(path.read_text()), frozenset())
+    return names
+
+
+def test_every_listed_name_is_read_by_the_package_or_a_demo():
+    # A name only tests read does not belong in __all__.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    files = [*(root / "src" / "wignerlab").glob("*.py"), *(root / "demos").glob("*.py")]
+    read = set().union(*map(loaded_names, files))
+    unread = {
+        f"{layer}.{name}"
+        for layer in LAYERS
+        for name in importlib.import_module(f"wignerlab.{layer}").__all__
+        if name not in read
+    }
+    assert unread == set()
 
 
 def test_package_exports_only_its_version():

@@ -171,6 +171,48 @@ def test_row_sums_are_pointwise_products(pair):
 
 
 @settings(max_examples=60, deadline=None)
+@given(random_state_pairs())
+def test_field_integrates_to_the_overlap(pair):
+    # Exact in exact arithmetic: the row sums are the pointwise products.
+    # With the slices s_j and the row error (5 log2 n + 2) eps ||F s_j|| of
+    # test_swapped_pair_is_the_conjugate_field: the n/2 kept bins of a row
+    # add up to at most sqrt(n/2) times their l2 norm, and
+    # sum_j ||s_j|| <= sqrt(n) a b (Cauchy-Schwarz over the rows).  With
+    # c dx dp = 2 dx / n, the integral of |W| and of its rounding are then at
+    # most S = sqrt(2 n) dx a b times 1 and (5 log2 n + 2) eps.  Adding the
+    # n x n/2 values in any order costs at most n eps S more, and the
+    # overlap's own n-term quadrature n eps dx a b <= n eps S.
+    grid, psi, phi = pair
+    n = grid.n_points
+    eps = np.finfo(float).eps
+    a, b = np.linalg.norm(psi.values), np.linalg.norm(phi.values)
+    tol = (5 * math.log2(n) + 2 + 2 * n) * eps * math.sqrt(2 * n) * grid.dx * a * b
+    assert overlap_identity_check(psi, phi, cross_wigner(psi, phi, grid)) <= tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_state_pairs())
+def test_swapped_pair_is_the_conjugate_field(pair):
+    # W(phi, psi) = conj(W(psi, phi)) exactly.  Row j of W(psi, phi) is
+    # c F(s_j) on the kept bins, c = dx / (pi hbar), with the slice
+    # s_j[m] = psi[j + m] conj(phi[j - m]) (reference_cross_wigner, which the
+    # kernel matches bit for bit).  Each pair of samples meets in one slice at
+    # most, so ||s_j|| <= a b for the l2 norms a, b of the samples, and
+    # ||F s_j|| = sqrt(n) ||s_j||.  A length-n FFT rounds within
+    # 5 log2(n) eps ||F s_j|| (Higham, Accuracy and Stability of Numerical
+    # Algorithms, Thm 24.2, twiddles included), the products and c within
+    # 2 eps more.  An entry's error is at most its row's l2 error, and two
+    # fields are compared.
+    grid, psi, phi = pair
+    eps = np.finfo(float).eps
+    a, b = np.linalg.norm(psi.values), np.linalg.norm(phi.values)
+    row = (5 * math.log2(grid.n_points) + 2) * eps * math.sqrt(grid.n_points) * a * b
+    tol = 2 * row * grid.dx / (math.pi * grid.hbar)
+    swapped = cross_wigner(phi, psi, grid).values
+    assert np.abs(swapped - np.conj(cross_wigner(psi, phi, grid).values)).max() <= tol
+
+
+@settings(max_examples=60, deadline=None)
 @given(random_mixtures())
 def test_mixture_is_weighted_sum_of_member_fields(mixture):
     grid, ens = mixture
