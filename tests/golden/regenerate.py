@@ -30,6 +30,8 @@ REGENERATE = "PYTHONPATH=src python tests/golden/regenerate.py"
 
 SMALL = ["--grid-n", "256", "--grid-l", "8"]
 ENSEMBLE = ["--grid-n", "512", "--grid-l", "10", "--dim", "8"]
+# Large enough that the row blocks of the kernel and the ladder are short.
+LARGE = ["--grid-n", "4096", "--grid-l", "16"]
 
 # Every path is relative to the working directory: a file member's label
 # embeds the ensemble file's directory, and the label is in the artifacts.
@@ -47,6 +49,8 @@ INVOCATIONS = {
     "modnorm": ["modnorm", "--state", "box:-1:1", "--s", "1", *SMALL],
     "diagnose": ["diagnose", "--state", "hermite:0", *SMALL],
     "diagnose-coarse": ["diagnose", "--state", "box:-0.5:0.5", "--grid-n", "64", "--grid-l", "8"],
+    "diagnose-large": ["diagnose", "--state", "box:-1:1", *LARGE],
+    "modnorm-large": ["modnorm", "--state", "hermite:3", "--s", "2", *LARGE],
     "marginals-refused": ["marginals", "--state", "hermite:0", "--grid-n", "64", "--grid-l", "8"],
     "ensemble-build": ["ensemble-build", "--ensemble", "inputs/eigen.json", *ENSEMBLE],
     "ensemble-equiv": [
