@@ -84,12 +84,13 @@ class RunConfig:
     output_dir: str = "."
 
     def __post_init__(self) -> None:
-        # tracemalloc peaks at n = 2048: cross-wigner 8.5 n^2 bytes (its
-        # complex n x n/2 field plus one slice block), wigner 8.1 n^2,
-        # marginals and moments about 4.7 n^2 (the real mixed field; the
-        # covariance quadrature reads it in row blocks), the verdict
-        # commands below 1 n^2 (the ladder reads the kernel's row blocks).
-        # 16 n^2 bytes covers the largest of them.
+        # tracemalloc peaks of main at n = 2048, artifacts written:
+        # cross-wigner 9.2 n^2 bytes (its complex n x n/2 field plus the CSV
+        # writer's text for one row block), wigner 8.0 n^2, marginals and
+        # moments 4.5 n^2 (the real mixed field; the covariance quadrature
+        # reads it in row blocks), diagnose and modnorm below 0.5 n^2 (the
+        # ladder reads the kernel's row blocks).  16 n^2 bytes covers the
+        # largest of them.
         n = self.grid.n_points
         need = 16 * n**2
         have = _physical_memory()
@@ -515,6 +516,9 @@ COMMANDS = {
 }
 
 
+# Built once per process: main dispatches through COMMANDS when it runs, and
+# rebuilding the parser on every call fragments the heap of a long-lived caller.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wignerlab",

@@ -140,16 +140,23 @@ def trapezoid_weights(n: int) -> np.ndarray:
     return w
 
 
-# Rows per block wherever a field is built or read a block at a time: a
-# 32 x n complex block is 1 MB at n = 2048, so it stays in a per-core L2
-# cache.  A power of two, so a quadrature can sum a field block by block in
-# np.sum's own pairwise order (docs/conventions.md, Block sums).
+# Rows per block wherever a field is built or read a block at a time, up to
+# n = 1024; larger grids take fewer rows, so that a block of complex slices
+# (rows x n) never holds more than ROW_BLOCK * 1024 values, 512 KB, and a
+# verdict's memory does not grow with n.  A power of two, so a quadrature can
+# sum a field block by block in np.sum's own pairwise order
+# (docs/conventions.md, Block sums).
 ROW_BLOCK = 32
 
 
 def _row_blocks(n: int) -> list[slice]:
-    """Consecutive slices of ROW_BLOCK rows covering n rows; the last may be short."""
-    return [slice(start, min(start + ROW_BLOCK, n)) for start in range(0, n, ROW_BLOCK)]
+    """Consecutive slices of equal power-of-two row counts covering n rows.
+
+    A block has ROW_BLOCK rows while n <= 1024 and ROW_BLOCK * 1024 // n
+    rows, at least one, above; the last block may be short.
+    """
+    rows = min(ROW_BLOCK, max(1, ROW_BLOCK * 1024 // n))
+    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
 def _pairwise_total(sums: list[float]) -> float:

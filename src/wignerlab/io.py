@@ -92,7 +92,8 @@ def write_field_csv(path: str, field: PhaseSpaceField) -> None:
     Real fields get columns x,p,value; complex fields x,p,re,im.  Every
     number is written as ``format(v, ".17g")`` would write it (see
     docs/conventions.md, Number text).  The x and p columns are formatted
-    once; the values are formatted and written ROW_BLOCK x rows at a time.
+    once; the values are formatted and written one row block of x rows
+    (grid._row_blocks) at a time.
     """
     from ._csvtext import _csv_lines, _number_text
 
@@ -163,5 +164,7 @@ def load_ensemble_json(path: str, grid: PhaseSpaceGrid) -> Ensemble:
             desc = f"file:{os.path.join(os.path.dirname(path), desc)}"
         state = catalog_state(desc, grid)
         members.append((state, weight))
-    label = str(doc.get("label", os.path.basename(path)))
+    label = doc.get("label", os.path.basename(path))
+    if not isinstance(label, str):
+        raise ValueError(f"{path}: label must be a string, got {json.dumps(label)}")
     return Ensemble(tuple(members), label)

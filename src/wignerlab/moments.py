@@ -77,11 +77,11 @@ def _characteristic_block(field: PhaseSpaceField, half_width: int) -> np.ndarray
     columns are zero-padded by n/4 on each side, consistent with their
     compact-support reading.  Returns indices n/2 - h .. n/2 + h of each
     axis, clipped to the lattice, so h >= n/2 gives the whole n x n
-    transform.  Blocks of ROW_BLOCK zero-padded, sign-multiplied field rows
-    are transformed along p and only the kept columns are then transformed
-    along x.  numpy transforms each 1-D line on its own and fftn does the last
-    axis first, so every value has the bits of grid.centered_fft over the
-    padded n x n field.
+    transform.  Row blocks (grid._row_blocks) of zero-padded, sign-multiplied
+    field rows are transformed along p and only the kept columns are then
+    transformed along x.  numpy transforms each 1-D line on its own and fftn
+    does the last axis first, so every value has the bits of
+    grid.centered_fft over the padded n x n field.
     """
     grid = field.grid
     n = grid.n_points
@@ -168,10 +168,10 @@ def _quadratures(
     """dx * dp * sum over the field of term(x, dens), one value per term.
 
     x is a column of one value per field row, and dens is the real field
-    times the trapezoid weights in x.  The field is read ROW_BLOCK rows at a
-    time: each term's block product is summed with np.sum and the block sums
-    are added pairwise, which is np.sum's order over the whole (n, n/2)
-    product (docs/conventions.md, Block sums).
+    times the trapezoid weights in x.  The field is read in the row blocks
+    of grid._row_blocks: each term's block product is summed with np.sum and
+    the block sums are added pairwise, which is np.sum's order over the
+    whole (n, n/2) product (docs/conventions.md, Block sums).
     """
     grid = rho_field.grid
     values = rho_field.values.real

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -434,15 +435,20 @@ NUMBER = "weight must be a number"
             NUMBER,
         ),
         ('{"members": [{"weight": 1, "state": 7}]}', 0, "state must be a string, got 7"),
+        (
+            '{"label": true, "members": [{"weight": 1, "state": "hermite:0"}]}',
+            None,
+            "label must be a string, got true",
+        ),
     ],
     ids=[
         "members-not-a-list", "null-weight", "weight-overflows-float", "boolean-weight",
-        "string-weight", "number-state",
+        "string-weight", "number-state", "boolean-label",
     ],
 )
 def test_ensemble_file_shape_errors_are_usage_errors(tmp_path, capsys, body, member, says):
-    # Each of the last three used to be read: true as weight 1, "0.5" as 0.5
-    # and the state 7 as the path of a state file.
+    # Each of the last four used to be read: true as weight 1, "0.5" as 0.5,
+    # the state 7 as the path of a state file and the label true as "True".
     path = tmp_path / "bad.json"
     path.write_text(body)
     args = ["ensemble-build", "--ensemble", str(path), "--out", str(tmp_path)] + SMALL + DIM
@@ -551,6 +557,22 @@ def handled_by(monkeypatch, handler):
     """Make diagnose run handler, keeping its flags."""
     monkeypatch.setitem(COMMANDS, "diagnose", dataclasses.replace(COMMANDS["diagnose"], run=handler))
     return ["diagnose", "--state", "hermite:0"]
+
+
+def test_the_parser_is_built_once(monkeypatch, tmp_path):
+    # Rebuilding it on every call fragmented the heap of a caller that runs
+    # many commands in one process.
+    builds = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, **kwargs):
+        builds.append(self.prog)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    argv = handled_by(monkeypatch, lambda ns, cfg: 0)
+    assert [main(argv), main(argv)] == [0, 0]
+    assert len(builds) <= 1
 
 
 def test_commands_run_on_one_blas_thread(monkeypatch, blas_threads):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,23 @@ def test_closure_check_samples_its_window_once(monkeypatch, hadamard_pair_512):
     report = feichtinger_closure_check(e1, e2)
     assert descriptors == ["hermite:0"]
     assert report.e1_verdicts == report.e2_verdicts == ("convergent", "convergent")
+
+
+def test_closure_check_builds_no_field(g1024, eigen_pair_1024):
+    # The two mixed fields are compared one row block at a time; building
+    # them took four n x n/2 float arrays, 16.8 MB at n = 1024.
+    plus = hermite_combination(g1024, (1.0, 1.0), "mix:+")
+    minus = hermite_combination(g1024, (1.0, -1.0), "mix:-")
+    rotated = Ensemble(((plus, 0.5), (minus, 0.5)), "pair:rotated")
+    one_field = 8 * g1024.n_points * (g1024.n_points // 2)
+    tracemalloc.start()
+    try:
+        report = feichtinger_closure_check(eigen_pair_1024, rotated)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.field_residual <= 1e-12
+    assert peak < one_field
 
 
 def test_closure_check_rejects_unequal_densities(g512):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from wignerlab.grid import (
+    ROW_BLOCK,
     CheckError,
     PhaseSpaceField,
     PhaseSpaceGrid,
     SampledState,
+    _row_blocks,
     catalog_state,
     hermite_functions,
     make_grid,
@@ -62,6 +64,20 @@ def test_trapezoid_weights():
     w = trapezoid_weights(8)
     assert w[0] == 0.5 and w[-1] == 0.5
     assert np.all(w[1:-1] == 1.0)
+
+
+def test_row_blocks_are_capped_power_of_two_tiles():
+    # The block sums of docs/conventions.md need one power-of-two row count
+    # and either one block or at least 128 field values (n/2 per row) in each.
+    # A block of slices (rows x n) holds at most ROW_BLOCK * 1024 values.
+    for n in (2**k for k in range(3, 17)):
+        blocks = _row_blocks(n)
+        rows = blocks[0].stop
+        assert rows & (rows - 1) == 0
+        assert blocks == [slice(start, start + rows) for start in range(0, n, rows)]
+        assert len(blocks) == 1 or rows * (n // 2) >= 128
+        assert rows == 1 or rows * n <= ROW_BLOCK * 1024
+        assert rows in (n, ROW_BLOCK) or 2 * rows * n > ROW_BLOCK * 1024
 
 
 def test_hermite_functions_orthonormal(g512):

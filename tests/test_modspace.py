@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wignerlab.grid import (
+    ROW_BLOCK,
     CheckError,
     PhaseSpaceField,
     SampledState,
@@ -179,6 +180,23 @@ def test_verdicts_build_no_field(sr2048):
         finally:
             tracemalloc.stop()
         assert peak < quarter_field
+
+
+def test_verdict_memory_is_capped_on_large_grids():
+    # A block of slices holds at most ROW_BLOCK * 1024 complex values, 512 KiB,
+    # whatever n.  At n = 4096 the verdict holds it, the FFT's scratch of the
+    # same size, a few quarter-size real buffers and the two padded windows:
+    # 1.7 MiB, against 4.2 MiB with 32-row blocks.
+    grid = make_grid(4096, 16.0)
+    box = catalog_state("box:-1:1", grid)
+    slice_block = 16 * ROW_BLOCK * 1024
+    tracemalloc.start()
+    try:
+        feichtinger_diagnostic(box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * slice_block
 
 
 def test_cutoff_ladder_geometry(g512):
