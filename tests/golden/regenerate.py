@@ -30,7 +30,7 @@ REGENERATE = "PYTHONPATH=src python tests/golden/regenerate.py"
 
 SMALL = ["--grid-n", "256", "--grid-l", "8"]
 ENSEMBLE = ["--grid-n", "512", "--grid-l", "10", "--dim", "8"]
-# Large enough that the row blocks of the kernel and the ladder are short.
+# A grid on which grid._row_blocks caps the blocks below ROW_BLOCK rows.
 LARGE = ["--grid-n", "4096", "--grid-l", "16"]
 
 # Every path is relative to the working directory: a file member's label
