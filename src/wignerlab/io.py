@@ -133,7 +133,8 @@ def load_ensemble_json(path: str, grid: PhaseSpaceGrid) -> Ensemble:
 
     Each member's ``state`` is either a catalog descriptor or a bare path to
     a sampled-state CSV; a relative bare path is read from the directory of
-    the ensemble file.
+    the ensemble file.  Any other key is refused, except the ``config`` and
+    ``eigenvalue_sum`` that ensemble-spectral writes beside the members.
     """
     with open(path) as fh:
         try:
@@ -142,10 +143,18 @@ def load_ensemble_json(path: str, grid: PhaseSpaceGrid) -> Ensemble:
             raise ValueError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("members"), list):
         raise ValueError(f"{path}: expected an object with a 'members' list")
+    unknown = sorted(doc.keys() - {"label", "members", "config", "eigenvalue_sum"})
+    if unknown:
+        raise ValueError(f"{path}: unknown key {', '.join(map(json.dumps, unknown))}")
     members = []
     for idx, entry in enumerate(doc["members"]):
         if not isinstance(entry, dict) or "weight" not in entry or "state" not in entry:
             raise ValueError(f"{path}: member {idx} needs 'weight' and 'state'")
+        unknown = sorted(entry.keys() - {"weight", "state"})
+        if unknown:
+            raise ValueError(
+                f"{path}: member {idx} has unknown key {', '.join(map(json.dumps, unknown))}"
+            )
         raw, desc = entry["weight"], entry["state"]
         # A JSON number only: json reads true as a bool, which float() takes as 1.
         try:

@@ -69,32 +69,37 @@ def _ladder(
     W is a field read as (rows, values) row blocks in order, s >= 0, and the
     cutoffs are those of cutoff_ladder.  One value per cutoff.  The blocks
     tile the (n, n/2) field with one power-of-two row count, and either one
-    block is the whole field or each holds at least 128 values.  Each rung
-    sums its masked block on its own and adds the block sums pairwise, which
-    is np.sum's order over the whole field: see docs/conventions.md, Block
-    sums.
+    block is the whole field or each holds at least 128 values.  The rungs
+    share one band of columns, the widest disc's: each writes its masked
+    block there and sums the whole block, and the zeros kept around the band
+    keep np.sum's pairwise order.  The block sums add pairwise, which is
+    np.sum's order over the whole field: see docs/conventions.md, Block sums
+    and Norm ladder.
     """
-    p = grid.wigner_p_points()
     n = grid.n_points
     x2_all = grid.x_points()[:, None] ** 2
-    p2 = p**2
-    # fl(x^2 + p^2) >= p^2, so a rung's disc lies within the columns where
-    # p^2 <= cutoff^2.  Its masked product is built on those columns only;
-    # the zeros around them keep np.sum's pairwise order.
-    rungs = []
-    for cutoff in cutoffs:
-        c2 = cutoff**2
-        band_cols = np.flatnonzero(p2 <= c2)
-        lo, hi = (band_cols[0], band_cols[-1] + 1) if band_cols.size else (0, 0)
-        rungs.append((c2, lo, hi, []))
+    p2 = grid.wigner_p_points() ** 2
+    c2s = [cutoff**2 for cutoff in cutoffs]
+    # fl(x^2 + p^2) >= p^2, so every disc lies within the columns where
+    # p^2 <= max(cutoff^2), p = 0 among them.
+    band = np.flatnonzero(p2 <= max(c2s))
+    lo, hi = band[0], band[-1] + 1
+    sums: list[list[float]] = [[] for _ in c2s]
     finite = True
-    weighted = scratch = None
+    weighted = None
     for rows, values in blocks:
         if weighted is None:
+            # Buffers for the first, largest block, allocated once per ladder.
+            # The scratch stays zero outside the band: a weight pass borrows
+            # it and zeroes it there again.
             weighted = np.empty(values.shape)
-            scratch = np.empty_like(weighted)
-        w, buf = weighted[: len(values)], scratch[: len(values)]
-        x2 = x2_all[rows]
+            scratch = np.zeros_like(weighted)
+            one_x2_all = np.empty((len(values), 1))
+            r2_all = np.empty((len(values), hi - lo))
+            inside_all = np.empty(r2_all.shape, dtype=bool)
+        k = len(values)
+        w, buf, one_x2 = weighted[:k], scratch[:k], one_x2_all[:k]
+        r2, inside, x2 = r2_all[:k], inside_all[:k], x2_all[rows]
         # An overflowing weight is refused below, so its warnings are noise.
         with np.errstate(over="ignore", invalid="ignore"):
             # (|W| * weight) * wx keeps the formula's association; **= keeps
@@ -103,30 +108,25 @@ def _ladder(
             # wx touch only the two edge rows, where they are 0.5.
             np.abs(values, out=w)
             if s != 0:
-                np.add(1.0 + x2, p2, out=buf)
+                np.add(1.0, x2, out=one_x2)
+                np.add(one_x2, p2, out=buf)
                 buf **= 0.5 * s
                 w *= buf
+                buf[:, :lo] = 0.0
+                buf[:, hi:] = 0.0
             if rows.start == 0:
                 w[0] *= 0.5
             if rows.stop == n:
                 w[-1] *= 0.5
             finite = finite and math.isfinite(float(w.max()))
-            nearest = float(x2.min())
-            for c2, lo, hi, sums in rungs:
-                # fl(x^2 + p^2) >= x^2 too: a block whose rows all lie outside
-                # the disc sums to +0, unless a weighted value there is not
-                # finite, which `finite` already refuses.
-                if nearest > c2:
-                    sums.append(0.0)
-                    continue
-                buf[:, :lo] = 0.0
-                buf[:, hi:] = 0.0
-                disc = buf[:, lo:hi]
-                np.add(x2, p2[lo:hi], out=disc)
-                np.multiply(w[:, lo:hi], disc <= c2, out=disc)
-                sums.append(float(np.sum(buf)))
-    norms = [_pairwise_total(sums) * grid.dx * grid.dp for *_, sums in rungs]
-    # No rung reads a weighted value outside its columns, so a non-finite one
+            np.add(x2, p2[lo:hi], out=r2)
+            disc = buf[:, lo:hi]
+            for c2, rung in zip(c2s, sums):
+                np.less_equal(r2, c2, out=inside)
+                np.multiply(w[:, lo:hi], inside, out=disc)
+                rung.append(float(np.sum(buf)))
+    norms = [_pairwise_total(rung) * grid.dx * grid.dp for rung in sums]
+    # No rung reads a weighted value outside the band, so a non-finite one
     # there shows only in `finite`; it is refused wherever it lies.
     if not (finite and all(math.isfinite(v) for v in norms)):
         raise ValueError(f"weight exponent s = {s} overflows the weighted norm on this grid")

@@ -440,15 +440,27 @@ NUMBER = "weight must be a number"
             None,
             "label must be a string, got true",
         ),
+        (
+            '{"lable": "mine", "members": [{"weight": 1, "state": "hermite:0"}]}',
+            None,
+            'unknown key "lable"',
+        ),
+        (
+            '{"members": [{"weight": 1, "state": "hermite:0", "wieght": 2}]}',
+            0,
+            'unknown key "wieght"',
+        ),
     ],
     ids=[
         "members-not-a-list", "null-weight", "weight-overflows-float", "boolean-weight",
-        "string-weight", "number-state", "boolean-label",
+        "string-weight", "number-state", "boolean-label", "misspelled-label",
+        "misspelled-member-key",
     ],
 )
 def test_ensemble_file_shape_errors_are_usage_errors(tmp_path, capsys, body, member, says):
-    # Each of the last four used to be read: true as weight 1, "0.5" as 0.5,
-    # the state 7 as the path of a state file and the label true as "True".
+    # Each of the last six used to be read: true as weight 1, "0.5" as 0.5,
+    # the state 7 as the path of a state file, the label true as "True", and
+    # a misspelled key was dropped without a word.
     path = tmp_path / "bad.json"
     path.write_text(body)
     args = ["ensemble-build", "--ensemble", str(path), "--out", str(tmp_path)] + SMALL + DIM

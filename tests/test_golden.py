@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from golden.compare import compare_runs
 from golden.regenerate import DIGESTS, REGENERATE, fingerprint, run_invocations
 
 
@@ -27,3 +29,58 @@ def test_artifacts_match_pinned_digests(tmp_path, monkeypatch):
     assert results.keys() == pinned["invocations"].keys()
     for name, result in results.items():
         assert result == pinned["invocations"][name], name
+
+
+def _side(root, exits, artifacts):
+    """A compare.py side directory: exits.json and out/NAME/ARTIFACT files."""
+    root.mkdir()
+    (root / "exits.json").write_text(json.dumps(exits))
+    for (name, artifact), text in artifacts.items():
+        (root / "out" / name).mkdir(parents=True, exist_ok=True)
+        (root / "out" / name / artifact).write_bytes(text.encode())
+
+
+def test_compare_reports_each_moved_value(tmp_path):
+    one_ulp_up = float(np.nextafter(1.0, 2.0))
+    csv = "x,p,value\r\n0,0,1\r\n0,1,0.5\r\n1,0,-0.25\r\n"
+    # One ulp away in two lines of the value column, and -0 for 0 in p.
+    moved_csv = "x,p,value\r\n0,-0,1\r\n0,1,0.5000000000000001\r\n1,0,-0.25000000000000006\r\n"
+    report = {"verdict": "convergent", "partials": [[1, 0.5], [2, 1]], "pass": True}
+    moved = {"verdict": "diverging", "partials": [[1, 0.5], [2, one_ulp_up]], "pass": True}
+    _side(tmp_path / "old", {"wigner": 0, "moments": 0, "refused": 1}, {
+        ("wigner", "field.csv"): csv,
+        ("wigner", "field.json"): '{"n":4}\n',
+        ("moments", "report.json"): json.dumps(report),
+        ("moments", "gone.csv"): csv,
+    })
+    _side(tmp_path / "new", {"wigner": 0, "moments": 0, "refused": 2}, {
+        ("wigner", "field.csv"): moved_csv,
+        ("wigner", "field.json"): '{"n":4}\n',
+        ("moments", "report.json"): json.dumps(moved),
+    })
+    lines, same = compare_runs(str(tmp_path / "old"), str(tmp_path / "new"))
+    assert not same
+    assert lines == [
+        "moments: exit 0",
+        "  gone.csv:",
+        "    only in old",
+        "  report.json:",
+        f"    partials[1][1]: old 1.0 new {one_ulp_up!r} |Δ| 2.22e-16 ulps 1",
+        '    verdict: old "convergent" new "diverging"',
+        "refused: exit 1 -> 2",
+        "wigner: exit 0",
+        "  field.csv:",
+        "    p: differing lines 1, max |Δ| 0, max ulps 0",
+        "    value: differing lines 2, max |Δ| 1.11e-16, max ulps 1",
+        "  field.json: identical",
+    ]
+
+
+def test_compare_reads_equal_sides_as_identical(tmp_path):
+    artifacts = {("diagnose", "report.json"): '{"partials":[[1,-0]],"verdict":"diverging"}\n'}
+    for side in ("old", "new"):
+        _side(tmp_path / side, {"diagnose": 0}, artifacts)
+    assert compare_runs(str(tmp_path / "old"), str(tmp_path / "new")) == (
+        ["diagnose: exit 0", "  report.json: identical"],
+        True,
+    )

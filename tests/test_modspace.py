@@ -73,6 +73,20 @@ def test_weight_overflowing_outside_the_top_disc_is_refused(s):
         field_ladder(field, s, cutoff_ladder(field.grid))
 
 
+@pytest.mark.parametrize(
+    "row, col", [(128, 0), (2, 64)], ids=["outside-the-band", "outside-every-disc"]
+)
+def test_nan_outside_every_disc_is_refused(row, col):
+    # The top rung's disc has radius pi/2 here and its columns |p| <= pi/2.
+    # Column 0 (p = -pi) lies outside those columns; row 2 (x = -63) at column
+    # 64 (p = 0) lies inside them, in a row block wholly outside every disc.
+    grid = make_grid(256, 64.0)
+    values = wigner(catalog_state("hermite:0", grid)).values.copy()
+    values[row, col] = np.nan
+    with pytest.raises(ValueError, match="s = 0"):
+        field_ladder(PhaseSpaceField(grid, values), 0.0, cutoff_ladder(grid))
+
+
 def test_ladder_peak_memory_is_two_float_buffers(sr2048):
     box = catalog_state("box:-0.5:0.5", sr2048)
     h0 = catalog_state("hermite:0", sr2048)
