@@ -46,6 +46,12 @@ INVOCATIONS = {
         "cross-wigner", "--state", "box:-1:1", "--state2", "hermite:2",
         "--grid-n", "512", "--grid-l", "10",
     ],
+    # 16 row blocks of 512 rows, 121344 of 131072 values an exact zero.
+    "wigner-zeros": ["wigner", "--state", "box:-1:0.5", "--grid-n", "512", "--grid-l", "10"],
+    # Two row blocks; the x column mixes fixed and exponent notation.
+    "wigner-notations": [
+        "wigner", "--state", "box:-0.0005:0.0005", "--grid-n", "64", "--grid-l", "0.001",
+    ],
     "modnorm": ["modnorm", "--state", "box:-1:1", "--s", "1", *SMALL],
     "diagnose": ["diagnose", "--state", "hermite:0", *SMALL],
     "diagnose-coarse": ["diagnose", "--state", "box:-0.5:0.5", "--grid-n", "64", "--grid-l", "8"],
