@@ -1,14 +1,16 @@
 """The ``%.17g`` text of float64 arrays, and CSV lines built from it.
 
-``_number_text`` formats whole arrays as ``format(v, ".17g")`` would, and
-``_csv_lines`` joins columns of that text into CRLF lines
-(docs/conventions.md, Number text).  Only the CSV writers of ``io`` use
-them, and they import this module when they run.
+``_number_text`` formats whole arrays as ``format(v, ".17g")`` would,
+``_packed`` drops the NULs of a column of that text, and ``_csv_lines``
+joins columns of text into CRLF lines (docs/conventions.md, Number text).
+Only the CSV writers of ``io`` use them, and they import this module when
+they run.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import NamedTuple
 
@@ -27,11 +29,15 @@ _TIE_MARGIN = 1e-6
 
 
 class _TextTables(NamedTuple):
-    powers: np.ndarray  # rows hi, hi's Veltkamp halves and lo of 10^(16-e), by e - _E_MIN
-    digits4: np.ndarray  # "<u4" per 0..9999: its four ASCII digits in text order
+    powers: np.ndarray  # per e - _E_MIN: hi, hi's Veltkamp halves and lo of 10^(16-e)
+    quads: np.ndarray  # "<u4" per 0..9999: its four ASCII digits in text order
+    last: np.ndarray  # quads with the group's trailing zeros NUL
     zeros4: np.ndarray  # trailing zeros of each four-digit group, 4 for 0
-    prefixes: np.ndarray  # "<u8" per e = -4 .. 0: NUL, then "0.000" .. "0." or nothing
-    exponents: np.ndarray  # "<u8" per e: "e+XX" or "e-XXX", NUL padded
+    offsets: np.ndarray  # per e - _E_MIN: where its head words start in heads, plus 2
+    heads: np.ndarray  # "<u8" bytes 0..7 by e class, lead digit, kept > 1 and sign
+    keep_high: np.ndarray  # "<u8" per shown digit count: keeps digits 1..8 of those shown
+    keep_low: np.ndarray  # "<u8" per shown digit count: keeps digits 9..16 of those shown
+    exponents: np.ndarray  # "<u8" per e - _E_MIN: "e+XX" or "e-XXX", NUL padded; 0 if fixed
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -50,25 +56,59 @@ def _power_of_ten(k: int) -> tuple[float, float]:
     return hi, (den - num * 10**-k) / (den * 10**-k)
 
 
+def _fixed(e: np.ndarray) -> np.ndarray:
+    """Whether %.17g writes a value of decimal exponent e in fixed notation."""
+    return (e >= -4) & (e < 17)
+
+
+def _head(e: int, lead: int, many: bool, negative: bool) -> str:
+    """Bytes 0..7 of a text row: sign, "0.000" prefix, lead digit, point.
+
+    Fixed notation with e != 0 has no point after the lead digit, and a
+    value with one digit shown has none at all.
+    """
+    prefix = "0." + "0" * (-e - 1) if -4 <= e < 0 else ""
+    point = "." if many and not (_fixed(e) and e != 0) else "\0"
+    return ("-" if negative else "\0") + prefix.ljust(5, "\0") + f"{lead}{point}"
+
+
 @functools.cache
 def _text_tables() -> _TextTables:
     """Built on first use, so importing the package does not pay for them."""
-    hi, lo = np.array([_power_of_ten(16 - e) for e in range(_E_MIN, _E_MAX + 1)]).T
+    e = range(_E_MIN, _E_MAX + 1)
+    hi, lo = np.array([_power_of_ten(16 - k) for k in e]).T
     g = np.arange(10000)
     quads = np.stack([g // 10**k - g // 10 ** (k + 1) * 10 for k in (3, 2, 1, 0)], 1)
+    quads = (quads + ord("0")).astype(np.uint8)
+    zeros4 = sum(g // 10**k * 10**k == g for k in range(1, 5))
+    last = quads.copy()
+    for k in range(1, 5):
+        last[zeros4 >= k, 4 - k] = 0
+    masks = [(1 << 8 * c) - 1 for c in range(9)]
+    # Every e below -4 is written as -5 is, and every e above 16 as 17 is.
+    heads = [
+        _head(k, lead, many, negative)
+        for k in range(-5, 18)
+        for lead in range(10)
+        for many in (False, True)
+        for negative in (False, True)
+    ]
     return _TextTables(
-        np.stack([hi, *_split(hi), lo]),
-        (quads + ord("0")).astype(np.uint8).view("<u4").ravel(),
-        sum(g // 10**k * 10**k == g for k in range(1, 5)),
-        _ascii(["\0" + "0." + "0" * (-e - 1) if e < 0 else "" for e in range(-4, 1)], "<u8"),
-        _ascii([f"e{e:+03d}" for e in range(_E_MIN, _E_MAX + 1)], "<u8"),
+        np.ascontiguousarray(np.stack([hi, *_split(hi), lo], 1)),
+        quads.view("<u4").ravel(),
+        last.view("<u4").ravel(),
+        zeros4,
+        np.array([(min(max(k, -5), 17) + 5) * 40 + 2 for k in e]),
+        np.frombuffer("".join(heads).encode(), "<u8"),
+        np.array([masks[min(max(c - 1, 0), 8)] for c in range(18)], "<u8"),
+        np.array([masks[min(max(c - 9, 0), 8)] for c in range(18)], "<u8"),
+        _ascii(["" if _fixed(k) else f"e{k:+03d}" for k in e]),
     )
 
 
-def _ascii(texts: list[str], dtype: str) -> np.ndarray:
-    """Each text as one little-endian word, its first byte lowest, NUL padded."""
-    width = np.dtype(dtype).itemsize
-    return np.array([t.encode().ljust(width, b"\0") for t in texts], f"S{width}").view(dtype)
+def _ascii(texts: list[str]) -> np.ndarray:
+    """Each text as one little-endian "<u8" word, its first byte lowest, NUL padded."""
+    return np.array([t.encode().ljust(8, b"\0") for t in texts], "S8").view("<u8")
 
 
 def _decimal17(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -83,18 +123,19 @@ def _decimal17(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a = np.abs(values)
     zero = a == 0
     fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
-    a[~fast] = 1.0
+    if not fast.all():
+        a[~fast] = 1.0
     e = np.floor(np.log10(a)).astype(np.int64)
-    row = e - _E_MIN
-    hi, hi_h, hi_l, lo = _text_tables().powers
+    # One gather of the four table rows; each column is a strided view.
+    hi, hi_h, hi_l, lo = np.take(_text_tables().powers, e - _E_MIN, axis=0).T
     # Dekker's two-product: top + rest == a·hi exactly, then rest += a·lo.
-    top = a * hi[row]
+    top = a * hi
     a_h, a_l = _split(a)
-    rest = a_h * hi_h[row] - top
-    rest += a_h * hi_l[row]
-    rest += a_l * hi_h[row]
-    rest += a_l * hi_l[row]
-    rest += a * lo[row]
+    rest = a_h * hi_h - top
+    rest += a_h * hi_l
+    rest += a_l * hi_h
+    rest += a_l * hi_l
+    rest += a * lo
     # top >= 2^53 is an integer, so the fraction of D is that of rest.
     whole = np.floor(rest)
     rest -= whole
@@ -106,11 +147,10 @@ def _decimal17(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return digits, e, proved | zero
 
 
-# A text row has 32 bytes: sign, the "0.000" prefix of fixed notation with
-# e < 0, the leading digit, the decimal point, sixteen more digits, then the
-# exponent from byte 24.  Every byte that is not part of the text is NUL.
-# _MASKS[c] keeps the first c of eight digits.
-_MASKS = np.array([(1 << 8 * c) - 1 for c in range(9)], "<u8")
+# A text row is four "<u8" words, 32 bytes: the head word (sign, the
+# "0.000" prefix of fixed notation with e < 0, the lead digit, the decimal
+# point), sixteen more digits as four "<u4" groups, then the exponent from
+# byte 24.  Every byte that is not part of the text is NUL.
 
 
 def _number_text(values: np.ndarray) -> np.ndarray:
@@ -124,66 +164,122 @@ def _number_text(values: np.ndarray) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     flat = v.reshape(-1)
     digits, e, proved = _decimal17(flat)
-    # digits = lead·10^16 + four groups of four digits.  Floor division by a
-    # constant is fast in numpy; remainders are not.
+    row = e - _E_MIN
+    # digits = lead·10^16 + two halves of eight digits, each split into two
+    # groups of four.  Floor division by a constant is fast in numpy;
+    # remainders are not.
     high = digits // 10**8
     low = digits - high * 10**8
     lead = high // 10**8
     high -= lead * 10**8
-    groups = np.empty((len(flat), 4), np.int64)
-    for j, half in ((0, high), (2, low)):
-        groups[:, j] = quotient = half // 10**4
-        groups[:, j + 1] = half - quotient * 10**4
-    # A group's trailing zeros count only when every later group is 0.
-    trailing = t.zeros4[groups[:, 3]]
-    for j, full in ((2, 4), (1, 8), (0, 12)):
-        trailing += (trailing == full) * t.zeros4[groups[:, j]]
-    kept = 17 - trailing
-    fixed = (e >= -4) & (e < 17)
-    # Fixed notation shows every digit left of the point.
-    shown = np.where(fixed, np.maximum(kept, e + 1), kept)
-    point = (kept > 1) & ~(fixed & (e != 0))
-    text = np.empty((len(flat), 32), np.uint8)
-    words = text.view("<u8")
-    words[:, 0] = t.prefixes[np.where(fixed, np.minimum(e, 0), 0) + 4]
-    text[:, 0] = np.signbit(flat) * ord("-")
-    text[:, 6] = lead + ord("0")
-    text[:, 7] = point * ord(".")
-    text.view("<u4")[:, 2:6] = t.digits4[groups]
-    words[:, 1] &= _MASKS[np.minimum(shown - 1, 8)]
-    words[:, 2] &= _MASKS[np.maximum(shown - 9, 0)]
-    words[:, 3] = t.exponents[e - _E_MIN]
-    words[fixed, 3] = 0
+    g0 = high // 10**4
+    g1 = high - g0 * 10**4
+    g2 = low // 10**4
+    g3 = low - g2 * 10**4
+    words = np.empty((len(flat), 4), "<u8")
+    quarters = words.view("<u4")
+    # Most values end in a nonzero group: all sixteen digits up to that
+    # group's trailing zeros are shown, and a point follows the lead digit
+    # unless fixed notation moves it.
+    quarters[:, 2] = t.quads.take(g0)
+    quarters[:, 3] = t.quads.take(g1)
+    quarters[:, 4] = t.quads.take(g2)
+    quarters[:, 5] = t.last.take(g3)
+    index = t.offsets.take(row)
+    index += lead * 4
+    index += np.signbit(flat)
+    # The rest are redone: values ending in 0000, zeros among them, and
+    # fixed notation with e >= 1, which shows every digit left of the point.
+    wide = (e >= 1) & (e < 17)
+    redo = np.flatnonzero((g3 == 0) | wide)
+    if redo.size:
+        # A group's trailing zeros count only when every later group is 0.
+        trailing = t.zeros4[g3[redo]]
+        for group, full in ((g2, 4), (g1, 8), (g0, 12)):
+            trailing += (trailing == full) * t.zeros4[group[redo]]
+        kept = 17 - trailing
+        wide = wide[redo]
+        shown = np.where(wide, np.maximum(kept, e[redo] + 1), kept)
+        quarters[redo, 5] = t.quads[g3[redo]]
+        words[redo, 1] &= t.keep_high[shown]
+        words[redo, 2] &= t.keep_low[shown]
+        index[redo] -= 2 * (kept <= 1)
+    words[:, 0] = t.heads.take(index)
+    words[:, 3] = t.exponents.take(row)
+    text = words.view(np.uint8)
     # Fixed notation with e >= 1: digits 1..e move left over the point slot,
     # and the point follows them.
-    wide = np.flatnonzero(fixed & (e >= 1))
-    for k in set(e[wide].tolist()):
-        rows = wide[e[wide] == k]
-        text[rows, 7 : 7 + k] = text[rows, 8 : 8 + k]
-        text[rows, 7 + k] = np.where(kept[rows] > k + 1, ord("."), 0)
+    if redo.size:
+        for k in set(e[redo[wide]].tolist()):
+            at = wide & (e[redo] == k)
+            rows = redo[at]
+            text[rows, 7 : 7 + k] = text[rows, 8 : 8 + k]
+            text[rows, 7 + k] = np.where(kept[at] > k + 1, ord("."), 0)
     for i in np.flatnonzero(~proved):
         s = format(float(flat[i]), ".17g").encode()
         text[i] = 0
         text[i, : len(s)] = np.frombuffer(s, np.uint8)
-    # Bytes 29..31 are always NUL, and bytes 24..28 hold only an exponent.
-    width = 24 if fixed.all() else 29
+    # Bytes 29..31 are always NUL, and bytes 24..28 hold only an exponent; a
+    # text written by format() has at most 24 bytes.
+    width = 24 if e.min(initial=0) >= -4 and e.max(initial=0) < 17 else 29
     return text[:, :width].reshape(*v.shape, width)
 
 
-def _csv_lines(*columns: np.ndarray) -> bytearray:
+def _packed(text: np.ndarray) -> np.ndarray:
+    """The same texts with their NULs removed, each padded to the longest.
+
+    ``text`` is a 2-D ``_number_text`` array; the result has as many rows,
+    as wide as the longest text, with the same non-NUL bytes in each row.
+    """
+    rows = np.empty((len(text), text.shape[-1] + 1), np.uint8)
+    rows[:, :-1] = text
+    rows[:, -1] = ord("\n")
+    texts = rows.tobytes().translate(None, b"\0").split(b"\n")[:-1]
+    width = max(map(len, texts), default=1)
+    return np.frombuffer(b"".join(s.ljust(width, b"\0") for s in texts), np.uint8).reshape(
+        len(texts), width
+    )
+
+
+class _LineBuffer:
     """CRLF lines of comma-joined number text, NUL padding dropped.
 
-    Each column is a ``_number_text`` array; the columns broadcast to one
-    shape and each index of it is one line, in C order.
+    ``lines(*columns)`` takes ``_number_text`` or ``_packed`` arrays; the
+    columns broadcast to one shape and each index of it is one line, in C
+    order.  Each cell is copied as one item of its column's width.  The
+    buffer, its commas and its line ends are kept from one call to the next
+    while the shape and the column widths stay the same, and so are the
+    columns at the positions in ``fixed``, which must not change between
+    calls.
     """
-    shape = np.broadcast_shapes(*(c.shape[:-1] for c in columns))
-    width = sum(c.shape[-1] + 1 for c in columns) + 1
-    raw = bytearray(math.prod(shape) * width)
-    buf = np.frombuffer(raw, np.uint8).reshape(*shape, width)
-    at = 0
-    for col in columns:
-        buf[..., at : at + col.shape[-1]] = col
-        at += col.shape[-1] + 1
-        buf[..., at - 1] = ord(",")
-    buf[..., at - 1 :] = (ord("\r"), ord("\n"))
-    return raw.translate(None, b"\0")
+
+    def __init__(self, *fixed: int) -> None:
+        self._fixed = fixed
+        self._layout = None
+
+    def lines(self, *columns: np.ndarray) -> bytearray:
+        shape = np.broadcast_shapes(*(c.shape[:-1] for c in columns))
+        widths = [c.shape[-1] for c in columns]
+        starts = list(itertools.accumulate((w + 1 for w in widths), initial=0))
+        if self._layout != (shape, widths):
+            self._layout = (shape, widths)
+            self._raw = bytearray(math.prod(shape) * (starts[-1] + 1))
+            self._buf = np.frombuffer(self._raw, np.uint8).reshape(*shape, starts[-1] + 1)
+            for at in starts[1:-1]:
+                self._buf[..., at - 1] = ord(",")
+            self._buf[..., -2:] = (ord("\r"), ord("\n"))
+            for k in self._fixed:
+                self._put(starts[k], columns[k])
+        for k, (at, col) in enumerate(zip(starts, columns)):
+            if k not in self._fixed:
+                self._put(at, col)
+        return self._raw.translate(None, b"\0")
+
+    def _put(self, at: int, col: np.ndarray) -> None:
+        item = f"V{col.shape[-1]}"
+        self._buf[..., at : at + col.shape[-1]].view(item)[..., 0] = col.view(item)[..., 0]
+
+
+def _csv_lines(*columns: np.ndarray) -> bytearray:
+    """The lines of ``_LineBuffer().lines(*columns)``, for a one-off table."""
+    return _LineBuffer().lines(*columns)

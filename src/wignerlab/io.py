@@ -92,21 +92,23 @@ def write_field_csv(path: str, field: PhaseSpaceField) -> None:
     Real fields get columns x,p,value; complex fields x,p,re,im.  Every
     number is written as ``format(v, ".17g")`` would write it (see
     docs/conventions.md, Number text).  The x and p columns are formatted
-    once; the values are formatted and written one row block of x rows
-    (grid._row_blocks) at a time.
+    and packed once; the values are formatted and written one row block of
+    x rows (grid._row_blocks) at a time.
     """
-    from ._csvtext import _csv_lines, _number_text
+    from ._csvtext import _LineBuffer, _number_text, _packed
 
     values = field.values
     is_complex = np.iscomplexobj(values)
-    xs = _number_text(field.grid.x_points())[:, None]
-    ps = _number_text(field.grid.wigner_p_points())
+    xs = _packed(_number_text(field.grid.x_points()))[:, None]
+    ps = _packed(_number_text(field.grid.wigner_p_points()))
+    # The p column is the same in every block, so it is copied once.
+    buffer = _LineBuffer(1)
     with open(path, "wb") as fh:
         fh.write(b"x,p,re,im\r\n" if is_complex else b"x,p,value\r\n")
         for rows in _row_blocks(len(values)):
             block = values[rows]
             cells = (block.real, block.imag) if is_complex else (block,)
-            fh.write(_csv_lines(xs[rows], ps, *map(_number_text, cells)))
+            fh.write(buffer.lines(xs[rows], ps, *map(_number_text, cells)))
 
 
 def write_marginal_csv(path: str, axis_name: str, axis: np.ndarray, values: np.ndarray) -> None:
