@@ -169,13 +169,13 @@ def _number_text(values: np.ndarray) -> np.ndarray:
     # groups of four.  Floor division by a constant is fast in numpy;
     # remainders are not.
     high = digits // 10**8
-    low = digits - high * 10**8
+    digits -= high * 10**8
     lead = high // 10**8
     high -= lead * 10**8
-    g0 = high // 10**4
-    g1 = high - g0 * 10**4
-    g2 = low // 10**4
-    g3 = low - g2 * 10**4
+    g0, g2 = high // 10**4, digits // 10**4
+    high -= g0 * 10**4
+    digits -= g2 * 10**4
+    g1, g3 = high, digits
     words = np.empty((len(flat), 4), "<u8")
     quarters = words.view("<u4")
     # Most values end in a nonzero group: all sixteen digits up to that
@@ -186,7 +186,8 @@ def _number_text(values: np.ndarray) -> np.ndarray:
     quarters[:, 4] = t.quads.take(g2)
     quarters[:, 5] = t.last.take(g3)
     index = t.offsets.take(row)
-    index += lead * 4
+    lead *= 4
+    index += lead
     index += np.signbit(flat)
     # The rest are redone: values ending in 0000, zeros among them, and
     # fixed notation with e >= 1, which shows every digit left of the point.
