@@ -12,10 +12,12 @@ src/.  For every artifact it prints "identical" or the difference:
 
 Exit codes are compared too.  From the repository root:
 
-    python tests/golden/compare.py REV
+    python tests/golden/compare.py REV [--extra FILE]
 
-It exits 0 when every artifact and exit code is identical, 1 otherwise, and
-2 when REV cannot be read.
+FILE adds invocations outside the pinned set: a JSON object that maps each
+new name to its argv list, as INVOCATIONS does.  It exits 0 when every
+artifact and exit code is identical, 1 otherwise, and 2 when REV or FILE
+cannot be read.
 """
 
 from __future__ import annotations
@@ -34,11 +36,13 @@ import numpy as np
 GOLDEN = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(GOLDEN))
 
-# Run in a side's directory: the pinned inputs and artifacts go to inputs/
-# and out/NAME/, and the exit codes to exits.json.
+# Run in a side's directory: the invocations are read from invocations.json,
+# the pinned inputs and artifacts go to inputs/ and out/NAME/, and the exit
+# codes to exits.json.
 _RUN_SIDE = """
 import json, regenerate
-results = regenerate.run_invocations()
+with open("invocations.json") as fh:
+    results = regenerate.run_invocations(json.load(fh))
 with open("exits.json", "w") as fh:
     json.dump({name: r["exit"] for name, r in results.items()}, fh)
 """
@@ -160,8 +164,38 @@ def _extract_src(rev: str, dest: str) -> str:
     return os.path.join(dest, "src")
 
 
-def _run_side(src: str, side_dir: str) -> None:
+def load_extra(path: str, pinned: dict) -> dict:
+    """The invocations of an --extra file: {name: argv list}, no pinned name."""
+    with open(path) as fh:
+        try:
+            extra = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(extra, dict) or not all(
+        isinstance(argv, list) and all(isinstance(arg, str) for arg in argv)
+        for argv in extra.values()
+    ):
+        raise ValueError(f"{path}: expected an object that maps names to argv lists of strings")
+    clash = sorted(extra.keys() & pinned.keys())
+    if clash:
+        raise ValueError(f"{path}: {', '.join(clash)} already pinned")
+    return extra
+
+
+def compare_sources(
+    old_src: str, new_src: str, invocations: dict, work: str
+) -> tuple[list[str], bool]:
+    """Run the invocations against two src/ trees, in side directories under work; compare."""
+    sides = [os.path.join(work, side) for side in ("old", "new")]
+    for src, side_dir in zip((old_src, new_src), sides):
+        _run_side(src, side_dir, invocations)
+    return compare_runs(*sides)
+
+
+def _run_side(src: str, side_dir: str, invocations: dict) -> None:
     os.makedirs(side_dir)
+    with open(os.path.join(side_dir, "invocations.json"), "w") as fh:
+        json.dump(invocations, fh)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, GOLDEN])}
     run = subprocess.run(
         [sys.executable, "-c", _RUN_SIDE], cwd=side_dir, env=env, capture_output=True, text=True
@@ -173,16 +207,22 @@ def _run_side(src: str, side_dir: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Compare REV's artifacts with the working tree's.")
     parser.add_argument("rev", help="git revision to compare the working tree against")
+    parser.add_argument("--extra", metavar="FILE", help="JSON object of more invocations to run")
     ns = parser.parse_args(argv)
+    from regenerate import INVOCATIONS  # beside this script, which is run directly
+
+    invocations = dict(INVOCATIONS)
+    if ns.extra:
+        try:
+            invocations.update(load_extra(ns.extra, INVOCATIONS))
+        except (OSError, ValueError) as exc:
+            parser.error(str(exc))
     with tempfile.TemporaryDirectory() as tmp:
         try:
             old_src = _extract_src(ns.rev, os.path.join(tmp, "rev"))
         except subprocess.CalledProcessError as exc:
             parser.error(f"git archive {ns.rev}: {exc.stderr.decode().strip()}")
-        old_dir, new_dir = os.path.join(tmp, "old"), os.path.join(tmp, "new")
-        _run_side(old_src, old_dir)
-        _run_side(os.path.join(ROOT, "src"), new_dir)
-        lines, same = compare_runs(old_dir, new_dir)
+        lines, same = compare_sources(old_src, os.path.join(ROOT, "src"), invocations, tmp)
     print(f"old: {ns.rev}, new: the working tree")
     print("\n".join(lines))
     print("every artifact and exit code identical" if same else "differences found")

@@ -109,13 +109,16 @@ def _write_inputs() -> None:
             json.dump(doc, fh)
 
 
-def run_invocations() -> dict:
-    """Run every invocation in the working directory; return each exit code and digests."""
+def run_invocations(invocations: dict | None = None) -> dict:
+    """Run invocations (INVOCATIONS by default) in the working directory.
+
+    Returns each one's exit code and the digests of its artifacts.
+    """
     from wignerlab.cli import main
 
     _write_inputs()
     results = {}
-    for name, argv in INVOCATIONS.items():
+    for name, argv in (INVOCATIONS if invocations is None else invocations).items():
         out = os.path.join("out", name)
         code = main([*argv, "--out", out])
         artifacts = {}

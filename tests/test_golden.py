@@ -1,12 +1,16 @@
 """Every artifact of the pinned invocation set keeps its bytes and exit code."""
 
 import json
+import os
+import shutil
 
 import numpy as np
 import pytest
 
-from golden.compare import compare_runs
-from golden.regenerate import DIGESTS, REGENERATE, fingerprint, run_invocations
+from golden.compare import compare_runs, compare_sources, load_extra
+from golden.regenerate import DIGESTS, INVOCATIONS, REGENERATE, fingerprint, run_invocations
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def test_artifacts_match_pinned_digests(tmp_path, monkeypatch):
@@ -84,3 +88,45 @@ def test_compare_reads_equal_sides_as_identical(tmp_path):
         ["diagnose: exit 0", "  report.json: identical"],
         True,
     )
+
+
+def test_compare_runs_extra_invocations_on_both_sides(tmp_path):
+    # Two copies of the working tree's src/, the second with hbar written one
+    # ulp high in every field JSON; only the extra invocation is run.
+    for side in ("a", "b"):
+        shutil.copytree(SRC, tmp_path / side / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    io_py = tmp_path / "b" / "src" / "wignerlab" / "io.py"
+    io_py.write_text(io_py.read_text().replace('"hbar": grid.hbar,', '"hbar": grid.hbar * (1 + 2**-52),'))
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps({"wigner-64": ["wigner", "--state", "hermite:0", "--grid-n", "64"]}))
+    invocations = load_extra(str(extra), INVOCATIONS)
+    a, b = (str(tmp_path / side / "src") for side in ("a", "b"))
+    assert compare_sources(a, a, invocations, str(tmp_path / "same")) == (
+        ["wigner-64: exit 0", "  wigner_field.csv: identical", "  wigner_field.json: identical"],
+        True,
+    )
+    lines, same = compare_sources(a, b, invocations, str(tmp_path / "moved"))
+    assert not same
+    assert lines == [
+        "wigner-64: exit 0",
+        "  wigner_field.csv: identical",
+        "  wigner_field.json:",
+        f"    hbar: old 1.0 new {1 + 2**-52!r} |Δ| 2.22e-16 ulps 1",
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{not json", "invalid JSON"),
+        ('["wigner"]', "maps names to argv lists"),
+        ('{"x": ["wigner", 3]}', "maps names to argv lists"),
+        ('{"wigner": ["wigner", "--state", "hermite:2"]}', "wigner already pinned"),
+    ],
+    ids=["not-json", "not-an-object", "not-strings", "pinned-name"],
+)
+def test_compare_refuses_a_bad_extra_file(tmp_path, text, message):
+    path = tmp_path / "extra.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_extra(str(path), INVOCATIONS)

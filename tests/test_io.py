@@ -229,8 +229,10 @@ def test_csv_writers_match_csv_writer_on_awkward_values(is_complex):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    n=st.sampled_from([8, 16]),
-    half_width=st.sampled_from([1.0, 10.0 / 3.0, 12.0, 1e-3]),
+    # n = 64 spans two row blocks (grid._row_blocks); at half-widths 1e-3
+    # and 1e5 the x or p column mixes fixed and exponent notation.
+    n=st.sampled_from([8, 16, 64]),
+    half_width=st.sampled_from([1.0, 10.0 / 3.0, 12.0, 1e-3, 1e5]),
     data=st.data(),
 )
 def test_csv_writers_match_csv_writer_oracle(n, half_width, data):
@@ -238,7 +240,17 @@ def test_csv_writers_match_csv_writer_oracle(n, half_width, data):
     is_complex = data.draw(st.booleans(), label="complex")
     cells = n * (n // 2)
     size = cells * (2 if is_complex else 1)
-    flat = np.array(data.draw(st.lists(numbers, min_size=size, max_size=size)))
+    # Beyond 256 values, 256 drawn numbers are repeated with a drawn shift.
+    drawn = data.draw(st.lists(numbers, min_size=min(size, 256), max_size=min(size, 256)))
+    shift = data.draw(st.integers(0, len(drawn) - 1), label="shift")
+    flat = np.resize(np.roll(np.array(drawn), shift), size)
+    # The first rows hold only fixed-notation values, so the row blocks of
+    # one field may differ in the width of their value text.
+    rows = data.draw(st.integers(0, n), label="fixed rows")
+    plain = data.draw(st.lists(st.floats(-1e16, 1e16).filter(lambda v: abs(v) >= 1e-4), min_size=1))
+    flat = flat.reshape(-1, n, n // 2)
+    flat[:, :rows] = np.resize(plain, flat[:, :rows].shape)
+    flat = flat.reshape(-1)
     vals = complex_array(flat[:cells], flat[cells:]) if is_complex else flat
     field = PhaseSpaceField(grid, vals.reshape(n, n // 2))
     m = data.draw(st.integers(1, 12), label="rows")
