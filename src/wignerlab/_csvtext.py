@@ -1,7 +1,7 @@
 """The ``%.17g`` text of float64 arrays, and CSV lines built from it.
 
 ``_number_text`` formats whole arrays as ``format(v, ".17g")`` would,
-``_packed`` drops the NULs of a column of that text, and ``_csv_lines``
+``_packed`` drops the NULs of a column of that text, and ``_LineBuffer``
 joins columns of text into CRLF lines (docs/conventions.md, Number text).
 Only the CSV writers of ``io`` use them, and they import this module when
 they run.
@@ -279,8 +279,3 @@ class _LineBuffer:
     def _put(self, at: int, col: np.ndarray) -> None:
         item = f"V{col.shape[-1]}"
         self._buf[..., at : at + col.shape[-1]].view(item)[..., 0] = col.view(item)[..., 0]
-
-
-def _csv_lines(*columns: np.ndarray) -> bytearray:
-    """The lines of ``_LineBuffer().lines(*columns)``, for a one-off table."""
-    return _LineBuffer().lines(*columns)
