@@ -1,7 +1,7 @@
 """The ``%.17g`` text of float64 arrays, and CSV lines built from it.
 
 ``_number_text`` formats whole arrays as ``format(v, ".17g")`` would,
-``_packed`` drops the NULs of a column of that text, and ``_LineBuffer``
+``_packed`` formats a short axis without NUL gaps, and ``_LineBuffer``
 joins columns of text into CRLF lines (docs/conventions.md, Number text).
 Only the CSV writers of ``io`` use them, and they import this module when
 they run.
@@ -226,20 +226,16 @@ def _number_text(values: np.ndarray) -> np.ndarray:
     return text[:, :width].reshape(*v.shape, width)
 
 
-def _packed(text: np.ndarray) -> np.ndarray:
-    """The same texts with their NULs removed, each padded to the longest.
+def _packed(values: np.ndarray) -> np.ndarray:
+    """``format(v, ".17g")`` of each value of a short 1-D array, packed.
 
-    ``text`` is a 2-D ``_number_text`` array; the result has as many rows,
-    as wide as the longest text, with the same non-NUL bytes in each row.
+    Returns uint8 of shape ``(len(values), width)``: each text from its
+    row's first byte, NUL padded only to the longest text.  The x and p
+    axes of a field are formatted once per file, so ``format`` itself is
+    fast enough here.
     """
-    rows = np.empty((len(text), text.shape[-1] + 1), np.uint8)
-    rows[:, :-1] = text
-    rows[:, -1] = ord("\n")
-    texts = rows.tobytes().translate(None, b"\0").split(b"\n")[:-1]
-    width = max(map(len, texts), default=1)
-    return np.frombuffer(b"".join(s.ljust(width, b"\0") for s in texts), np.uint8).reshape(
-        len(texts), width
-    )
+    texts = np.array([format(v, ".17g").encode() for v in values.tolist()])
+    return texts.view(np.uint8).reshape(len(values), -1)
 
 
 class _LineBuffer:

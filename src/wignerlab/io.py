@@ -99,8 +99,8 @@ def write_field_csv(path: str, field: PhaseSpaceField) -> None:
 
     values = field.values
     is_complex = np.iscomplexobj(values)
-    xs = _packed(_number_text(field.grid.x_points()))[:, None]
-    ps = _packed(_number_text(field.grid.wigner_p_points()))
+    xs = _packed(field.grid.x_points())[:, None]
+    ps = _packed(field.grid.wigner_p_points())
     # The p column is the same in every block, so it is copied once.
     buffer = _LineBuffer(1)
     with open(path, "wb") as fh:
