@@ -1,7 +1,7 @@
 """The ``%.17g`` text of float64 arrays, and CSV lines built from it.
 
 ``_number_text`` formats whole arrays as ``format(v, ".17g")`` would,
-``_packed`` formats a short axis without NUL gaps, and ``_LineBuffer``
+``_packed`` formats a short axis without NUL gaps, and ``_csv_lines``
 joins columns of text into CRLF lines (docs/conventions.md, Number text).
 Only the CSV writers of ``io`` use them, and they import this module when
 they run.
@@ -10,7 +10,6 @@ they run.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import NamedTuple
 
@@ -238,40 +237,22 @@ def _packed(values: np.ndarray) -> np.ndarray:
     return texts.view(np.uint8).reshape(len(values), -1)
 
 
-class _LineBuffer:
+def _csv_lines(*columns: np.ndarray) -> bytearray:
     """CRLF lines of comma-joined number text, NUL padding dropped.
 
-    ``lines(*columns)`` takes ``_number_text`` or ``_packed`` arrays; the
-    columns broadcast to one shape and each index of it is one line, in C
-    order.  Each cell is copied as one item of its column's width.  The
-    buffer, its commas and its line ends are kept from one call to the next
-    while the shape and the column widths stay the same, and so are the
-    columns at the positions in ``fixed``, which must not change between
-    calls.
+    Each column is a ``_number_text`` or ``_packed`` array; the columns
+    broadcast to one shape and each index of it is one line, in C order.
+    Each cell is copied as one item of its column's width.
     """
-
-    def __init__(self, *fixed: int) -> None:
-        self._fixed = fixed
-        self._layout = None
-
-    def lines(self, *columns: np.ndarray) -> bytearray:
-        shape = np.broadcast_shapes(*(c.shape[:-1] for c in columns))
-        widths = [c.shape[-1] for c in columns]
-        starts = list(itertools.accumulate((w + 1 for w in widths), initial=0))
-        if self._layout != (shape, widths):
-            self._layout = (shape, widths)
-            self._raw = bytearray(math.prod(shape) * (starts[-1] + 1))
-            self._buf = np.frombuffer(self._raw, np.uint8).reshape(*shape, starts[-1] + 1)
-            for at in starts[1:-1]:
-                self._buf[..., at - 1] = ord(",")
-            self._buf[..., -2:] = (ord("\r"), ord("\n"))
-            for k in self._fixed:
-                self._put(starts[k], columns[k])
-        for k, (at, col) in enumerate(zip(starts, columns)):
-            if k not in self._fixed:
-                self._put(at, col)
-        return self._raw.translate(None, b"\0")
-
-    def _put(self, at: int, col: np.ndarray) -> None:
+    shape = np.broadcast_shapes(*(c.shape[:-1] for c in columns))
+    width = sum(c.shape[-1] + 1 for c in columns) + 1
+    raw = bytearray(math.prod(shape) * width)
+    buf = np.frombuffer(raw, np.uint8).reshape(*shape, width)
+    at = 0
+    for col in columns:
         item = f"V{col.shape[-1]}"
-        self._buf[..., at : at + col.shape[-1]].view(item)[..., 0] = col.view(item)[..., 0]
+        buf[..., at : at + col.shape[-1]].view(item)[..., 0] = col.view(item)[..., 0]
+        at += col.shape[-1] + 1
+        buf[..., at - 1] = ord(",")
+    buf[..., at - 1 :] = (ord("\r"), ord("\n"))
+    return raw.translate(None, b"\0")

@@ -95,40 +95,37 @@ def write_field_csv(path: str, field: PhaseSpaceField) -> None:
     and packed once; the values are formatted and written one row block of
     x rows (grid._row_blocks) at a time.
     """
-    from ._csvtext import _LineBuffer, _number_text, _packed
+    from ._csvtext import _csv_lines, _number_text, _packed
 
     values = field.values
     is_complex = np.iscomplexobj(values)
     xs = _packed(field.grid.x_points())[:, None]
     ps = _packed(field.grid.wigner_p_points())
-    # The p column is the same in every block, so it is copied once.
-    buffer = _LineBuffer(1)
     with open(path, "wb") as fh:
         fh.write(b"x,p,re,im\r\n" if is_complex else b"x,p,value\r\n")
         for rows in _row_blocks(len(values)):
             block = values[rows]
             cells = (block.real, block.imag) if is_complex else (block,)
-            fh.write(buffer.lines(xs[rows], ps, *map(_number_text, cells)))
+            fh.write(_csv_lines(xs[rows], ps, *map(_number_text, cells)))
 
 
 def write_marginal_csv(path: str, axis_name: str, axis: np.ndarray, values: np.ndarray) -> None:
     """Marginal CSV: columns axis_name,value, ``%.17g`` numbers, CRLF line ends."""
-    from ._csvtext import _LineBuffer, _number_text
+    from ._csvtext import _csv_lines, _number_text
 
     with open(path, "wb") as fh:
         fh.write(f"{axis_name},value\r\n".encode())
-        fh.write(_LineBuffer().lines(_number_text(axis), _number_text(values)))
+        fh.write(_csv_lines(_number_text(axis), _number_text(values)))
 
 
 def write_state_csv(path: str, x: np.ndarray, values: np.ndarray) -> None:
     """State CSV: columns x,re,im, ``%.17g`` numbers, CRLF line ends."""
-    from ._csvtext import _LineBuffer, _number_text
+    from ._csvtext import _csv_lines, _number_text
 
     values = np.asarray(values, dtype=complex)
     with open(path, "wb") as fh:
         fh.write(b"x,re,im\r\n")
-        columns = (_number_text(x), _number_text(values.real), _number_text(values.imag))
-        fh.write(_LineBuffer().lines(*columns))
+        fh.write(_csv_lines(_number_text(x), _number_text(values.real), _number_text(values.imag)))
 
 
 def load_ensemble_json(path: str, grid: PhaseSpaceGrid) -> Ensemble:
