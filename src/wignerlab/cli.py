@@ -85,7 +85,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         # tracemalloc peaks of main at n = 2048, artifacts written:
-        # cross-wigner 9.1 n^2 bytes (its complex n x n/2 field plus the CSV
+        # cross-wigner 9.0 n^2 bytes (its complex n x n/2 field plus the CSV
         # writer's text for one row block), wigner 8.0 n^2, marginals and
         # moments 4.5 n^2 (the real mixed field; the covariance quadrature
         # reads it in row blocks), diagnose and modnorm below 0.5 n^2 (the
