@@ -32,10 +32,7 @@ class _TextTables(NamedTuple):
     quads: np.ndarray  # "<u4" per 0..9999: its four ASCII digits in text order
     last: np.ndarray  # quads with the group's trailing zeros NUL
     zeros4: np.ndarray  # trailing zeros of each four-digit group, 4 for 0
-    offsets: np.ndarray  # per e - _E_MIN: where its head words start in heads, plus 2
-    heads: np.ndarray  # "<u8" bytes 0..7 by e class, lead digit, kept > 1 and sign
-    keep_high: np.ndarray  # "<u8" per shown digit count: keeps digits 1..8 of those shown
-    keep_low: np.ndarray  # "<u8" per shown digit count: keeps digits 9..16 of those shown
+    prefixes: np.ndarray  # "<u8" per e = -4 .. 0: NUL, then "0.000" .. "0." or nothing
     exponents: np.ndarray  # "<u8" per e - _E_MIN: "e+XX" or "e-XXX", NUL padded; 0 if fixed
 
 
@@ -60,17 +57,6 @@ def _fixed(e: np.ndarray) -> np.ndarray:
     return (e >= -4) & (e < 17)
 
 
-def _head(e: int, lead: int, many: bool, negative: bool) -> str:
-    """Bytes 0..7 of a text row: sign, "0.000" prefix, lead digit, point.
-
-    Fixed notation with e != 0 has no point after the lead digit, and a
-    value with one digit shown has none at all.
-    """
-    prefix = "0." + "0" * (-e - 1) if -4 <= e < 0 else ""
-    point = "." if many and not (_fixed(e) and e != 0) else "\0"
-    return ("-" if negative else "\0") + prefix.ljust(5, "\0") + f"{lead}{point}"
-
-
 @functools.cache
 def _text_tables() -> _TextTables:
     """Built on first use, so importing the package does not pay for them."""
@@ -83,24 +69,12 @@ def _text_tables() -> _TextTables:
     last = quads.copy()
     for k in range(1, 5):
         last[zeros4 >= k, 4 - k] = 0
-    masks = [(1 << 8 * c) - 1 for c in range(9)]
-    # Every e below -4 is written as -5 is, and every e above 16 as 17 is.
-    heads = [
-        _head(k, lead, many, negative)
-        for k in range(-5, 18)
-        for lead in range(10)
-        for many in (False, True)
-        for negative in (False, True)
-    ]
     return _TextTables(
         np.ascontiguousarray(np.stack([hi, *_split(hi), lo], 1)),
         quads.view("<u4").ravel(),
         last.view("<u4").ravel(),
         zeros4,
-        np.array([(min(max(k, -5), 17) + 5) * 40 + 2 for k in e]),
-        np.frombuffer("".join(heads).encode(), "<u8"),
-        np.array([masks[min(max(c - 1, 0), 8)] for c in range(18)], "<u8"),
-        np.array([masks[min(max(c - 9, 0), 8)] for c in range(18)], "<u8"),
+        _ascii(["\0" + "0." + "0" * (-k - 1) if k < 0 else "" for k in range(-4, 1)]),
         _ascii(["" if _fixed(k) else f"e{k:+03d}" for k in e]),
     )
 
@@ -146,10 +120,11 @@ def _decimal17(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return digits, e, proved | zero
 
 
-# A text row is four "<u8" words, 32 bytes: the head word (sign, the
-# "0.000" prefix of fixed notation with e < 0, the lead digit, the decimal
-# point), sixteen more digits as four "<u4" groups, then the exponent from
-# byte 24.  Every byte that is not part of the text is NUL.
+# A text row has 32 bytes: sign, the "0.000" prefix of fixed notation with
+# e < 0, the leading digit, the decimal point, sixteen more digits as four
+# "<u4" groups, then the exponent from byte 24.  Every byte that is not part
+# of the text is NUL.  _MASKS[c] keeps the first c of eight digits.
+_MASKS = np.array([(1 << 8 * c) - 1 for c in range(9)], "<u8")
 
 
 def _number_text(values: np.ndarray) -> np.ndarray:
@@ -163,7 +138,6 @@ def _number_text(values: np.ndarray) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     flat = v.reshape(-1)
     digits, e, proved = _decimal17(flat)
-    row = e - _E_MIN
     # digits = lead·10^16 + two halves of eight digits, each split into two
     # groups of four.  Floor division by a constant is fast in numpy;
     # remainders are not.
@@ -175,22 +149,26 @@ def _number_text(values: np.ndarray) -> np.ndarray:
     high -= g0 * 10**4
     digits -= g2 * 10**4
     g1, g3 = high, digits
+    fixed = _fixed(e)
     words = np.empty((len(flat), 4), "<u8")
+    text = words.view(np.uint8)
     quarters = words.view("<u4")
-    # Most values end in a nonzero group: all sixteen digits up to that
-    # group's trailing zeros are shown, and a point follows the lead digit
-    # unless fixed notation moves it.
+    # First every value is written as if its last group were not 0000: all
+    # sixteen digits up to that group's trailing zeros are shown, and a
+    # point follows the lead digit unless fixed notation moves it.
+    words[:, 0] = t.prefixes.take(np.where(fixed, np.minimum(e, 0), 0) + 4)
+    text[:, 0] = np.signbit(flat) * ord("-")
+    text[:, 6] = lead + ord("0")
+    text[:, 7] = ((e == 0) | ~fixed) * ord(".")
     quarters[:, 2] = t.quads.take(g0)
     quarters[:, 3] = t.quads.take(g1)
     quarters[:, 4] = t.quads.take(g2)
     quarters[:, 5] = t.last.take(g3)
-    index = t.offsets.take(row)
-    lead *= 4
-    index += lead
-    index += np.signbit(flat)
-    # The rest are redone: values ending in 0000, zeros among them, and
-    # fixed notation with e >= 1, which shows every digit left of the point.
-    wide = (e >= 1) & (e < 17)
+    words[:, 3] = t.exponents.take(e - _E_MIN)
+    # Then the values ending in 0000 (zeros among them; 1 to 3 % of a
+    # Hermite field's values) and fixed notation with e >= 1, which shows
+    # every digit left of the point, are redone.
+    wide = (e >= 1) & fixed
     redo = np.flatnonzero((g3 == 0) | wide)
     if redo.size:
         # A group's trailing zeros count only when every later group is 0.
@@ -201,15 +179,11 @@ def _number_text(values: np.ndarray) -> np.ndarray:
         wide = wide[redo]
         shown = np.where(wide, np.maximum(kept, e[redo] + 1), kept)
         quarters[redo, 5] = t.quads[g3[redo]]
-        words[redo, 1] &= t.keep_high[shown]
-        words[redo, 2] &= t.keep_low[shown]
-        index[redo] -= 2 * (kept <= 1)
-    words[:, 0] = t.heads.take(index)
-    words[:, 3] = t.exponents.take(row)
-    text = words.view(np.uint8)
-    # Fixed notation with e >= 1: digits 1..e move left over the point slot,
-    # and the point follows them.
-    if redo.size:
+        words[redo, 1] &= _MASKS[np.minimum(shown - 1, 8)]
+        words[redo, 2] &= _MASKS[np.maximum(shown - 9, 0)]
+        text[redo[kept <= 1], 7] = 0
+        # Fixed notation with e >= 1: digits 1..e move left over the point
+        # slot, and the point follows them.
         for k in set(e[redo[wide]].tolist()):
             at = wide & (e[redo] == k)
             rows = redo[at]
