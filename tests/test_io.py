@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wignerlab import _csvtext
 from wignerlab._csvtext import _decimal17, _number_text
 from wignerlab.grid import PhaseSpaceField, catalog_state, make_grid
 from wignerlab.io import (
@@ -227,7 +228,9 @@ def test_csv_writers_match_csv_writer_on_awkward_values(is_complex):
     assert_writers_match_oracle(field, np.array(AWKWARD[::-1]), np.array(AWKWARD))
 
 
-@settings(max_examples=60, deadline=None)
+# 120 examples over 15 (n, half-width) pairs give each pair the share that
+# 60 gave each of 8.
+@settings(max_examples=120, deadline=None)
 @given(
     # n = 64 spans two row blocks (grid._row_blocks); at half-widths 1e-3
     # and 1e5 the x or p column mixes fixed and exponent notation.
@@ -240,17 +243,17 @@ def test_csv_writers_match_csv_writer_oracle(n, half_width, data):
     is_complex = data.draw(st.booleans(), label="complex")
     cells = n * (n // 2)
     size = cells * (2 if is_complex else 1)
-    # Beyond 256 values, 256 drawn numbers are repeated with a drawn shift.
-    drawn = data.draw(st.lists(numbers, min_size=min(size, 256), max_size=min(size, 256)))
-    shift = data.draw(st.integers(0, len(drawn) - 1), label="shift")
-    flat = np.resize(np.roll(np.array(drawn), shift), size)
-    # The first rows hold only fixed-notation values, so the row blocks of
-    # one field may differ in the width of their value text.
-    rows = data.draw(st.integers(0, n), label="fixed rows")
-    plain = data.draw(st.lists(st.floats(-1e16, 1e16).filter(lambda v: abs(v) >= 1e-4), min_size=1))
-    flat = flat.reshape(-1, n, n // 2)
-    flat[:, :rows] = np.resize(plain, flat[:, :rows].shape)
-    flat = flat.reshape(-1)
+    flat = np.array(data.draw(st.lists(numbers, min_size=min(size, 256), max_size=min(size, 256))))
+    if n == 64:
+        # 256 drawn numbers are repeated with a drawn shift, and the first
+        # rows hold only fixed-notation values, so the two row blocks may
+        # differ in the width of their value text.
+        shift = data.draw(st.integers(0, len(flat) - 1), label="shift")
+        flat = np.resize(np.roll(flat, shift), size).reshape(-1, n, n // 2)
+        rows = data.draw(st.integers(0, n), label="fixed rows")
+        plain = data.draw(st.lists(st.floats(-1e16, 1e16).filter(lambda v: abs(v) >= 1e-4), min_size=1))
+        flat[:, :rows] = np.resize(plain, flat[:, :rows].shape)
+        flat = flat.reshape(-1)
     vals = complex_array(flat[:cells], flat[cells:]) if is_complex else flat
     field = PhaseSpaceField(grid, vals.reshape(n, n // 2))
     m = data.draw(st.integers(1, 12), label="rows")
@@ -297,6 +300,20 @@ def test_number_text_matches_format_where_rounding_is_hard():
     assert_texts_match_format(np.concatenate([values, -values]))
     proved = _decimal17(values)[2]
     assert proved.any() and not proved.all()
+
+
+def test_number_text_writes_unproved_values_whatever_their_digits(monkeypatch):
+    # An exponent that log10 judged one too low leaves digits of 10^17, a
+    # lead "digit" of 10.  Whatever the table writes make of them, format()
+    # must still write the value, in every layout.
+    values = np.array([1e20, -1e250, 1e17, 12345.0, -1.0, 0.5, 1e-5, 0.0])
+
+    def misjudged(v):
+        e = np.floor(np.log10(np.where(v == 0, 1.0, np.abs(v)))).astype(np.int64)
+        return np.full(len(v), 10**17), e, np.zeros(len(v), bool)
+
+    monkeypatch.setattr(_csvtext, "_decimal17", misjudged)
+    assert_texts_match_format(values)
 
 
 @pytest.mark.parametrize(
