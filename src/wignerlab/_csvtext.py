@@ -29,8 +29,8 @@ _TIE_MARGIN = 1e-6
 
 class _TextTables(NamedTuple):
     powers: np.ndarray  # per e - _E_MIN: hi, hi's Veltkamp halves and lo of 10^(16-e)
-    quads: np.ndarray  # "<u4" per 0..9999: its four ASCII digits in text order
-    last: np.ndarray  # quads with the group's trailing zeros NUL
+    digits4: np.ndarray  # "<u4" per 0..9999: its four ASCII digits in text order
+    last: np.ndarray  # digits4 with the group's trailing zeros NUL
     zeros4: np.ndarray  # trailing zeros of each four-digit group, 4 for 0
     prefixes: np.ndarray  # "<u8" per e = -4 .. 0: NUL, then "0.000" .. "0." or nothing
     exponents: np.ndarray  # "<u8" per e - _E_MIN: "e+XX" or "e-XXX", NUL padded; 0 if fixed
@@ -160,9 +160,9 @@ def _number_text(values: np.ndarray) -> np.ndarray:
     text[:, 0] = np.signbit(flat) * ord("-")
     text[:, 6] = lead + ord("0")
     text[:, 7] = ((e == 0) | ~fixed) * ord(".")
-    quarters[:, 2] = t.quads.take(g0)
-    quarters[:, 3] = t.quads.take(g1)
-    quarters[:, 4] = t.quads.take(g2)
+    quarters[:, 2] = t.digits4.take(g0)
+    quarters[:, 3] = t.digits4.take(g1)
+    quarters[:, 4] = t.digits4.take(g2)
     quarters[:, 5] = t.last.take(g3)
     words[:, 3] = t.exponents.take(e - _E_MIN)
     # Then the values ending in 0000 (zeros among them; 1 to 3 % of a
@@ -178,7 +178,7 @@ def _number_text(values: np.ndarray) -> np.ndarray:
         kept = 17 - trailing
         wide = wide[redo]
         shown = np.where(wide, np.maximum(kept, e[redo] + 1), kept)
-        quarters[redo, 5] = t.quads[g3[redo]]
+        quarters[redo, 5] = t.digits4[g3[redo]]
         words[redo, 1] &= _MASKS[np.minimum(shown - 1, 8)]
         words[redo, 2] &= _MASKS[np.maximum(shown - 9, 0)]
         text[redo[kept <= 1], 7] = 0
