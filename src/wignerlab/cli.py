@@ -553,13 +553,18 @@ _OPENBLAS_API = {
     "set_num_threads": (None, [ctypes.c_int]),
     "get_corename": (ctypes.c_char_p, []),
 }
+# OpenBLAS's pre-fork hook, unprefixed in the scipy-openblas build: it joins
+# the worker threads, and the next threaded call or set_num_threads starts
+# them again.  Optional: where the library lacks it, the API entry is None.
+_OPENBLAS_STOP = "blas_thread_shutdown_"
 
 
 @functools.cache
 def _openblas() -> dict[str, Callable] | None:
-    """The _OPENBLAS_API functions of numpy's bundled OpenBLAS, looked up once
-    per process; None when numpy carries no OpenBLAS with that API (MKL,
-    Accelerate, a system BLAS)."""
+    """The _OPENBLAS_API functions of numpy's bundled OpenBLAS and its
+    _OPENBLAS_STOP hook (None where missing), looked up once per process;
+    None when numpy carries no OpenBLAS with that API (MKL, Accelerate, a
+    system BLAS)."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
         lib = ctypes.CDLL(path)
@@ -569,50 +574,71 @@ def _openblas() -> dict[str, Callable] | None:
                 for name, (restype, argtypes) in _OPENBLAS_API.items():
                     fn = api[name] = getattr(lib, pattern.format(name))
                     fn.restype, fn.argtypes = restype, argtypes
+                stop = api[_OPENBLAS_STOP] = getattr(lib, _OPENBLAS_STOP, None)
+                if stop is not None:
+                    stop.restype, stop.argtypes = ctypes.c_int, []
                 return api
     return None
+
+
+def _set_blas_threads(blas: dict[str, Callable], count: int) -> None:
+    """Set the thread count, then stop the worker pool that setting starts."""
+    blas["set_num_threads"](count)
+    if blas[_OPENBLAS_STOP] is not None:
+        blas[_OPENBLAS_STOP]()
 
 
 @contextlib.contextmanager
 def _one_blas_thread() -> Iterator[None]:
     """Run the body on one OpenBLAS thread, then restore the process's count.
 
-    Every BLAS call in the package is a matrix-vector product of at most
-    1024 x 512, too small to gain from a helper thread, which would only spin
-    on the caller's CPU.  The thread count does not move any result's bits.
+    The package's largest BLAS calls are matrix-vector products.  On the
+    default grid none is larger than 1024 x 512, but they grow with the grid:
+    the p marginal in marginals is 4096 x 2048 at --grid-n 4096.  A helper
+    thread gains little on them and would spin on the caller's CPU.  The
+    thread count does not move any result's bits.
+
+    The worker pool is stopped after each set, on entry and after the restore:
+    a worker woken by the caller's own threaded product, or started by the
+    set itself, spins for OpenBLAS's idle timeout (about 0.1 s) and would
+    share the command's CPU, or the caller's after the return.  The caller's
+    next threaded call starts the pool again.
     """
     blas = _openblas()
     if blas is None:
         yield
         return
     before = blas["get_num_threads"]()
-    blas["set_num_threads"](1)
+    _set_blas_threads(blas, 1)
     try:
         yield
     finally:
-        blas["set_num_threads"](before)
+        _set_blas_threads(blas, before)
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; return its exit code.
 
-    The command runs on one OpenBLAS thread, and the count in force before
-    is restored on every exit.  That count belongs to the whole process, so
-    main is not meant to be entered from two threads at once.
+    It runs on one OpenBLAS thread, parsing included, with OpenBLAS's worker
+    pool stopped, and the count in force before is restored on every exit,
+    with the pool stopped again.  The count and the pool belong to the whole
+    process, so main is not meant to be entered from two threads at once, nor
+    while another thread is inside a threaded BLAS call: stopping the pool
+    joins its workers.
     """
-    try:
-        ns, unread = build_parser().parse_known_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if unread:
-        print(f"error: {ns.command} does not take {' '.join(unread)}", file=sys.stderr)
-        return 2
-    try:
-        with _one_blas_thread():
+    with _one_blas_thread():
+        try:
+            ns, unread = build_parser().parse_known_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        if unread:
+            print(f"error: {ns.command} does not take {' '.join(unread)}", file=sys.stderr)
+            return 2
+        try:
             return COMMANDS[ns.command].run(ns, _config_from(ns))
-    except CheckError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        except CheckError as exc:
+            print(f"check failed: {exc}", file=sys.stderr)
+            return 1
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2

@@ -627,6 +627,97 @@ def test_blas_thread_count_is_restored_after_an_unexpected_exception(monkeypatch
     assert blas_threads() == 2
 
 
+# 256 x 256 is large enough for OpenBLAS to run the product on two threads.
+# Small integers: every partial sum is exact, whatever the split.
+_SQUARE = np.arange(256.0 * 256).reshape(256, 256)
+THREADED = (_SQUARE % 7, _SQUARE % 5)
+
+
+@pytest.fixture
+def blas_workers(blas_threads):
+    """The OpenBLAS worker threads alive now, as a set of thread ids.
+
+    OpenBLAS does not name its workers, so a worker is any thread that is not
+    there while the pool is stopped.  The fixture leaves one worker running:
+    a threaded product on the two threads of blas_threads starts it.
+    """
+    stop = cli._openblas()[cli._OPENBLAS_STOP]
+    if stop is None:
+        pytest.skip("this OpenBLAS has no blas_thread_shutdown_, so main cannot stop its pool")
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to list the threads of this process")
+    stop()
+    idle = set(os.listdir("/proc/self/task"))
+
+    def workers():
+        return set(os.listdir("/proc/self/task")) - idle
+
+    THREADED[0] @ THREADED[1]
+    if not workers():
+        pytest.skip("a threaded product started no OpenBLAS worker here")
+    return workers
+
+
+def test_commands_run_with_the_blas_pool_stopped(monkeypatch, blas_workers):
+    seen = []
+
+    def handler(ns, cfg):
+        seen.append(blas_workers())
+        return 0
+
+    assert main(handled_by(monkeypatch, handler)) == 0
+    assert seen == [set()]
+
+
+@pytest.mark.parametrize(
+    "handler, argv_tail, code",
+    [
+        (lambda ns, cfg: 0, [], 0),
+        (lambda ns, cfg: _raise(CheckError("failed")), [], 1),
+        (lambda ns, cfg: _raise(ValueError("bad input")), [], 2),
+        (lambda ns, cfg: 0, ["--bogus"], 2),
+    ],
+    ids=["success", "check-error", "value-error", "unread-flag"],
+)
+def test_no_blas_worker_outlives_main(
+    monkeypatch, capsys, blas_threads, blas_workers, handler, argv_tail, code
+):
+    assert main(handled_by(monkeypatch, handler) + argv_tail) == code
+    assert blas_threads() == 2
+    assert blas_workers() == set()
+
+
+def test_no_blas_worker_outlives_an_unexpected_exception(monkeypatch, blas_threads, blas_workers):
+    argv = handled_by(monkeypatch, lambda ns, cfg: _raise(RuntimeError("unexpected")))
+    with pytest.raises(RuntimeError, match="unexpected"):
+        main(argv)
+    assert blas_threads() == 2
+    assert blas_workers() == set()
+
+
+def test_threaded_products_after_main_restart_the_pool(monkeypatch, blas_workers):
+    before = THREADED[0] @ THREADED[1]
+    assert main(handled_by(monkeypatch, lambda ns, cfg: 0)) == 0
+    after = THREADED[0] @ THREADED[1]
+    assert blas_workers()
+    np.testing.assert_array_equal(after, before)
+    np.testing.assert_array_equal(after[:2, :2], THREADED[0][:2] @ THREADED[1][:, :2])
+
+
+def test_blas_count_is_set_and_restored_without_the_stop_hook(monkeypatch, blas_threads):
+    blas = cli._openblas()
+    monkeypatch.setattr(cli, "_openblas", lambda: {**blas, cli._OPENBLAS_STOP: None})
+    seen = []
+
+    def handler(ns, cfg):
+        seen.append(blas_threads())
+        return 0
+
+    assert main(handled_by(monkeypatch, handler)) == 0
+    assert seen == [1]
+    assert blas_threads() == 2
+
+
 # What each command reads, as the README states it; the command table must agree.
 READS = {
     "wigner": set(),
