@@ -16,6 +16,7 @@ changed artifact with the reason it moved.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -112,15 +113,19 @@ def _write_inputs() -> None:
 def run_invocations(invocations: dict | None = None) -> dict:
     """Run invocations (INVOCATIONS by default) in the working directory.
 
-    Returns each one's exit code and the digests of its artifacts.
+    Returns each one's exit code and the digests of its artifacts.  Each
+    one's standard error goes to stderr/NAME.txt, for compare.py; it is not
+    digested.
     """
     from wignerlab.cli import main
 
     _write_inputs()
+    os.makedirs("stderr")
     results = {}
     for name, argv in (INVOCATIONS if invocations is None else invocations).items():
         out = os.path.join("out", name)
-        code = main([*argv, "--out", out])
+        with open(os.path.join("stderr", f"{name}.txt"), "w") as err, contextlib.redirect_stderr(err):
+            code = main([*argv, "--out", out])
         artifacts = {}
         for artifact in sorted(os.listdir(out)) if os.path.isdir(out) else []:
             with open(os.path.join(out, artifact), "rb") as fh:

@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from golden.compare import compare_runs, compare_sources, load_extra
+from golden.compare import compare_runs, compare_sources, load_extra, report_lines, write_json
 from golden.regenerate import DIGESTS, INVOCATIONS, REGENERATE, fingerprint, run_invocations
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -35,10 +35,14 @@ def test_artifacts_match_pinned_digests(tmp_path, monkeypatch):
         assert result == pinned["invocations"][name], name
 
 
-def _side(root, exits, artifacts):
-    """A compare.py side directory: exits.json and out/NAME/ARTIFACT files."""
+def _side(root, exits, artifacts, stderr=None):
+    """A compare.py side directory: exits.json, out/NAME/ARTIFACT files and
+    stderr/NAME.txt texts (empty unless given)."""
     root.mkdir()
     (root / "exits.json").write_text(json.dumps(exits))
+    (root / "stderr").mkdir()
+    for name in exits:
+        (root / "stderr" / f"{name}.txt").write_text((stderr or {}).get(name, ""))
     for (name, artifact), text in artifacts.items():
         (root / "out" / name).mkdir(parents=True, exist_ok=True)
         (root / "out" / name / artifact).write_bytes(text.encode())
@@ -62,9 +66,9 @@ def test_compare_reports_each_moved_value(tmp_path):
         ("wigner", "field.json"): '{"n":4}\n',
         ("moments", "report.json"): json.dumps(moved),
     })
-    lines, same = compare_runs(str(tmp_path / "old"), str(tmp_path / "new"))
-    assert not same
-    assert lines == [
+    report = compare_runs(str(tmp_path / "old"), str(tmp_path / "new"))
+    assert not report["identical"]
+    assert report_lines(report) == [
         "moments: exit 0",
         "  gone.csv:",
         "    only in old",
@@ -84,10 +88,9 @@ def test_compare_reads_equal_sides_as_identical(tmp_path):
     artifacts = {("diagnose", "report.json"): '{"partials":[[1,-0]],"verdict":"diverging"}\n'}
     for side in ("old", "new"):
         _side(tmp_path / side, {"diagnose": 0}, artifacts)
-    assert compare_runs(str(tmp_path / "old"), str(tmp_path / "new")) == (
-        ["diagnose: exit 0", "  report.json: identical"],
-        True,
-    )
+    report = compare_runs(str(tmp_path / "old"), str(tmp_path / "new"))
+    assert report["identical"]
+    assert report_lines(report) == ["diagnose: exit 0", "  report.json: identical"]
 
 
 def test_compare_runs_extra_invocations_on_both_sides(tmp_path):
@@ -101,18 +104,79 @@ def test_compare_runs_extra_invocations_on_both_sides(tmp_path):
     extra.write_text(json.dumps({"wigner-64": ["wigner", "--state", "hermite:0", "--grid-n", "64"]}))
     invocations = load_extra(str(extra), INVOCATIONS)
     a, b = (str(tmp_path / side / "src") for side in ("a", "b"))
-    assert compare_sources(a, a, invocations, str(tmp_path / "same")) == (
-        ["wigner-64: exit 0", "  wigner_field.csv: identical", "  wigner_field.json: identical"],
-        True,
-    )
-    lines, same = compare_sources(a, b, invocations, str(tmp_path / "moved"))
-    assert not same
-    assert lines == [
+    report = compare_sources(a, a, invocations, str(tmp_path / "same"))
+    assert report["identical"]
+    assert report_lines(report) == [
+        "wigner-64: exit 0", "  wigner_field.csv: identical", "  wigner_field.json: identical",
+    ]
+    report = compare_sources(a, b, invocations, str(tmp_path / "moved"))
+    assert not report["identical"]
+    assert report_lines(report) == [
         "wigner-64: exit 0",
         "  wigner_field.csv: identical",
         "  wigner_field.json:",
         f"    hbar: old 1.0 new {1 + 2**-52!r} |Δ| 2.22e-16 ulps 1",
     ]
+
+
+def test_compare_writes_its_report_as_json(tmp_path):
+    one_ulp_up = float(np.nextafter(1.0, 2.0))
+    csv = "x,p,value\r\n0,0,1\r\n0,1,0.5\r\n"
+    _side(tmp_path / "old", {"moments": 0, "wigner": 0}, {
+        ("moments", "report.json"): '{"hbar":1,"verdict":"convergent"}',
+        ("wigner", "field.csv"): csv,
+    }, {"moments": "warning: coarse grid\n"})
+    _side(tmp_path / "new", {"moments": 0, "wigner": 0}, {
+        ("moments", "report.json"): json.dumps({"hbar": one_ulp_up, "verdict": "diverging"}),
+        ("wigner", "field.csv"): csv.replace("0.5", "0.5000000000000001"),
+    }, {"moments": "warning: fine grid\n"})
+    path = tmp_path / "report.json"
+    write_json(str(path), "HEAD~1", compare_runs(str(tmp_path / "old"), str(tmp_path / "new")))
+    assert json.loads(path.read_text()) == {
+        "revision": "HEAD~1",
+        "new": "working tree",
+        "identical": False,
+        "invocations": {
+            "moments": {
+                "exit": {"old": 0, "new": 0},
+                "stderr": ["- warning: coarse grid", "+ warning: fine grid"],
+                "artifacts": {"report.json": [
+                    {"path": "hbar", "old": 1.0, "new": one_ulp_up, "abs_delta": 2.0**-52, "ulps": 1},
+                    {"path": "verdict", "old": "convergent", "new": "diverging"},
+                ]},
+            },
+            "wigner": {
+                "exit": {"old": 0, "new": 0},
+                "stderr": [],
+                "artifacts": {"field.csv": [
+                    {"column": "value", "differing_lines": 1, "max_abs_delta": 2.0**-53, "max_ulps": 1},
+                ]},
+            },
+        },
+    }
+
+
+def test_compare_reports_a_different_stderr_line(tmp_path):
+    # Two copies of src/, the second printing its grid warnings under another
+    # word; the warning in the report artifact is the same on both sides.
+    for side in ("a", "b"):
+        shutil.copytree(SRC, tmp_path / side / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    cli_py = tmp_path / "b" / "src" / "wignerlab" / "cli.py"
+    text = cli_py.read_text()
+    assert text.count('print(f"warning: {messages[-1]}"') == 1
+    cli_py.write_text(text.replace('print(f"warning: {messages[-1]}"', 'print(f"caution: {messages[-1]}"'))
+    name = "diagnose-coarse-64"
+    invocations = {name: ["diagnose", "--state", "hermite:0", "--grid-n", "64", "--grid-l", "8"]}
+    a, b = (str(tmp_path / side / "src") for side in ("a", "b"))
+    report = compare_sources(a, b, invocations, str(tmp_path / "work"))
+    assert not report["identical"]
+    inv = report["invocations"][name]
+    assert inv["exit"] == {"old": 0, "new": 0}
+    assert set(inv["artifacts"].values()) == {"identical"}
+    old, new = inv["stderr"]
+    assert old.startswith("- warning: state hermite:0: momentum band")
+    assert new == "+ caution: " + old[len("- warning: "):]
+    assert report_lines(report)[:4] == [f"{name}: exit 0", "  stderr:", f"    {old}", f"    {new}"]
 
 
 @pytest.mark.parametrize(
