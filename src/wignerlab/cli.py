@@ -594,9 +594,10 @@ def _one_blas_thread() -> Iterator[None]:
 
     The package's largest BLAS calls are matrix-vector products.  On the
     default grid none is larger than 1024 x 512, but they grow with the grid:
-    the p marginal in marginals is 4096 x 2048 at --grid-n 4096.  A helper
-    thread gains little on them and would spin on the caller's CPU.  The
-    thread count does not move any result's bits.
+    the p marginal in marginals is 4096 x 2048 at --grid-n 4096.  The
+    ensemble layer's matrix products and LAPACK calls (svd, eigh, eigvalsh)
+    are --dim (<= 128) wide.  A helper thread gains little on any of them
+    and would spin on the caller's CPU.  The thread count moves no bits.
 
     The worker pool is stopped after each set, on entry and after the restore:
     a worker woken by the caller's own threaded product, or started by the

@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
+# The verdict tolerances every ladder uses unless told otherwise.
+TAIL_TOL, GROWTH_THRESHOLD = 1e-3, 0.5
 
 
 class DivergingStateError(CheckError):
@@ -177,8 +179,8 @@ def _ladder_report(
     grid: PhaseSpaceGrid,
     s: float,
     window: str,
-    tail_tol: float,
-    growth_threshold: float,
+    tail_tol: float = TAIL_TOL,
+    growth_threshold: float = GROWTH_THRESHOLD,
 ) -> WeightedNormReport:
     cuts = cutoff_ladder(grid)
     partials = tuple(zip(cuts, _ladder(blocks, grid, s, cuts)))
@@ -190,8 +192,8 @@ def modulation_norm(
     psi: SampledState,
     s: float,
     window: str | SampledState = "hermite:0",
-    tail_tol: float = 1e-3,
-    growth_threshold: float = 0.5,
+    tail_tol: float = TAIL_TOL,
+    growth_threshold: float = GROWTH_THRESHOLD,
 ) -> WeightedNormReport:
     """Partial weighted norms of the cross-Wigner transform against a window.
 
@@ -210,8 +212,8 @@ def modulation_norm(
 
 def feichtinger_diagnostic(
     psi: SampledState,
-    tail_tol: float = 1e-3,
-    growth_threshold: float = 0.5,
+    tail_tol: float = TAIL_TOL,
+    growth_threshold: float = GROWTH_THRESHOLD,
 ) -> WeightedNormReport:
     """Integrability verdict for the state's own Wigner transform (s = 0).
 

@@ -23,7 +23,7 @@ from .grid import (
     centered_fft,
     trapezoid_weights,
 )
-from .modspace import DivergingStateError, WeightedNormReport, feichtinger_diagnostic
+from .modspace import DivergingStateError, WeightedNormReport, _ladder_report
 
 __all__ = [
     "MarginalReport",
@@ -110,20 +110,21 @@ def _fourier_side_density(values: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarra
 def marginals(rho_field: PhaseSpaceField, reference: Ensemble) -> MarginalReport:
     """Marginal densities of a mixed field, checked against its ensemble.
 
-    Every member must carry a convergent integrability verdict; otherwise
-    the marginal identities are unproven for the input and the computation
-    is refused.
+    W_rho itself must read convergent on the s = 0 ladder over its row
+    blocks, default tolerances; otherwise the marginal identities are
+    unproven for the input and the computation is refused.
     """
     grid = rho_field.grid
     if reference.grid != grid:
         raise ValueError("marginals: field and ensemble are on different grids")
-    for state, _ in reference.members:
-        report = feichtinger_diagnostic(state)
-        if report.verdict != "convergent":
-            raise DivergingStateError(
-                f"member {state.label!r} has verdict {report.verdict!r}; "
-                "marginals are only validated for convergent members"
-            )
+    blocks = ((rows, rho_field.values[rows]) for rows in _row_blocks(grid.n_points))
+    report = _ladder_report(blocks, grid, 0.0, "self")
+    if report.verdict != "convergent":
+        raise DivergingStateError(
+            f"mixture {reference.label!r}: W_rho reads {report.verdict!r}, growth exponent "
+            f"{report.growth_exponent:.3g}, top rung {report.partials[-1][1]:.6g}; "
+            "marginals are only validated for a convergent W_rho"
+        )
     vals = rho_field.values.real
     x_marginal = vals.sum(axis=1) * grid.dp
     wx = trapezoid_weights(grid.n_points)

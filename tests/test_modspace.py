@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from wignerlab.ensemble import Ensemble
 from wignerlab.grid import (
     ROW_BLOCK,
     CheckError,
@@ -26,7 +27,7 @@ from wignerlab.modspace import (
     feichtinger_diagnostic,
     modulation_norm,
 )
-from wignerlab.wigner import apply_metaplectic, cross_wigner, wigner
+from wignerlab.wigner import _wigner_blocks, apply_metaplectic, cross_wigner, mixed_wigner, wigner
 
 
 def field_ladder(field, s, cutoffs):
@@ -180,6 +181,35 @@ def test_streamed_verdicts_match_the_field_ladder(case):
     assert report.partials == partials
     assert report.growth_exponent == growth
     assert report.verdict == verdict
+
+
+MIXTURE_GRID = make_grid(256, 8.0)
+CATALOG = st.one_of(
+    st.integers(0, 6).map(lambda k: f"hermite:{k}"),
+    st.sampled_from(["0.3", "0.7", "1.5"]).map(lambda w: f"gaussian:{w}"),
+    st.tuples(st.integers(-8, 4), st.integers(1, 8)).map(
+        lambda ab: f"box:{ab[0] / 4}:{(ab[0] + ab[1]) / 4}"
+    ),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(CATALOG, st.floats(0.05, 1.0)), min_size=1, max_size=3))
+def test_mixture_rungs_obey_the_triangle_inequality(drawn):
+    # |W_rho| <= sum_k w_k |W_k| at every point, so each rung of the mixed
+    # field's ladder is at most the weighted sum of its members' rungs.  The
+    # field's blocks give the kernel's bits, so marginals, which reads the
+    # built field, has the verdict of the streamed mixture.
+    total = sum(w for _, w in drawn)
+    members = tuple((catalog_state(d, MIXTURE_GRID), w / total) for d, w in drawn)
+    pairs = tuple((w, state, state) for state, w in members)
+    field = mixed_wigner(Ensemble(members, "drawn"))
+    cuts = cutoff_ladder(MIXTURE_GRID)
+    for s in (0.0, 2.0):
+        rho = field_ladder(field, s, cuts)
+        assert rho == _ladder(_wigner_blocks(pairs, real=True), MIXTURE_GRID, s, cuts)
+        bound = sum(w * np.array(field_ladder(wigner(state), s, cuts)) for state, w in members)
+        assert np.all(np.array(rho) <= (1.0 + 1e-12) * bound)
 
 
 def test_verdicts_build_no_field(sr2048):

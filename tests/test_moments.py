@@ -103,12 +103,52 @@ def test_marginals_match_member_densities(g1024, eigen_pair_1024, mix_field_1024
     )
 
 
-def test_marginals_refuse_nonintegrable_members(g1024):
-    box = catalog_state("box:-0.5:0.5", g1024)
-    ens = Ensemble(((box, 1.0),), "box-only")
+NONINTEGRABLE = {
+    "box-only": (("box:-0.5:0.5", 1.0),),
+    "disjoint-boxes": (("box:-1:-0.01", 0.5), ("box:0.01:1", 0.5)),
+    "gaussian-and-box": (("hermite:0", 0.5), ("box:-1:1", 0.5)),
+}
+
+
+@pytest.mark.parametrize("label", NONINTEGRABLE)
+def test_marginals_refuse_nonintegrable_members(g1024, label):
+    # The gate reads W_rho's own ladder, and each of these reads diverging.
+    members = tuple((catalog_state(d, g1024), w) for d, w in NONINTEGRABLE[label])
+    ens = Ensemble(members, label)
     field = mixed_wigner(ens)
-    with pytest.raises(DivergingStateError):
+    with pytest.raises(DivergingStateError, match=rf"mixture '{label}': W_rho reads 'diverging'"):
         marginals(field, ens)
+
+
+def test_thermal_fock_ensemble_passes_the_mixture_gate(g1024):
+    # The oscillator thermal state at beta = 0.5 as 64 Fock members with
+    # weights (1 - q) q^k.  Members hermite:59 and up (weights below 1e-13)
+    # read diverging on this grid on their own; the mixture's field reads
+    # convergent.
+    q = math.exp(-0.5)
+    members = tuple((catalog_state(f"hermite:{k}", g1024), (1 - q) * q**k) for k in range(64))
+    ens = Ensemble(members, "thermal:0.5")
+    field = mixed_wigner(ens)
+    report = marginals(field, ens)
+    assert report.x_residual <= 1e-12
+    assert report.p_residual <= 1e-12
+    assert report.norm_residual <= 1e-12
+    t = math.tanh(0.25)
+    x = g1024.x_points()[:, None]
+    p = g1024.wigner_p_points()[None, :]
+    closed = (t / math.pi) * np.exp(-t * (x**2 + p**2))
+    assert np.abs(field.values - closed).max() <= 1e-8
+
+
+def test_marginals_make_no_transform(eigen_pair_1024, mix_field_1024):
+    from wignerlab import modspace, wigner as wigner_module
+
+    refuse = mock.Mock(side_effect=AssertionError("marginals ran the transform kernel"))
+    with mock.patch.object(modspace, "_wigner_blocks", refuse), mock.patch.object(
+        wigner_module, "_wigner_blocks", refuse
+    ):
+        marginals(mix_field_1024, eigen_pair_1024)
+    refuse.assert_not_called()
 
 
 def test_marginals_refuse_a_reference_on_another_grid(eigen_pair_1024):
