@@ -26,7 +26,6 @@ from .ensemble import (
     build_A,
     density_matrix,
     density_matrix_direct,
-    feichtinger_closure_check,
     find_partial_isometry,
     spectral_ensemble,
 )
@@ -48,8 +47,11 @@ from .io import (
     write_state_csv,
 )
 from .modspace import (
+    GROWTH_THRESHOLD,
+    TAIL_TOL,
     WeightedNormReport,
     diagnostic_grid_warning,
+    feichtinger_closure_check,
     feichtinger_diagnostic,
     modulation_norm,
 )
@@ -59,8 +61,8 @@ from .wigner import apply_metaplectic, cross_wigner, mixed_wigner, overlap_ident
 __all__ = ["RunConfig", "TOL_DEFAULTS", "main"]
 
 TOL_DEFAULTS = {
-    "convergent_tail": 1e-3,
-    "diverging_growth": 0.5,
+    "convergent_tail": TAIL_TOL,
+    "diverging_growth": GROWTH_THRESHOLD,
     "route_agreement": 1e-3,
     "density_match": 1e-6,
     "factor_residual": 1e-6,

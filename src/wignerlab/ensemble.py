@@ -5,7 +5,8 @@ sqrt(hbar).  An ensemble {(psi_j, w_j)} becomes the matrix A whose column j
 holds sqrt(w_j) times the expansion coefficients of psi_j; the density
 matrix is A A*.  Two ensembles share a density matrix exactly when their
 A-matrices differ by a partial isometry acting on the right, which is
-recovered here by a pseudoinverse.
+recovered here by a pseudoinverse.  The module imports only grid; the
+closure check, which also reads Wigner fields and verdicts, is in modspace.
 """
 
 from __future__ import annotations
@@ -21,28 +22,23 @@ from .grid import (
     CheckError,
     PhaseSpaceGrid,
     SampledState,
-    catalog_state,
     hermite_functions,
     state_norm,
     trapezoid_norm,
     trapezoid_weights,
 )
-from .modspace import modulation_norm
-from .wigner import _wigner_blocks
 
 __all__ = [
     "Ensemble",
     "EnsembleOperator",
     "DensityMatrix",
     "PartialIsometry",
-    "ClosureReport",
     "hermite_basis",
     "build_A",
     "density_matrix",
     "density_matrix_direct",
     "spectral_ensemble",
     "find_partial_isometry",
-    "feichtinger_closure_check",
 ]
 
 MAX_BASIS_DIM = MAX_HERMITE_ORDER + 1
@@ -238,16 +234,16 @@ def density_matrix_direct(ensemble: Ensemble, dim: int) -> np.ndarray:
 def spectral_ensemble(rho: DensityMatrix, grid: PhaseSpaceGrid) -> Ensemble:
     """Eigen-ensemble of a density matrix, synthesized back onto the grid.
 
-    Eigenvalues are sorted descending; values below 1e-10 are dropped,
-    values in [-1e-8, 0) are clamped to 0 as quadrature noise, anything more
-    negative is an error raised by the DensityMatrix constructor upstream.
+    Eigenvalues are sorted descending, and those at or below SV_CUTOFF (1e-10)
+    are dropped: quadrature noise, including the values in [-1e-8, 0) that
+    the DensityMatrix constructor accepts.
     """
     eigvals, eigvecs = np.linalg.eigh(rho.matrix)
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]
     keep = eigvals > SV_CUTOFF
-    eigvals = np.clip(eigvals[keep], 0.0, None)
+    eigvals = eigvals[keep]
     eigvecs = eigvecs[:, keep]
     basis = hermite_basis(grid, rho.dim)
     members = []
@@ -296,55 +292,3 @@ def find_partial_isometry(
     defect = float(np.linalg.norm(uu @ uu - uu))
     rank = int(np.sum(np.linalg.svd(a.matrix, compute_uv=False) > SV_CUTOFF))
     return PartialIsometry(u, rank, defect, factor_gap, rho_gap)
-
-
-@dataclass(frozen=True)
-class ClosureReport:
-    """Outcome of the two-ensemble integrability comparison.
-
-    implication_holds records whether every member of the second ensemble is
-    convergent whenever every member of the first is; inconclusive is set
-    when any member verdict is inconclusive, in which case the implication
-    is not a failure.
-    """
-
-    s: float
-    field_residual: float
-    e1_verdicts: tuple[str, ...]
-    e2_verdicts: tuple[str, ...]
-    implication_holds: bool
-    inconclusive: bool
-
-
-def feichtinger_closure_check(
-    e1: Ensemble, e2: Ensemble, s: float = 0.0, field_tol: float = 1e-5
-) -> ClosureReport:
-    """Check that equal mixtures keep the integrability class of their members.
-
-    Both ensembles must lie on one grid.  The two mixed states are compared
-    pointwise through their mixed Wigner fields (within field_tol), one row
-    block at a time, before any verdicts are taken; find_partial_isometry
-    compares their density matrices.  Then modulation_norm(member, s) runs
-    on every member of both ensembles, against one hermite:0 window sampled
-    once on e1's grid.
-    """
-    if e2.grid != e1.grid:
-        raise ValueError("closure check: the ensembles are on different grids")
-    # The two mixed fields are compared block by block, so neither is built.
-    # strict=True runs both kernels' closing realness checks, and np.max
-    # keeps a NaN as the whole-array max would.
-    f1, f2 = (_wigner_blocks([(w, st, st) for st, w in e.members], real=True) for e in (e1, e2))
-    gaps = [np.abs(v1 - v2).max() for (_, v1), (_, v2) in zip(f1, f2, strict=True)]
-    field_residual = float(np.max(gaps))
-    if field_residual > field_tol:
-        raise CheckError(
-            f"mixed Wigner fields differ by {field_residual:.3e} (> {field_tol:.1e})"
-        )
-    window = catalog_state("hermite:0", e1.grid)
-    v1 = tuple(modulation_norm(st, s, window).verdict for st, _ in e1.members)
-    v2 = tuple(modulation_norm(st, s, window).verdict for st, _ in e2.members)
-    inconclusive = "inconclusive" in v1 or "inconclusive" in v2
-    all1 = all(v == "convergent" for v in v1)
-    all2 = all(v == "convergent" for v in v2)
-    implication = (not all1) or all2 or inconclusive
-    return ClosureReport(float(s), field_residual, v1, v2, implication, inconclusive)

@@ -3,7 +3,8 @@
 Whether a state's Wigner transform is absolutely integrable cannot be
 decided from finitely many samples; these routines expose the evidence
 instead: partial weighted norms on a geometric ladder of momentum cutoffs,
-a fitted growth rate, and a three-way verdict.
+a fitted growth rate, a three-way verdict, and the closure check that ties
+verdicts to ensemble equivalence.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ensemble import Ensemble
 from .grid import (
     CheckError,
     PhaseSpaceGrid,
@@ -31,6 +33,8 @@ __all__ = [
     "modulation_norm",
     "feichtinger_diagnostic",
     "diagnostic_grid_warning",
+    "ClosureReport",
+    "feichtinger_closure_check",
 ]
 
 LN2 = math.log(2.0)
@@ -252,3 +256,55 @@ def diagnostic_grid_warning(psi: SampledState) -> str | None:
             "verdicts may be unreliable on this grid"
         )
     return None
+
+
+@dataclass(frozen=True)
+class ClosureReport:
+    """Outcome of the two-ensemble integrability comparison.
+
+    implication_holds records whether every member of the second ensemble is
+    convergent whenever every member of the first is; inconclusive is set
+    when any member verdict is inconclusive, in which case the implication
+    is not a failure.
+    """
+
+    s: float
+    field_residual: float
+    e1_verdicts: tuple[str, ...]
+    e2_verdicts: tuple[str, ...]
+    implication_holds: bool
+    inconclusive: bool
+
+
+def feichtinger_closure_check(
+    e1: Ensemble, e2: Ensemble, s: float = 0.0, field_tol: float = 1e-5
+) -> ClosureReport:
+    """Check that equal mixtures keep the integrability class of their members.
+
+    Both ensembles must lie on one grid.  The two mixed states are compared
+    pointwise through their mixed Wigner fields (within field_tol), one row
+    block at a time, before any verdicts are taken; find_partial_isometry
+    compares their density matrices.  Then modulation_norm(member, s) runs
+    on every member of both ensembles, against one hermite:0 window sampled
+    once on e1's grid.
+    """
+    if e2.grid != e1.grid:
+        raise ValueError("closure check: the ensembles are on different grids")
+    # The two mixed fields are compared block by block, so neither is built.
+    # strict=True runs both kernels' closing realness checks, and np.max
+    # keeps a NaN as the whole-array max would.
+    f1, f2 = (_wigner_blocks([(w, st, st) for st, w in e.members], real=True) for e in (e1, e2))
+    gaps = [np.abs(v1 - v2).max() for (_, v1), (_, v2) in zip(f1, f2, strict=True)]
+    field_residual = float(np.max(gaps))
+    if field_residual > field_tol:
+        raise CheckError(
+            f"mixed Wigner fields differ by {field_residual:.3e} (> {field_tol:.1e})"
+        )
+    window = catalog_state("hermite:0", e1.grid)
+    v1 = tuple(modulation_norm(st, s, window).verdict for st, _ in e1.members)
+    v2 = tuple(modulation_norm(st, s, window).verdict for st, _ in e2.members)
+    inconclusive = "inconclusive" in v1 or "inconclusive" in v2
+    all1 = all(v == "convergent" for v in v1)
+    all2 = all(v == "convergent" for v in v2)
+    implication = (not all1) or all2 or inconclusive
+    return ClosureReport(float(s), field_residual, v1, v2, implication, inconclusive)

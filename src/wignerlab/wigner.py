@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .ensemble import Ensemble
 from .grid import (
     CheckError,
     PhaseSpaceField,
@@ -20,9 +20,6 @@ from .grid import (
     state_norm,
     state_overlap,
 )
-
-if TYPE_CHECKING:
-    from .ensemble import Ensemble
 
 __all__ = [
     "cross_wigner",

@@ -11,12 +11,12 @@ from wignerlab.ensemble import (
     build_A,
     density_matrix,
     density_matrix_direct,
-    feichtinger_closure_check,
     find_partial_isometry,
     hermite_basis,
     spectral_ensemble,
 )
 from wignerlab.grid import CheckError, SampledState, catalog_state, make_grid
+from wignerlab.modspace import feichtinger_closure_check
 from wignerlab.wigner import mixed_wigner, wigner
 
 from conftest import hermite_combination
@@ -162,6 +162,15 @@ def test_spectral_ensemble_of_pure_state(g512):
     assert abs(overlap) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_spectral_ensemble_drops_eigenvalues_at_or_below_the_cutoff(g512):
+    # 5e-11 lies below SV_CUTOFF and -5e-9 is noise the constructor accepts:
+    # both are dropped, not kept as zero-weight members.
+    rho = DensityMatrix(np.diag([1.0, 5e-11, -5e-9]), 0.0)
+    spectral = spectral_ensemble(rho, g512)
+    assert [member.label for member, _ in spectral.members] == ["spectral:0"]
+    assert spectral.weights().tolist() == [1.0]
+
+
 def test_mixed_wigner_is_weighted_sum(g512, hadamard_pair_512):
     e1, _ = hadamard_pair_512
     field = mixed_wigner(e1)
@@ -182,7 +191,6 @@ def test_closure_check_on_equivalent_pair(g512, hadamard_pair_512):
 
 
 def test_closure_check_samples_its_window_once(monkeypatch, hadamard_pair_512):
-    import wignerlab.ensemble as ensemble_mod
     import wignerlab.modspace as modspace_mod
 
     e1, e2 = hadamard_pair_512
@@ -192,8 +200,7 @@ def test_closure_check_samples_its_window_once(monkeypatch, hadamard_pair_512):
         descriptors.append(descriptor)
         return catalog_state(descriptor, grid)
 
-    for mod in (ensemble_mod, modspace_mod):
-        monkeypatch.setattr(mod, "catalog_state", counted)
+    monkeypatch.setattr(modspace_mod, "catalog_state", counted)
     report = feichtinger_closure_check(e1, e2)
     assert descriptors == ["hermite:0"]
     assert report.e1_verdicts == report.e2_verdicts == ("convergent", "convergent")

@@ -14,6 +14,10 @@ from wignerlab.wigner import cross_wigner
 
 LAYERS = ("cli", "grid", "wigner", "modspace", "moments", "ensemble", "io")
 
+# Each module imports only modules before it here, so the package has no
+# import cycle.  __init__ imports nothing and __main__ only runs the CLI.
+IMPORT_ORDER = ("grid", "_csvtext", "ensemble", "wigner", "modspace", "moments", "io", "cli")
+
 # bench/tracing.py wraps every function a layer lists in __all__ and counts
 # spans of these by name, so they stay listed.
 COUNTED = {
@@ -87,3 +91,24 @@ def test_cross_wigner_keeps_the_grid_the_tracer_reads():
     # bench/tracing.py counts a cross_wigner span's rows as args[2].n_points.
     assert list(inspect.signature(cross_wigner).parameters)[:3] == ["psi", "phi", "grid"]
     assert make_grid(64, 8.0).n_points == 64
+
+
+def relative_imports(path):
+    """Modules a file imports relatively: at module level, in a function or under TYPE_CHECKING."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            yield from [node.module] if node.module else [alias.name for alias in node.names]
+
+
+def test_each_module_imports_only_earlier_modules():
+    order = ("__init__", *IMPORT_ORDER, "__main__")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "wignerlab"
+    files = {path.stem: path for path in src.glob("*.py")}
+    assert sorted(files) == sorted(order)
+    backward = [
+        f"{name} -> {imported}"
+        for name, path in files.items()
+        for imported in relative_imports(path)
+        if imported not in order or order.index(imported) >= order.index(name)
+    ]
+    assert backward == []
