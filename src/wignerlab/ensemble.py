@@ -245,6 +245,13 @@ def spectral_ensemble(rho: DensityMatrix, grid: PhaseSpaceGrid) -> Ensemble:
     keep = eigvals > SV_CUTOFF
     eigvals = eigvals[keep]
     eigvecs = eigvecs[:, keep]
+    # Ensemble needs weights summing to 1: a basis too small loses trace.
+    kept = sum(float(v) for v in eigvals)
+    if abs(kept - 1.0) > 1e-10:
+        raise ValueError(
+            f"the {rho.dim}-function Hermite basis keeps trace {kept!r} of the "
+            "density matrix, not 1 within 1e-10; use a larger --dim"
+        )
     basis = hermite_basis(grid, rho.dim)
     members = []
     for j in range(eigvals.size):

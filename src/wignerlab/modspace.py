@@ -124,7 +124,13 @@ def _ladder(
                 w[0] *= 0.5
             if rows.stop == n:
                 w[-1] *= 0.5
-            finite = finite and math.isfinite(float(w.max()))
+            top = float(w.max())
+            finite = finite and math.isfinite(top)
+            if top == 0.0:
+                # Every weighted value is +0, so every rung's block sums to +0.
+                for rung in sums:
+                    rung.append(0.0)
+                continue
             np.add(x2, p2[lo:hi], out=r2)
             disc = buf[:, lo:hi]
             for c2, rung in zip(c2s, sums):

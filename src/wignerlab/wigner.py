@@ -64,7 +64,9 @@ def _wigner_blocks(
     (n, n/2) array of the matching dtype, when one is given; otherwise one
     block buffer is reused, so a block is valid only until the next one.
     The rows come in the blocks of grid._row_blocks; every blocking gives
-    the same bits.
+    the same bits.  Streamed, a block that meets no pair's support rows is
+    yielded as +0 with no slice assembly or FFT; with out, every block is
+    transformed (docs/conventions.md, Support rows).
     """
     grid = pairs[0][1].grid
     for _, psi, phi in pairs:
@@ -84,9 +86,23 @@ def _wigner_blocks(
     block = None
     if out is None:
         block = np.empty((len(slices), h), dtype=np.float64 if real else np.complex128)
+        # Row j of W(psi, phi) is 0 unless a0 + b0 <= 2j <= a1 + b1, where
+        # psi's nonzero samples run from a0 to a1 and phi's from b0 to b1.
+        spans = []
+        for _, psi, phi in pairs:
+            a, b = np.flatnonzero(psi.values), np.flatnonzero(phi.values)
+            if a.size and b.size:
+                spans.append(((a[0] + b[0] + 1) // 2, (a[-1] + b[-1]) // 2))
     peak = imag_peak = 0.0
     for rows in blocks:
         buf = slices[: rows.stop - rows.start]
+        if block is not None and not any(lo < rows.stop and rows.start <= hi for lo, hi in spans):
+            # Each slice product here has a zero factor.  The FFT could give
+            # -0, but every streamed reader takes |W|, so yield +0.
+            values = block[: len(buf)]
+            values.fill(0.0)
+            yield rows, values
+            continue
         for r, (psi_win, phi_win) in enumerate(windows):
             dst = term[: len(buf)] if r else buf
             np.multiply(psi_win[rows, h:], phi_win[rows, h:], out=dst[:, : h + 1])

@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from wignerlab.ensemble import Ensemble
 from wignerlab.grid import (
@@ -9,6 +11,23 @@ from wignerlab.grid import (
 )
 from wignerlab.modspace import modulation_norm
 from wignerlab.wigner import mixed_wigner
+
+
+def compact_values(draw, rng, n, empty=False):
+    """Random complex samples that are 0 outside a drawn index interval.
+
+    The interval may touch either end of the grid, and is empty in some
+    draws when empty is set.  About half of the zero parts are -0.
+    """
+    values = rng.normal(size=n) + 1j * rng.normal(size=n)
+    lo = draw(st.one_of(st.just(0), st.integers(0, n - 1)))
+    hi = draw(st.one_of(st.just(n), st.integers(lo if empty else lo + 1, n)))
+    values[:lo] = 0.0
+    values[hi:] = 0.0
+    parts = values.view(np.float64)
+    zeros = np.flatnonzero(parts == 0.0)
+    parts[zeros[rng.random(zeros.size) < 0.5]] = -0.0
+    return values
 
 
 @pytest.fixture(scope="session")

@@ -58,6 +58,12 @@ INVOCATIONS = {
     "diagnose-coarse": ["diagnose", "--state", "box:-0.5:0.5", "--grid-n", "64", "--grid-l", "8"],
     "diagnose-large": ["diagnose", "--state", "box:-1:1", *LARGE],
     "modnorm-large": ["modnorm", "--state", "hermite:3", "--s", "2", *LARGE],
+    # A compact window on a dense state: the cross field's support rows are
+    # the window's, so the streamed kernel skips the blocks outside them.
+    "modnorm-box-window": [
+        "modnorm", "--state", "hermite:3", "--window", "box:0.5:2", "--s", "0",
+        "--grid-n", "1024", "--grid-l", "12",
+    ],
     "marginals-refused": ["marginals", "--state", "hermite:0", "--grid-n", "64", "--grid-l", "8"],
     "ensemble-build": ["ensemble-build", "--ensemble", "inputs/eigen.json", *ENSEMBLE],
     "ensemble-equiv": [

@@ -310,6 +310,27 @@ def test_ensemble_spectral_subcommand(tmp_path):
         assert entry["weight"] == pytest.approx(0.5, abs=1e-10)
 
 
+@pytest.mark.parametrize("dim", [8, 64])
+def test_spectral_ensemble_blames_a_basis_too_small_not_the_file(tmp_path, capsys, dim):
+    # The file's weights sum to 1.  The 8-function Hermite basis keeps
+    # trace 0.99727 of its rho, so the spectral members' weights cannot;
+    # the refusal names the basis and asks for a larger --dim.
+    path = str(tmp_path / "pair.json")
+    write_ensemble(path, "pair", [(0.5, "gaussian:0.5"), (0.5, "hermite:1")])
+    out = tmp_path / "out"
+    code = main(["ensemble-spectral", "--ensemble", path, "--dim", str(dim), "--out", str(out)])
+    err = capsys.readouterr().err
+    if dim == 8:
+        assert code == 2
+        assert "8-function Hermite basis keeps trace 0.99727" in err and "--dim" in err
+        assert "weights must sum" not in err
+        assert not (out / "spectral_ensemble.json").exists()
+    else:
+        assert code == 0
+        doc = read_json(out / "spectral_ensemble.json")
+        assert doc["eigenvalue_sum"] == pytest.approx(1.0, abs=1e-10)
+
+
 def test_spectral_ensemble_loads_from_another_directory(tmp_path, monkeypatch):
     # Bare member names are read next to the ensemble file, not from the
     # working directory, even where that holds files of the same names.

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from wignerlab.modspace import (
     modulation_norm,
 )
 from wignerlab.wigner import _wigner_blocks, apply_metaplectic, cross_wigner, mixed_wigner, wigner
+
+from conftest import compact_values
 
 
 def field_ladder(field, s, cutoffs):
@@ -88,6 +91,35 @@ def test_nan_outside_every_disc_is_refused(row, col):
         field_ladder(PhaseSpaceField(grid, values), 0.0, cutoff_ladder(grid))
 
 
+def test_weight_overflowing_outside_the_support_rows_is_refused():
+    # box:-2:2 fills rows |x| <= 2, where (1 + x^2 + p^2)^100 stays below
+    # 1e88; it overflows from |x| = 35 on.  The kernel yields those rows as
+    # +0 with no transform, and the ladder still weighs them: 0 * inf is NaN.
+    grid = make_grid(2048, 1024.0)
+    box = catalog_state("box:-2:2", grid)
+    blocks = _wigner_blocks(((1.0, box, box),), real=True)
+    with pytest.raises(ValueError, match="s = 200"):
+        _ladder(blocks, grid, 200, cutoff_ladder(grid))
+
+
+def test_streamed_verdicts_transform_only_blocks_meeting_the_support():
+    # box:-1:0.5 fills 227 of 2048 rows on the verdicts grid.  Its self
+    # ladder transforms only the row blocks meeting them; wigner, which
+    # returns the field, transforms all 128.
+    grid = make_grid(2048, 1024.0 / 151.0)
+    box = catalog_state("box:-1:0.5", grid)
+    support = np.flatnonzero(box.values)
+    blocks = _row_blocks(grid.n_points)
+    meeting = [r for r in blocks if r.start <= support[-1] and support[0] < r.stop]
+    assert len(blocks) == 128 and len(meeting) < 20
+    with mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft:
+        feichtinger_diagnostic(box)
+        assert fft.call_count == len(meeting)
+        fft.reset_mock()
+        wigner(box)
+        assert fft.call_count == len(blocks)
+
+
 def test_ladder_peak_memory_is_two_float_buffers(sr2048):
     box = catalog_state("box:-0.5:0.5", sr2048)
     h0 = catalog_state("hermite:0", sr2048)
@@ -142,12 +174,17 @@ def verdict_cases(draw):
     """A unit-norm random state on n = 8 .. 512 and the window its ladder reads.
 
     The window is "self" (feichtinger_diagnostic, s = 0), the default
-    hermite:0 or a random state (modulation_norm at a drawn s).
+    hermite:0 or a random state (modulation_norm at a drawn s).  The state
+    is dense or compact_values, the random window compact_values: both may
+    vanish on index runs that touch either end of the grid, with -0 samples.
     """
     n = 2 ** draw(st.integers(3, 9))
     grid = make_grid(n, draw(st.floats(1.0, 20.0)), draw(st.floats(0.5, 2.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = rng.normal(size=n) + 1j * rng.normal(size=n)
+    if draw(st.booleans()):
+        # Whole row blocks then lie outside the field's support rows.
+        values = compact_values(draw, rng, n)
     psi = SampledState(grid, values / trapezoid_norm(values, grid), "random")
     kind = draw(st.sampled_from(["self", "hermite:0", "random"]))
     if kind == "hermite:0":
@@ -156,7 +193,7 @@ def verdict_cases(draw):
         except ValueError:
             assume(False)
     elif kind == "random":
-        window = SampledState(grid, rng.normal(size=n) + 1j * rng.normal(size=n), "w")
+        window = SampledState(grid, compact_values(draw, rng, n), "w")
     else:
         window = None
     return grid, psi, window, draw(st.floats(0.0, 6.0))

@@ -20,6 +20,7 @@ from wignerlab.grid import (
     trapezoid_weights,
 )
 from wignerlab.wigner import (
+    _wigner_blocks,
     _wigner_kernel,
     apply_metaplectic,
     cross_wigner,
@@ -28,6 +29,8 @@ from wignerlab.wigner import (
     symplectic_matrix,
     wigner,
 )
+
+from conftest import compact_values
 
 
 def reference_cross_wigner(psi_values, phi_values, grid):
@@ -87,6 +90,27 @@ def random_mixtures(draw):
         values /= trapezoid_norm(values, grid)
         members.append((SampledState(grid, values, "random"), float(weight)))
     return grid, Ensemble(tuple(members), "random")
+
+
+@st.composite
+def compact_pair_sets(draw):
+    """1 .. 3 weighted pairs of compact random states on n = 64 .. 512.
+
+    Each state is 0 outside a drawn index interval, which may be empty and
+    may touch either end of the grid, and some of its zeros are -0.  When
+    every pair is a state with itself the pairs make a real mixture.
+    """
+    n = 2 ** draw(st.integers(6, 9))
+    grid = make_grid(n, draw(st.floats(1.0, 20.0)), draw(st.floats(0.5, 2.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        psi = SampledState(grid, compact_values(draw, rng, n, empty=True), "psi")
+        phi = psi
+        if draw(st.booleans()):
+            phi = SampledState(grid, compact_values(draw, rng, n, empty=True), "phi")
+        pairs.append((draw(st.floats(0.05, 1.0)), psi, phi))
+    return pairs, all(psi is phi for _, psi, phi in pairs)
 
 
 def row_blocks_of(block_rows):
@@ -409,3 +433,33 @@ def test_cross_wigner_hands_its_buffer_to_the_field(sr2048):
         tracemalloc.stop()
     assert peak < 1.5 * field.values.nbytes
     assert not field.values.flags.writeable
+
+
+@settings(max_examples=60, deadline=None)
+@given(compact_pair_sets(), st.sampled_from([1, 2, 3, 32]))
+def test_streamed_blocks_skip_only_rows_outside_the_support(case, block_rows):
+    # Row j sums psi(x_(j+m)) * conj(phi(x_(j-m))) over m, so it can be
+    # nonzero only where some k + l = 2j has psi_k != 0 and phi_l != 0.
+    # Blocks of one row put every support edge on a block edge.
+    pairs, real = case
+    n = pairs[0][1].grid.n_points
+    live = np.zeros(n, dtype=bool)
+    for _, psi, phi in pairs:
+        reach = np.convolve(psi.values != 0, phi.values != 0)
+        live |= reach[::2] > 0
+    field = _wigner_kernel(pairs, real).values
+    assert np.all(field[~live] == 0)
+    with row_blocks_of(block_rows), mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft:
+        streamed = [(rows, values.copy()) for rows, values in _wigner_blocks(pairs, real)]
+    transformed = 0
+    for rows, values in streamed:
+        if live[rows].any():
+            # A block that meets a pair's support rows is the field's, byte
+            # for byte, -0 included.
+            transformed += 1
+            assert values.tobytes() == field[rows].tobytes()
+        else:
+            # A block outside every pair's support rows is +0, with no FFT.
+            assert values.tobytes() == bytes(values.nbytes)
+    assert fft.call_count == transformed
+
