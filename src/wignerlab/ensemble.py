@@ -246,7 +246,7 @@ def spectral_ensemble(rho: DensityMatrix, grid: PhaseSpaceGrid) -> Ensemble:
     eigvals = eigvals[keep]
     eigvecs = eigvecs[:, keep]
     # Ensemble needs weights summing to 1: a basis too small loses trace.
-    kept = sum(float(v) for v in eigvals)
+    kept = sum(eigvals.tolist())
     if abs(kept - 1.0) > 1e-10:
         raise ValueError(
             f"the {rho.dim}-function Hermite basis keeps trace {kept!r} of the "

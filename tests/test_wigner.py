@@ -462,4 +462,3 @@ def test_streamed_blocks_skip_only_rows_outside_the_support(case, block_rows):
             # A block outside every pair's support rows is +0, with no FFT.
             assert values.tobytes() == bytes(values.nbytes)
     assert fft.call_count == transformed
-
