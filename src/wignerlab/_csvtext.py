@@ -1,7 +1,7 @@
 """The ``%.17g`` text of float64 arrays, and CSV lines built from it.
 
 ``_number_text`` formats whole arrays as ``format(v, ".17g")`` would,
-``_packed`` formats a short axis without NUL gaps, and ``_csv_lines``
+``_packed`` formats an axis column without NUL gaps, and ``_csv_lines``
 joins columns of text into CRLF lines (docs/conventions.md, Number text).
 Only the CSV writers of ``io`` use them, and they import this module when
 they run.
@@ -132,7 +132,8 @@ def _number_text(values: np.ndarray) -> np.ndarray:
 
     Returns uint8 of shape ``values.shape + (width,)``: the text of a value
     is the non-NUL bytes of its row, in order.  Digits come from the fast
-    path of ``_decimal17``; a value it does not prove goes to ``format``.
+    path of ``_decimal17``; a value it does not prove, and a value that
+    fixed notation writes with e >= 1, goes to ``format``.
     """
     t = _text_tables()
     v = np.asarray(values, dtype=np.float64)
@@ -166,30 +167,20 @@ def _number_text(values: np.ndarray) -> np.ndarray:
     quarters[:, 5] = t.last.take(g3)
     words[:, 3] = t.exponents.take(e - _E_MIN)
     # Then the values ending in 0000 (zeros among them; 1 to 3 % of a
-    # Hermite field's values) and fixed notation with e >= 1, which shows
-    # every digit left of the point, are redone.
-    wide = (e >= 1) & fixed
-    redo = np.flatnonzero((g3 == 0) | wide)
+    # Hermite field's values) are redone.
+    redo = np.flatnonzero(g3 == 0)
     if redo.size:
         # A group's trailing zeros count only when every later group is 0.
         trailing = t.zeros4[g3[redo]]
         for group, full in ((g2, 4), (g1, 8), (g0, 12)):
             trailing += (trailing == full) * t.zeros4[group[redo]]
         kept = 17 - trailing
-        wide = wide[redo]
-        shown = np.where(wide, np.maximum(kept, e[redo] + 1), kept)
         quarters[redo, 5] = t.digits4[g3[redo]]
-        words[redo, 1] &= _MASKS[np.minimum(shown - 1, 8)]
-        words[redo, 2] &= _MASKS[np.maximum(shown - 9, 0)]
+        words[redo, 1] &= _MASKS[np.minimum(kept - 1, 8)]
+        words[redo, 2] &= _MASKS[np.maximum(kept - 9, 0)]
         text[redo[kept <= 1], 7] = 0
-        # Fixed notation with e >= 1: digits 1..e move left over the point
-        # slot, and the point follows them.
-        for k in set(e[redo[wide]].tolist()):
-            at = wide & (e[redo] == k)
-            rows = redo[at]
-            text[rows, 7 : 7 + k] = text[rows, 8 : 8 + k]
-            text[rows, 7 + k] = np.where(kept[at] > k + 1, ord("."), 0)
-    for i in np.flatnonzero(~proved):
+    # format() writes the unproved values and fixed notation with e >= 1.
+    for i in np.flatnonzero(~proved | (fixed & (e >= 1))):
         s = format(float(flat[i]), ".17g").encode()
         text[i] = 0
         text[i, : len(s)] = np.frombuffer(s, np.uint8)
@@ -203,9 +194,9 @@ def _packed(values: np.ndarray) -> np.ndarray:
     """``format(v, ".17g")`` of each value of a short 1-D array, packed.
 
     Returns uint8 of shape ``(len(values), width)``: each text from its
-    row's first byte, NUL padded only to the longest text.  The x and p
-    axes of a field are formatted once per file, so ``format`` itself is
-    fast enough here.
+    row's first byte, NUL padded only to the longest text.  Every CSV
+    writer formats its axis columns with it once per file, so ``format``
+    itself is fast enough here.
     """
     texts = np.array([format(v, ".17g").encode() for v in values.tolist()])
     return texts.view(np.uint8).reshape(len(values), -1)

@@ -111,21 +111,21 @@ def write_field_csv(path: str, field: PhaseSpaceField) -> None:
 
 def write_marginal_csv(path: str, axis_name: str, axis: np.ndarray, values: np.ndarray) -> None:
     """Marginal CSV: columns axis_name,value, ``%.17g`` numbers, CRLF line ends."""
-    from ._csvtext import _csv_lines, _number_text
+    from ._csvtext import _csv_lines, _number_text, _packed
 
     with open(path, "wb") as fh:
         fh.write(f"{axis_name},value\r\n".encode())
-        fh.write(_csv_lines(_number_text(axis), _number_text(values)))
+        fh.write(_csv_lines(_packed(axis), _number_text(values)))
 
 
 def write_state_csv(path: str, x: np.ndarray, values: np.ndarray) -> None:
     """State CSV: columns x,re,im, ``%.17g`` numbers, CRLF line ends."""
-    from ._csvtext import _csv_lines, _number_text
+    from ._csvtext import _csv_lines, _number_text, _packed
 
     values = np.asarray(values, dtype=complex)
     with open(path, "wb") as fh:
         fh.write(b"x,re,im\r\n")
-        fh.write(_csv_lines(_number_text(x), _number_text(values.real), _number_text(values.imag)))
+        fh.write(_csv_lines(_packed(x), _number_text(values.real), _number_text(values.imag)))
 
 
 def load_ensemble_json(path: str, grid: PhaseSpaceGrid) -> Ensemble:
