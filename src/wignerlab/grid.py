@@ -72,6 +72,9 @@ class PhaseSpaceGrid:
             raise ValueError(f"half_width {self.half_width} gives no finite positive step")
         if not (self.hbar > 0 and 0 < self.dp < math.inf):
             raise ValueError(f"hbar {self.hbar} gives no finite positive momentum step")
+        top = self.n_points // 4 * self.dp
+        if not math.isfinite(self.half_width * self.half_width + top * top):
+            raise ValueError(f"x^2 + p^2 overflows: L = {self.half_width}, top momentum {top:.3g}")
 
     @property
     def dx(self) -> float:
@@ -314,11 +317,13 @@ def catalog_state(spec: str, grid: PhaseSpaceGrid) -> SampledState:
             sigma = float(rest)
         except ValueError:
             raise ValueError(f"bad gaussian width in {spec!r}") from None
-        # The lattice does not resolve a width below dx, and sigma**2 may underflow.
+        # The lattice does not resolve a width below dx.
         if not grid.dx <= sigma < L / 4:
             raise ValueError(
                 f"gaussian width {sigma} is outside [dx, L/4) = [{grid.dx:.3g}, {L / 4:.3g})"
             )
+        if sigma**2 == 0:
+            raise ValueError(f"gaussian width {sigma}: its square underflows to 0")
         vals = (math.pi * sigma**2) ** -0.25 * np.exp(-(x**2) / (2 * sigma**2))
         return SampledState(grid, _normalized(vals.astype(complex), grid, spec), spec)
 

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wignerlab import cli
+from wignerlab import cli, modspace
 from wignerlab.cli import COMMANDS, FLAGS, TOL_DEFAULTS, RunConfig, main
 from wignerlab.ensemble import Ensemble
 from wignerlab.grid import CheckError, catalog_state, make_grid
@@ -295,6 +296,28 @@ def test_ensemble_equiv_subcommand(tmp_path, capsys):
     assert closure["implication_holds"] is True
     assert closure["e1_verdicts"] == ["convergent", "convergent"]
     assert "grid_warnings" not in closure
+
+
+def test_ensemble_equiv_exits_1_when_closure_fails(tmp_path, capsys, monkeypatch):
+    # The rotated ensemble's members are read from files; make them diverge.
+    real = modspace.modulation_norm
+
+    def diverging_files(psi, *args):
+        report = real(psi, *args)
+        if psi.label.startswith("file:"):
+            return dataclasses.replace(report, verdict="diverging")
+        return report
+
+    monkeypatch.setattr(modspace, "modulation_norm", diverging_files)
+    eigen, rotated = write_pair_files(tmp_path, make_grid(512, 10.0, 1.0))
+    args = ["ensemble-equiv", "--ensemble", eigen, "--ensemble2", rotated, "--out", str(tmp_path)]
+    assert main(args + SMALL + DIM) == 1
+    assert "closure implication fails" in capsys.readouterr().out
+    closure = read_json(tmp_path / "closure_report.json")
+    assert closure["implication_holds"] is False
+    assert closure["e1_verdicts"] == ["convergent", "convergent"]
+    assert closure["e2_verdicts"] == ["diverging", "diverging"]
+    assert read_json(tmp_path / "isometry.json")["rank"] == 2
 
 
 def test_ensemble_spectral_subcommand(tmp_path):
@@ -815,6 +838,13 @@ def test_ensemble_and_state_are_one_required_choice(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+# sigma = 1e-200 lies in [dx, L/4) on this grid, but sigma**2 underflows to 0.
+UNDERFLOW = ["--grid-n", "64", "--grid-l", "3.2e-199", "--hbar", "1e-300"]
+# On this grid p = n/4 * dp = 1.57e160, and p**2 overflows.
+TINY_L = ["--grid-n", "64", "--grid-l", "3.2e-159"]
+TINY_L_SAYS = "x^2 + p^2 overflows: L = 3.2e-159, top momentum 1.57e+160"
+
+
 @pytest.mark.parametrize(
     "argv, says",
     [
@@ -824,10 +854,21 @@ def test_ensemble_and_state_are_one_required_choice(tmp_path, capsys, command):
         (["ensemble-build", "--ensemble", "EIGEN", "--dim", "100000"], "dim must be in 1..128"),
         (["modnorm", "--state", "hermite:0", "--s", "1e308"] + SMALL, "s = 1e+308"),
         (["wigner", "--state", "box:-0.5:0.5", "--hbar", "1e308", "--grid-n", "8"], "hbar 1e+308"),
+        (["wigner", "--state", "gaussian:1e-200", *UNDERFLOW], "1e-200: its square underflows"),
+        (["moments", "--state", "gaussian:1e-200", *UNDERFLOW], "1e-200: its square underflows"),
+        (["wigner", "--state", "gaussian:1e-300", "--grid-n", "64", "--grid-l", "3.2e-299"],
+         "x^2 + p^2 overflows: L = 3.2e-299, top momentum 1.57e+300"),
+        (["diagnose", "--state", "gaussian:1e-160", *TINY_L], TINY_L_SAYS),
+        (["marginals", "--state", "gaussian:1e-160", *TINY_L], TINY_L_SAYS),
+        (["diagnose", "--state", "box:-1e-160:1e-160", *TINY_L], TINY_L_SAYS),
+        (["diagnose", "--state", "box:-1e-300:1e-300", "--grid-l", "8", "--hbar", "1e300"],
+         "x^2 + p^2 overflows: L = 8.0, top momentum 1.01e+302"),
     ],
     ids=[
         "huge-hermite-order", "tiny-gaussian", "tiny-gaussian-window", "huge-dim", "huge-s",
-        "huge-hbar",
+        "huge-hbar", "gaussian-square-underflows", "gaussian-square-underflows-moments",
+        "tiny-gaussian-huge-p", "tiny-l-diagnose", "tiny-l-marginals", "tiny-l-box",
+        "huge-hbar-p",
     ],
 )
 def test_inputs_that_raised_now_exit_2(tmp_path, capsys, argv, says):
@@ -842,9 +883,26 @@ def test_inputs_that_raised_now_exit_2(tmp_path, capsys, argv, says):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["diagnose", "marginals"])
+def test_a_grid_whose_x_squared_overflows_is_refused(tmp_path, command):
+    # At L = 1e300, x**2 overflows: diagnose read a box as convergent and
+    # marginals wrote a p residual of 4.97e297, each after a RuntimeWarning.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = tmp_path / "out"
+    argv = [command, "--state", "box:-1e150:1e150", "--grid-n", "64", "--grid-l", "1e300"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "wignerlab", *argv, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: x^2 + p^2 overflows: L = 1e+300, top momentum 5.03e-299\n"
+    assert not out.exists()
+
+
 STATES = [
     "hermite:0", "hermite:3", "hermite:-1", "hermite:99999999999", "gaussian:1",
-    "gaussian:1e-300", "gaussian:nan", "box:-0.5:0.5", "box:0:0", "nope:1",
+    "gaussian:1e-300", "gaussian:1e-301", "gaussian:nan", "box:-0.5:0.5", "box:0:0", "nope:1",
     "file:absent.csv", "",
 ]
 NUMBERS = ["0", "-1", "nan", "inf", "1e-300", "1e308"]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -187,6 +188,26 @@ def test_state_csv_rejects_malformed_files(tmp_path):
     p3.write_text("x,re,im\n0.0,1,0\nnan,1,0\n2.0,1,0\n")
     with pytest.raises(ValueError, match=f"{p3}: x must be finite"):
         read_state_csv(str(p3))
+    # Each refusal names the file, and a refused row its line too.
+    for name, body, says in [
+        ("columns", "0,1,0\n1,1\n", ":3: expected 3 columns, got 2"),
+        ("cell", "0,1,0\n1,abc,0\n", ":3: could not convert"),
+        ("short", "0,1,0\n", ": need at least 2 samples"),
+        ("order", "0,1,0\n1,1,0\n1,1,0\n", ": x must be strictly increasing"),
+    ]:
+        path = tmp_path / f"{name}.csv"
+        path.write_text("x,re,im\n" + body)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}{says}")):
+            read_state_csv(str(path))
+
+
+def test_state_csv_skips_blank_lines(tmp_path):
+    plain, gappy = tmp_path / "plain.csv", tmp_path / "gappy.csv"
+    plain.write_text("x,re,im\n0,1,0\n1,0.5,-2\n2,0,1\n")
+    gappy.write_text("x,re,im\n0,1,0\n\n1,0.5,-2\n2,0,1\n")
+    (x1, v1), (x2, v2) = read_state_csv(str(plain)), read_state_csv(str(gappy))
+    assert x1.tobytes() == x2.tobytes() and v1.tobytes() == v2.tobytes()
+    assert v1.tolist() == [1, 0.5 - 2j, 1j]
 
 
 def test_file_state_norm_guard(tmp_path, g512):
