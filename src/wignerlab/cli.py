@@ -233,7 +233,11 @@ def cmd_marginals(ns: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_moments(ns: argparse.Namespace, cfg: RunConfig) -> int:
     ens = _ensemble_from(ns, cfg)
     warnings = _warn_coarse_grid((st for st, _ in ens.members), "member")
-    verdicts = [modulation_norm(st, 2.0, **cfg.ladder()) for st, _ in ens.members]
+    try:
+        window = catalog_state("hermite:0", cfg.grid)
+    except ValueError as exc:
+        raise ValueError(f"the covariance gate's s = 2 window does not fit this grid: {exc}")
+    verdicts = [modulation_norm(st, 2.0, window, **cfg.ladder()) for st, _ in ens.members]
     rho = mixed_wigner(ens)
     report = covariance(rho, verdicts, route_tol=cfg.tolerances["route_agreement"])
     doc = {

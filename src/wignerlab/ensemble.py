@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import (
+    GRID_NORM_BUDGET,
     MAX_HERMITE_ORDER,
     CheckError,
     PhaseSpaceGrid,
@@ -161,14 +162,14 @@ def _check_dim(dim: int) -> None:
 def hermite_basis(grid: PhaseSpaceGrid, dim: int) -> np.ndarray:
     """Rows 0..dim-1 of the oscillator basis sampled on the grid.
 
-    Raises when the grid cannot resolve the top basis function (trapezoid
-    norm off by more than 1e-3), which is how every downstream routine
-    detects an inadequate grid before producing garbage coefficients.
+    Raises when the grid cannot resolve the top basis function (its norm
+    is off by more than GRID_NORM_BUDGET), which is how every downstream
+    routine detects an inadequate grid before producing garbage coefficients.
     """
     _check_dim(dim)
     basis = hermite_functions(dim - 1, grid.x_points(), grid.hbar)
     top_norm = trapezoid_norm(basis[-1], grid)
-    if abs(top_norm - 1.0) > 1e-3:
+    if abs(top_norm - 1.0) > GRID_NORM_BUDGET:
         raise ValueError(
             f"grid too coarse for basis dimension {dim}: "
             f"top function norm deviates by {abs(top_norm - 1.0):.2e}"

@@ -9,6 +9,7 @@ without interpolation.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass
@@ -43,6 +44,10 @@ class CheckError(ValueError):
 
 # Highest oscillator order the recurrence in hermite_functions is used for.
 MAX_HERMITE_ORDER = 127
+
+# How far the trapezoid norm of a unit-norm function may move on a grid
+# before the grid is refused as too coarse or narrow for it.
+GRID_NORM_BUDGET = 1e-3
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -191,6 +196,12 @@ def centered_fft(values: np.ndarray, scale: float) -> np.ndarray:
     return scale * sign * np.fft.fftn(sign * values)
 
 
+def momentum_samples(state: SampledState) -> np.ndarray:
+    """(F psi)_k at all n momenta (k - n/2) * dp (docs/conventions.md, Fourier transform)."""
+    grid = state.grid
+    return centered_fft(state.values, grid.dx / math.sqrt(2.0 * math.pi * grid.hbar))
+
+
 def state_overlap(psi: SampledState, phi: SampledState) -> complex:
     """Inner product by trapezoid quadrature, linear in the first argument."""
     if psi.grid != phi.grid:
@@ -282,6 +293,15 @@ def _normalized(values: np.ndarray, grid: PhaseSpaceGrid, what: str) -> np.ndarr
     return values / nrm
 
 
+def _descriptor_numbers(spec: str, what: str, count: int = 1, kind: type = float) -> tuple:
+    """The count ':'-separated numbers after a descriptor's name, read by kind."""
+    parts = spec.partition(":")[2].split(":")
+    with contextlib.suppress(ValueError):
+        if len(parts) == count:
+            return tuple(map(kind, parts))
+    raise ValueError(f"bad {what} in {spec!r}")
+
+
 def catalog_state(spec: str, grid: PhaseSpaceGrid) -> SampledState:
     """Build a reference state from a descriptor string.
 
@@ -293,30 +313,24 @@ def catalog_state(spec: str, grid: PhaseSpaceGrid) -> SampledState:
     """
     if not isinstance(spec, str) or not spec:
         raise ValueError(f"bad state descriptor {spec!r}")
-    name, _, rest = spec.partition(":")
+    name, _, path = spec.partition(":")
     x = grid.x_points()
     L = grid.half_width
 
     if name == "hermite":
-        try:
-            k = int(rest)
-        except ValueError:
-            raise ValueError(f"bad hermite order in {spec!r}") from None
+        (k,) = _descriptor_numbers(spec, "hermite order", kind=int)
         if k < 0:
             raise ValueError(f"hermite order must be >= 0, got {k}")
         vals = hermite_functions(k, x, grid.hbar)[k].astype(complex)
         raw = trapezoid_norm(vals, grid)
-        if abs(raw - 1.0) > 1e-3:
+        if abs(raw - 1.0) > GRID_NORM_BUDGET:
             raise ValueError(
                 f"grid too coarse or narrow for {spec}: norm deviates by {abs(raw - 1.0):.2e}"
             )
         return SampledState(grid, vals / raw, spec)
 
     if name == "gaussian":
-        try:
-            sigma = float(rest)
-        except ValueError:
-            raise ValueError(f"bad gaussian width in {spec!r}") from None
+        (sigma,) = _descriptor_numbers(spec, "gaussian width")
         # The lattice does not resolve a width below dx.
         if not grid.dx <= sigma < L / 4:
             raise ValueError(
@@ -328,13 +342,7 @@ def catalog_state(spec: str, grid: PhaseSpaceGrid) -> SampledState:
         return SampledState(grid, _normalized(vals.astype(complex), grid, spec), spec)
 
     if name == "box":
-        parts = rest.split(":")
-        if len(parts) != 2:
-            raise ValueError(f"box descriptor needs two endpoints, got {spec!r}")
-        try:
-            a, b = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise ValueError(f"bad box endpoints in {spec!r}") from None
+        a, b = _descriptor_numbers(spec, "box endpoints", count=2)
         if not a < b:
             raise ValueError(f"box endpoints must satisfy a < b, got {a}, {b}")
         if not (abs(a) < L and abs(b) < L):
@@ -345,7 +353,6 @@ def catalog_state(spec: str, grid: PhaseSpaceGrid) -> SampledState:
         return SampledState(grid, _normalized(vals, grid, spec), spec)
 
     if name == "file":
-        path = rest
         if not path:
             raise ValueError("file descriptor needs a path")
         fx, fvals = read_state_csv(path)

@@ -17,10 +17,9 @@ import numpy as np
 from .ensemble import Ensemble
 from .grid import (
     PhaseSpaceField,
-    PhaseSpaceGrid,
     _pairwise_total,
     _row_blocks,
-    centered_fft,
+    momentum_samples,
     trapezoid_weights,
 )
 from .modspace import DivergingStateError, WeightedNormReport, _ladder_report
@@ -100,13 +99,6 @@ def _characteristic_block(field: PhaseSpaceField, half_width: int) -> np.ndarray
     return scale * (sign[lo:hi, None] * sign[lo:hi]) * np.fft.fft(kept, axis=0)[lo:hi]
 
 
-def _fourier_side_density(values: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
-    """Momentum densities |F psi|^2 of state samples, on the central half p lattice."""
-    transformed = centered_fft(values, grid.dx / math.sqrt(2.0 * math.pi * grid.hbar))
-    off = grid.n_points // 4
-    return np.abs(transformed[off : grid.n_points - off]) ** 2
-
-
 def marginals(rho_field: PhaseSpaceField, reference: Ensemble) -> MarginalReport:
     """Marginal densities of a mixed field, checked against its ensemble.
 
@@ -135,9 +127,10 @@ def marginals(rho_field: PhaseSpaceField, reference: Ensemble) -> MarginalReport
 
     x_target = np.zeros(grid.n_points)
     p_target = np.zeros(grid.n_points // 2)
+    q = grid.n_points // 4
     for state, weight in reference.members:
         x_target += weight * np.abs(state.values) ** 2
-        p_target += weight * _fourier_side_density(state.values, grid)
+        p_target += weight * np.abs(momentum_samples(state)[q : 3 * q]) ** 2
 
     x_residual = float(np.abs(x_marginal - x_target).max())
     p_residual = float(np.abs(p_marginal - p_target).max())

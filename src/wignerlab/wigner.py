@@ -10,13 +10,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .ensemble import Ensemble
 from .grid import (
+    GRID_NORM_BUDGET,
     CheckError,
     PhaseSpaceField,
     PhaseSpaceGrid,
     SampledState,
+    _descriptor_numbers,
     _row_blocks,
-    centered_fft,
     field_integral,
+    momentum_samples,
     state_norm,
     state_overlap,
 )
@@ -192,10 +194,7 @@ def _parse_metaplectic(op: str) -> tuple[str, float]:
             raise ValueError(f"fourier takes no parameter, got {op!r}")
         return name, 1.0
     if name == "scale":
-        try:
-            lam = float(rest)
-        except ValueError:
-            raise ValueError(f"bad scale factor in {op!r}") from None
+        (lam,) = _descriptor_numbers(op, "scale factor")
         if not (math.isfinite(lam) and lam != 0.0 and math.isfinite(1.0 / lam)):
             raise ValueError(f"scale factor must be finite and nonzero, got {op!r}")
         return name, lam
@@ -212,16 +211,6 @@ def symplectic_matrix(op: str) -> np.ndarray:
     if name == "fourier":
         return np.array([[0.0, 1.0], [-1.0, 0.0]])
     return np.array([[lam, 0.0], [0.0, 1.0 / lam]])
-
-
-def _fourier_state(psi: SampledState) -> np.ndarray:
-    grid = psi.grid
-    if not grid.is_self_reciprocal:
-        raise ValueError(
-            "fourier requires a self-reciprocal grid (dx == dp); "
-            f"got dx={grid.dx:.6g}, dp={grid.dp:.6g}"
-        )
-    return centered_fft(psi.values, grid.dx / math.sqrt(2.0 * math.pi * grid.hbar))
 
 
 def _scaled_state(psi: SampledState, lam: float) -> np.ndarray:
@@ -262,15 +251,19 @@ def apply_metaplectic(psi: SampledState, op: str) -> SampledState:
     symplectic_matrix accepts and rejects exactly the same descriptors.
 
     Both are unitary, so a result whose trapezoid norm moves by more than
-    1e-3 (the budget catalog_state allows a grid) has lost the state off
-    the grid and is refused.
+    grid.GRID_NORM_BUDGET has lost the state off the grid and is refused.
     """
     name, lam = _parse_metaplectic(op)
-    vals = _fourier_state(psi) if name == "fourier" else _scaled_state(psi, lam)
+    if name == "fourier" and not psi.grid.is_self_reciprocal:
+        raise ValueError(
+            "fourier requires a self-reciprocal grid (dx == dp); "
+            f"got dx={psi.grid.dx:.6g}, dp={psi.grid.dp:.6g}"
+        )
+    vals = momentum_samples(psi) if name == "fourier" else _scaled_state(psi, lam)
     out = SampledState(psi.grid, vals, f"{op}({psi.label})")
     before, after = state_norm(psi), state_norm(out)
     # Written so that a NaN gap, from two infinite norms, is refused too.
-    if not abs(after - before) <= 1e-3:
+    if not abs(after - before) <= GRID_NORM_BUDGET:
         raise ValueError(
             f"{op} does not keep the norm of {psi.label} on this grid: "
             f"{before:.6g} -> {after:.6g}"

@@ -39,6 +39,11 @@ LARGE = ["--grid-n", "4096", "--grid-l", "16"]
 INVOCATIONS = {
     "wigner": ["wigner", "--state", "hermite:1", *SMALL],
     "wigner-scale": ["wigner", "--state", "gaussian:0.7", "--apply", "scale:1.3", *SMALL],
+    # fourier needs dx == dp: L = sqrt(pi * hbar * n / 2) at n = 256.
+    "wigner-fourier": [
+        "wigner", "--state", "hermite:2", "--apply", "fourier",
+        "--grid-n", "256", "--grid-l", "20.053026197048002",
+    ],
     "cross-wigner": ["cross-wigner", "--state", "hermite:0", "--state2", "hermite:1", *SMALL],
     "marginals": ["marginals", "--ensemble", "inputs/trio.json", *SMALL],
     "moments": ["moments", "--ensemble", "inputs/trio.json", *SMALL],

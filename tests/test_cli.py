@@ -160,6 +160,17 @@ def test_moments_subcommand_and_gate(tmp_path, capsys):
     assert "check failed" in capsys.readouterr().err
 
 
+def test_moments_refusal_names_the_gate_window(tmp_path, capsys):
+    # gaussian:0.05 fits this grid but the gate's hermite:0 window does not.
+    out = tmp_path / "out"
+    args = ["moments", "--state", "gaussian:0.05", "--grid-n", "1024", "--grid-l", "1"]
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: the covariance gate's s = 2 window does not fit this grid: " in err
+    assert "grid too coarse or narrow for hermite:0" in err
+    assert not out.exists()
+
+
 def test_modnorm_tolerance_override_changes_verdict(tmp_path):
     base = ["modnorm", "--state", "box:-0.5:0.5", "--out", str(tmp_path)]
     assert main(base + SMALL) == 0
@@ -517,7 +528,7 @@ def test_ensemble_file_shape_errors_are_usage_errors(tmp_path, capsys, body, mem
 
 
 @pytest.mark.parametrize(
-    "flag_args, flag",
+    "flag_args, says",
     [
         (["--tol.convergent_tail", "nan"], "--tol.convergent_tail"),
         (["--tol.diverging_growth=inf"], "--tol.diverging_growth"),
@@ -525,13 +536,17 @@ def test_ensemble_file_shape_errors_are_usage_errors(tmp_path, capsys, body, mem
         (["--tol.diverging_growth=-1"], "--tol.diverging_growth"),
         (["--s", "inf"], "--s"),
         (["--s", "nan"], "--s"),
+        (["--s", "abc"], "argument --s: expected a finite number, got 'abc'"),
     ],
-    ids=["tol-nan", "tol-inf-inline", "tol-negative", "tol-negative-inline", "s-inf", "s-nan"],
+    ids=[
+        "tol-nan", "tol-inf-inline", "tol-negative", "tol-negative-inline", "s-inf", "s-nan",
+        "s-text",
+    ],
 )
-def test_non_finite_flag_values_rejected_at_parse_time(tmp_path, capsys, flag_args, flag):
+def test_non_finite_flag_values_rejected_at_parse_time(tmp_path, capsys, flag_args, says):
     argv = ["modnorm", "--state", "hermite:0", "--out", str(tmp_path)] + flag_args
     assert main(argv + SMALL) == 2
-    assert flag in capsys.readouterr().err
+    assert says in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -118,19 +118,29 @@ def test_catalog_box_closed_interval(g512):
     assert state_norm(box) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_catalog_rejects_bad_descriptors(g512):
-    for bad in (
-        "hermite:-1",
-        "hermite:x",
-        "gaussian:0",
-        "gaussian:9",
-        "box:1:0",
-        "box:-20:20",
-        "plane:1",
-        "box:0.5",
-        "",
+def test_catalog_rejects_bad_descriptors(tmp_path, g512):
+    short = tmp_path / "short.csv"
+    coarse = make_grid(256, 10.0)
+    write_state_csv(str(short), coarse.x_points(), catalog_state("hermite:0", coarse).values)
+    for bad, match in (
+        ("hermite:-1", "hermite order must be >= 0, got -1"),
+        ("hermite:x", "bad hermite order in 'hermite:x'"),
+        ("hermite:1:2", "bad hermite order in 'hermite:1:2'"),
+        ("gaussian:0", r"gaussian width 0.0 is outside \[dx, L/4\)"),
+        ("gaussian:9", r"gaussian width 9.0 is outside \[dx, L/4\)"),
+        ("gaussian:wide", "bad gaussian width in 'gaussian:wide'"),
+        ("box:1:0", "box endpoints must satisfy a < b, got 1.0, 0.0"),
+        ("box:-20:20", r"box \[-20.0, 20.0\] exceeds grid support"),
+        ("box:0.5", "bad box endpoints in 'box:0.5'"),
+        ("box:a:b", "bad box endpoints in 'box:a:b'"),
+        ("box:-1:0:1", "bad box endpoints in 'box:-1:0:1'"),
+        ("box:0.001:0.002", r"box \[0.001, 0.002\] contains no grid samples"),
+        ("file:", "file descriptor needs a path"),
+        (f"file:{short}", "256 samples but grid has 512 points"),
+        ("plane:1", "unknown state descriptor 'plane:1'"),
+        ("", "bad state descriptor ''"),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=match):
             catalog_state(bad, g512)
 
 

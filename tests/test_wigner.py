@@ -342,13 +342,21 @@ def test_scale_minus_one_is_parity(g512):
 def test_metaplectic_rejects_bad_descriptors(g512):
     # Both entry points share one parser, so they reject the same strings.
     h0 = catalog_state("hermite:0", g512)
-    for bad in (
-        "scale:0", "rotate:1", "scale:x", "fourier:2", "fourier:3", "scale:abc",
-        "scale:nan", "scale:inf", "scale:1e-320", "shear:1",
+    for bad, match in (
+        ("scale:0", "scale factor must be finite and nonzero"),
+        ("rotate:1", "unknown metaplectic descriptor"),
+        ("scale:x", "bad scale factor in 'scale:x'"),
+        ("fourier:2", "fourier takes no parameter"),
+        ("fourier:3", "fourier takes no parameter"),
+        ("scale:abc", "bad scale factor in 'scale:abc'"),
+        ("scale:nan", "scale factor must be finite and nonzero"),
+        ("scale:inf", "scale factor must be finite and nonzero"),
+        ("scale:1e-320", "scale factor must be finite and nonzero"),
+        ("shear:1", "unknown metaplectic descriptor"),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=match):
             apply_metaplectic(h0, bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=match):
             symplectic_matrix(bad)
 
 
