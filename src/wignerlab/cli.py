@@ -86,13 +86,13 @@ class RunConfig:
     output_dir: str = "."
 
     def __post_init__(self) -> None:
-        # tracemalloc peaks of main at n = 2048, artifacts written:
-        # cross-wigner 9.0 n^2 bytes (its complex n x n/2 field plus the CSV
-        # writer's text for one row block), wigner 8.0 n^2, marginals and
-        # moments 4.5 n^2 (the real mixed field; the covariance quadrature
-        # reads it in row blocks), diagnose and modnorm below 0.5 n^2 (the
-        # ladder reads the kernel's row blocks).  16 n^2 bytes covers the
-        # largest of them.
+        # tracemalloc peaks of main at n = 2048, artifacts written: cross-wigner
+        # 9.2 n^2 bytes (its complex n x n/2 field plus the CSV writer's text
+        # for one row block), wigner 8.0 n^2, marginals and moments 4.5 n^2
+        # (the real mixed field, which holds one more row block while it fills;
+        # the covariance quadrature reads it in row blocks), diagnose and modnorm
+        # below 0.5 n^2 (the ladder reads the kernel's row blocks).  16 n^2
+        # bytes covers the largest of them.
         n = self.grid.n_points
         need = 16 * n**2
         have = _physical_memory()

@@ -296,8 +296,10 @@ def _normalized(values: np.ndarray, grid: PhaseSpaceGrid, what: str) -> np.ndarr
 def _descriptor_numbers(spec: str, what: str, count: int = 1, kind: type = float) -> tuple:
     """The count ':'-separated numbers after a descriptor's name, read by kind."""
     parts = spec.partition(":")[2].split(":")
+    # int and float also read "1_0", " 3" and non-ASCII digits; a label keeps that text.
+    plain = spec.isascii() and not any(c.isspace() or c == "_" for c in spec)
     with contextlib.suppress(ValueError):
-        if len(parts) == count:
+        if len(parts) == count and plain:
             return tuple(map(kind, parts))
     raise ValueError(f"bad {what} in {spec!r}")
 

@@ -208,8 +208,9 @@ def modulation_norm(
     """Partial weighted norms of the cross-Wigner transform against a window.
 
     The window is a catalog descriptor, by default the ground Gaussian, or a
-    state already sampled on psi's grid; any nonzero window distinguishes the
-    same class of states, only the values change.
+    state already sampled on psi's grid.  Windows in M^1 (``hermite:k``,
+    ``gaussian:sigma``) give the same verdicts, only the values change;
+    against a window outside M^1, such as a box, the verdict is the window's.
     """
     if s < 0:
         raise ValueError(f"weight exponent s must be >= 0, got {s}")

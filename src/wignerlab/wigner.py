@@ -48,7 +48,6 @@ def _padded_windows(values: np.ndarray, weight: float = 1.0) -> np.ndarray:
 def _wigner_blocks(
     pairs: Sequence[tuple[float, SampledState, SampledState]],
     real: bool,
-    out: np.ndarray | None = None,
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield (rows, values) for the rows of sum_r w_r * W(psi_r, phi_r), in order.
 
@@ -62,13 +61,13 @@ def _wigner_blocks(
 
     real=True gives the real part as float64 and raises CheckError, after
     the last block, when the imaginary part exceeds 1e-10 of the largest
-    magnitude in the field.  Each block lands in its rows of out, an
-    (n, n/2) array of the matching dtype, when one is given; otherwise one
-    block buffer is reused, so a block is valid only until the next one.
-    The rows come in the blocks of grid._row_blocks; every blocking gives
-    the same bits.  Streamed, a block that meets no pair's support rows is
-    yielded as +0 with no slice assembly or FFT; with out, every block is
-    transformed (docs/conventions.md, Support rows).
+    magnitude in the field.  One block buffer is reused, so a block is
+    valid only until the next one; a built field copies each block in and
+    so holds one block buffer besides itself while it fills.  The rows come
+    in the blocks of grid._row_blocks.  A block that meets no pair's
+    support rows is yielded as +0 with no slice assembly or FFT
+    (docs/conventions.md, Support rows); every blocking gives the same
+    bits in the support rows and the same values elsewhere.
     """
     grid = pairs[0][1].grid
     for _, psi, phi in pairs:
@@ -85,23 +84,21 @@ def _wigner_blocks(
     blocks = _row_blocks(n)
     slices = np.empty((blocks[0].stop, n), dtype=np.complex128)
     term = np.empty_like(slices) if len(windows) > 1 else None
-    block = None
-    if out is None:
-        block = np.empty((len(slices), h), dtype=np.float64 if real else np.complex128)
-        # Row j of W(psi, phi) is 0 unless a0 + b0 <= 2j <= a1 + b1, where
-        # psi's nonzero samples run from a0 to a1 and phi's from b0 to b1.
-        spans = []
-        for _, psi, phi in pairs:
-            a, b = np.flatnonzero(psi.values), np.flatnonzero(phi.values)
-            if a.size and b.size:
-                spans.append(((a[0] + b[0] + 1) // 2, (a[-1] + b[-1]) // 2))
+    block = np.empty((len(slices), h), dtype=np.float64 if real else np.complex128)
+    # Row j of W(psi, phi) is 0 unless a0 + b0 <= 2j <= a1 + b1, where
+    # psi's nonzero samples run from a0 to a1 and phi's from b0 to b1.
+    spans = []
+    for _, psi, phi in pairs:
+        a, b = np.flatnonzero(psi.values), np.flatnonzero(phi.values)
+        if a.size and b.size:
+            spans.append(((a[0] + b[0] + 1) // 2, (a[-1] + b[-1]) // 2))
     peak = imag_peak = 0.0
     for rows in blocks:
         buf = slices[: rows.stop - rows.start]
-        if block is not None and not any(lo < rows.stop and rows.start <= hi for lo, hi in spans):
+        values = block[: len(buf)]
+        if not any(lo < rows.stop and rows.start <= hi for lo, hi in spans):
             # Each slice product here has a zero factor.  The FFT could give
-            # -0, but every streamed reader takes |W|, so yield +0.
-            values = block[: len(buf)]
+            # -0; the field is +0 here whatever the signs of the zeros.
             values.fill(0.0)
             yield rows, values
             continue
@@ -112,7 +109,6 @@ def _wigner_blocks(
             if r:
                 buf += dst
         np.fft.fft(buf, axis=1, out=buf)
-        values = out[rows] if block is None else block[: len(buf)]
         # Even bins h, h+2, ... are p < 0 and 0, 2, ... are p >= 0.  A real
         # field scales them in place and copies out only their real parts.
         for cols, even in ((slice(0, q), buf[:, h::2]), (slice(q, h), buf[:, :h:2])):
@@ -137,8 +133,8 @@ def _wigner_kernel(
     grid = pairs[0][1].grid
     n = grid.n_points
     out = np.empty((n, n // 2), dtype=np.float64 if real else np.complex128)
-    for _ in _wigner_blocks(pairs, real, out):
-        pass
+    for rows, values in _wigner_blocks(pairs, real):
+        out[rows] = values
     # Frozen and owning its data, out is taken over by the field, not copied.
     out.flags.writeable = False
     return PhaseSpaceField(grid, out)

@@ -121,6 +121,20 @@ def test_bad_descriptor_is_usage_error(tmp_path, capsys):
     assert main(args) == 2
     assert "does not keep the norm of hermite:0" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "wigner_field.csv")
+    # Python reads these numbers as 10, 3, 0.5, 7 and 13, but a state is
+    # labelled with its descriptor text, so the parser refuses them.
+    grid = ["--grid-n", "256", "--grid-l", "8", "--out", str(tmp_path)]
+    for flags, what in (
+        (["--state", "hermite:1_0"], "bad hermite order in 'hermite:1_0'"),
+        (["--state", "hermite: 3"], "bad hermite order in 'hermite: 3'"),
+        (["--state", "box:-1: 0.5"], "bad box endpoints in 'box:-1: 0.5'"),
+        (["--state", "gaussian:0_7"], "bad gaussian width in 'gaussian:0_7'"),
+        (["--state", "hermite:0", "--apply", "scale:1_3"], "bad scale factor in 'scale:1_3'"),
+    ):
+        command = "wigner" if "--apply" in flags else "diagnose"
+        assert main([command] + flags + grid) == 2
+        assert what in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
 
 def test_cross_wigner_artifacts(tmp_path):
@@ -918,7 +932,7 @@ def test_a_grid_whose_x_squared_overflows_is_refused(tmp_path, command):
 STATES = [
     "hermite:0", "hermite:3", "hermite:-1", "hermite:99999999999", "gaussian:1",
     "gaussian:1e-300", "gaussian:1e-301", "gaussian:nan", "box:-0.5:0.5", "box:0:0", "nope:1",
-    "file:absent.csv", "",
+    "file:absent.csv", "", "hermite:1_0", "box:-1: 0.5",
 ]
 NUMBERS = ["0", "-1", "nan", "inf", "1e-300", "1e308"]
 ENSEMBLE_BODIES = [
@@ -934,7 +948,7 @@ POOL = {
     "--state": STATES,
     "--state2": STATES,
     "--window": STATES,
-    "--apply": ["fourier", "scale:1.3", "scale:0", "scale:nan", "scale:1e-300", "turn:1"],
+    "--apply": ["fourier", "scale:1.3", "scale:0", "scale:nan", "scale:1e-300", "scale:1_3", "turn:1"],
     "--s": ["2", "700", "-1", "nan", "1e308"],
     "--hbar": NUMBERS,
     "--grid-n": ["8", "16", "32", "64", "9", str(2**20)],

@@ -7,6 +7,7 @@ from wignerlab.ensemble import (
     MAX_BASIS_DIM,
     DensityMatrix,
     Ensemble,
+    EnsembleOperator,
     PartialIsometry,
     build_A,
     density_matrix,
@@ -113,12 +114,28 @@ def test_density_matrix_routes_agree(hadamard_pair_512):
 
 
 def test_density_matrix_validation():
-    with pytest.raises(ValueError):
+    # Each input fails exactly one check, and each check names itself.
+    with pytest.raises(CheckError, match="not Hermitian within 1e-10"):
         DensityMatrix(np.array([[1.0, 1.0], [0.0, 0.0]]), 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(CheckError, match="eigenvalue -5.000e-01 < -1e-8"):
         DensityMatrix(np.diag([1.5, -0.5]), 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(CheckError, match="trace 0.8 deviates from 1 beyond the truncation"):
         DensityMatrix(np.diag([0.4, 0.4]), 0.0)
+
+
+def test_operator_refusals_name_their_cause(hadamard_pair_512):
+    # Malformed input is a ValueError (exit 2), not a failed CheckError.
+    with pytest.raises(ValueError, match=r"matrix must be square, got shape \(2, 3\)") as bad:
+        EnsembleOperator(np.zeros((2, 3)), 0.0)
+    assert bad.type is ValueError
+    e1, e2 = hadamard_pair_512
+    a, a_prime = build_A(e1, 16), build_A(e2, 16)
+    with pytest.raises(ValueError, match="operator dimensions differ: 16 vs 8") as bad:
+        find_partial_isometry(a, build_A(e2, 8))
+    assert bad.type is ValueError
+    # The Hadamard pair factors with a residual near 2e-16, not 0.
+    with pytest.raises(CheckError, match=r"factorization residual \S+ exceeds 0.0e\+00"):
+        find_partial_isometry(a, a_prime, factor_tol=0.0)
 
 
 def test_partial_isometry_defect_guard():

@@ -135,6 +135,13 @@ def test_catalog_rejects_bad_descriptors(tmp_path, g512):
         ("box:a:b", "bad box endpoints in 'box:a:b'"),
         ("box:-1:0:1", "bad box endpoints in 'box:-1:0:1'"),
         ("box:0.001:0.002", r"box \[0.001, 0.002\] contains no grid samples"),
+        # int and float read each as a number; the state's label keeps the text.
+        ("hermite:1_0", "bad hermite order in 'hermite:1_0'"),
+        ("hermite: 3", "bad hermite order in 'hermite: 3'"),
+        ("hermite:3\n", r"bad hermite order in 'hermite:3\\n'"),
+        ("hermite:\u0663", "bad hermite order in 'hermite:\u0663'"),
+        ("box:-1: 0.5", "bad box endpoints in 'box:-1: 0.5'"),
+        ("gaussian:0_7", "bad gaussian width in 'gaussian:0_7'"),
         ("file:", "file descriptor needs a path"),
         (f"file:{short}", "256 samples but grid has 512 points"),
         ("plane:1", "unknown state descriptor 'plane:1'"),

@@ -103,21 +103,32 @@ def test_weight_overflowing_outside_the_support_rows_is_refused():
 
 
 def test_streamed_verdicts_transform_only_blocks_meeting_the_support():
-    # box:-1:0.5 fills 227 of 2048 rows on the verdicts grid.  Its self
-    # ladder transforms only the row blocks meeting them; wigner, which
-    # returns the field, transforms all 128.
+    # box:-1:0.5 fills 227 of 2048 rows on the verdicts grid and hermite:0
+    # all of them.  The self ladder, wigner and cross_wigner each transform
+    # only the row blocks meeting their pair's support rows
+    # ceil((a0 + b0)/2) .. floor((a1 + b1)/2).
     grid = make_grid(2048, 1024.0 / 151.0)
     box = catalog_state("box:-1:0.5", grid)
-    support = np.flatnonzero(box.values)
+    h0 = catalog_state("hermite:0", grid)
     blocks = _row_blocks(grid.n_points)
-    meeting = [r for r in blocks if r.start <= support[-1] and support[0] < r.stop]
-    assert len(blocks) == 128 and len(meeting) < 20
+
+    def meeting(psi, phi):
+        a, b = np.flatnonzero(psi.values), np.flatnonzero(phi.values)
+        lo, hi = (a[0] + b[0] + 1) // 2, (a[-1] + b[-1]) // 2
+        return [r for r in blocks if r.start <= hi and lo < r.stop]
+
+    own, cross = meeting(box, box), meeting(box, h0)
+    assert len(blocks) == 128 and len(own) < 20 and len(own) < len(cross) < len(blocks)
+    calls = [
+        (lambda: feichtinger_diagnostic(box), own),
+        (lambda: wigner(box), own),
+        (lambda: cross_wigner(box, h0, grid), cross),
+    ]
     with mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft:
-        feichtinger_diagnostic(box)
-        assert fft.call_count == len(meeting)
-        fft.reset_mock()
-        wigner(box)
-        assert fft.call_count == len(blocks)
+        for call, expected in calls:
+            fft.reset_mock()
+            call()
+            assert fft.call_count == len(expected)
 
 
 def test_ladder_peak_memory_is_two_float_buffers(sr2048):

@@ -113,6 +113,37 @@ def compact_pair_sets(draw):
     return pairs, all(psi is phi for _, psi, phi in pairs)
 
 
+@st.composite
+def compact_field_calls(draw):
+    """A field call on compact complex states, n = 8 .. 256, and its pairs.
+
+    The call is cross_wigner of two states, wigner of one, or mixed_wigner
+    of two or three unit-norm states.  Each state is 0 outside a drawn
+    index interval, and some of its zeros are -0.
+    """
+    n = 2 ** draw(st.integers(3, 8))
+    grid = make_grid(n, draw(st.floats(1.0, 20.0)), draw(st.floats(0.5, 2.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def state():
+        values = compact_values(draw, rng, n)
+        values /= trapezoid_norm(values, grid)
+        return SampledState(grid, values, "compact")
+
+    kind = draw(st.sampled_from(["cross_wigner", "wigner", "mixed_wigner"]))
+    if kind == "cross_wigner":
+        psi, phi = state(), state()
+        return (lambda: cross_wigner(psi, phi, grid)), ((1.0, psi, phi),), False
+    if kind == "wigner":
+        psi = state()
+        return (lambda: wigner(psi)), ((1.0, psi, psi),), True
+    raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=3)))
+    members = tuple((state(), float(w)) for w in raw / raw.sum())
+    ensemble = Ensemble(members, "compact")
+    pairs = tuple((w, member, member) for member, w in ensemble.members)
+    return (lambda: mixed_wigner(ensemble)), pairs, True
+
+
 def row_blocks_of(block_rows):
     """Patch grid.ROW_BLOCK, the row count of every kernel block."""
     return mock.patch.object(grid_module, "ROW_BLOCK", block_rows)
@@ -349,6 +380,8 @@ def test_metaplectic_rejects_bad_descriptors(g512):
         ("fourier:2", "fourier takes no parameter"),
         ("fourier:3", "fourier takes no parameter"),
         ("scale:abc", "bad scale factor in 'scale:abc'"),
+        ("scale:1_3", "bad scale factor in 'scale:1_3'"),
+        ("scale: 2", "bad scale factor in 'scale: 2'"),
         ("scale:nan", "scale factor must be finite and nonzero"),
         ("scale:inf", "scale factor must be finite and nonzero"),
         ("scale:1e-320", "scale factor must be finite and nonzero"),
@@ -430,7 +463,8 @@ def test_wigner_peak_value(g512):
 
 def test_cross_wigner_hands_its_buffer_to_the_field(sr2048):
     # The field takes over the kernel's output instead of copying it, so the
-    # transform holds the field plus one slice block, not the field twice.
+    # transform holds the field plus one block of slices and one of values,
+    # not the field twice.
     box = catalog_state("box:-0.5:0.5", sr2048)
     h0 = catalog_state("hermite:0", sr2048)
     tracemalloc.start()
@@ -462,11 +496,35 @@ def test_streamed_blocks_skip_only_rows_outside_the_support(case, block_rows):
     transformed = 0
     for rows, values in streamed:
         if live[rows].any():
-            # A block that meets a pair's support rows is the field's, byte
-            # for byte, -0 included.
+            # A block that meets a pair's support rows is transformed.  Its
+            # support rows are the field's, byte for byte, -0 included; its
+            # other rows are 0, with the sign that the field's blocking gives.
             transformed += 1
-            assert values.tobytes() == field[rows].tobytes()
+            inside = live[rows]
+            assert values[inside].tobytes() == field[rows][inside].tobytes()
+            assert np.all(values[~inside] == 0)
         else:
             # A block outside every pair's support rows is +0, with no FFT.
             assert values.tobytes() == bytes(values.nbytes)
     assert fft.call_count == transformed
+
+
+@settings(max_examples=60, deadline=None)
+@given(compact_field_calls(), st.sampled_from([1, 2, 3, 32]))
+def test_built_fields_are_plus_zero_outside_the_support_rows(case, block_rows):
+    # A built field is the kernel's stream copied row block by row block,
+    # so a block that meets no pair's support rows is +0 in the field too,
+    # whatever the signs of the zero samples.
+    call, pairs, real = case
+    n = pairs[0][1].grid.n_points
+    live = np.zeros(n, dtype=bool)
+    for _, psi, phi in pairs:
+        live |= np.convolve(psi.values != 0, phi.values != 0)[::2] > 0
+    with row_blocks_of(block_rows):
+        field = call().values
+        stream = b"".join(values.tobytes() for _, values in _wigner_blocks(pairs, real))
+        blocks = grid_module._row_blocks(n)
+    assert field.tobytes() == stream
+    for rows in blocks:
+        if not live[rows].any():
+            assert field[rows].tobytes() == bytes(field[rows].nbytes)
