@@ -62,12 +62,11 @@ def _wigner_blocks(
     real=True gives the real part as float64 and raises CheckError, after
     the last block, when the imaginary part exceeds 1e-10 of the largest
     magnitude in the field.  One block buffer is reused, so a block is
-    valid only until the next one; a built field copies each block in and
-    so holds one block buffer besides itself while it fills.  The rows come
-    in the blocks of grid._row_blocks.  A block that meets no pair's
-    support rows is yielded as +0 with no slice assembly or FFT
-    (docs/conventions.md, Support rows); every blocking gives the same
-    bits in the support rows and the same values elsewhere.
+    valid only until the next one; a built field copies the blocks in, so
+    it holds one block besides itself while it fills.  The rows come in the
+    blocks of grid._row_blocks; every blocking gives the same bits.  A row
+    outside every pair's support rows is +0, and a block of such rows takes
+    no slice assembly or FFT (docs/conventions.md, Support rows).
     """
     grid = pairs[0][1].grid
     for _, psi, phi in pairs:
@@ -87,18 +86,18 @@ def _wigner_blocks(
     block = np.empty((len(slices), h), dtype=np.float64 if real else np.complex128)
     # Row j of W(psi, phi) is 0 unless a0 + b0 <= 2j <= a1 + b1, where
     # psi's nonzero samples run from a0 to a1 and phi's from b0 to b1.
-    spans = []
+    live = np.zeros(n, dtype=bool)
     for _, psi, phi in pairs:
         a, b = np.flatnonzero(psi.values), np.flatnonzero(phi.values)
         if a.size and b.size:
-            spans.append(((a[0] + b[0] + 1) // 2, (a[-1] + b[-1]) // 2))
+            live[(a[0] + b[0] + 1) // 2 : (a[-1] + b[-1]) // 2 + 1] = True
     peak = imag_peak = 0.0
     for rows in blocks:
         buf = slices[: rows.stop - rows.start]
         values = block[: len(buf)]
-        if not any(lo < rows.stop and rows.start <= hi for lo, hi in spans):
-            # Each slice product here has a zero factor.  The FFT could give
-            # -0; the field is +0 here whatever the signs of the zeros.
+        # Every slice product of a row outside live has a zero factor.  The
+        # FFT could give -0 there; the field is +0 whatever the zeros' signs.
+        if not live[rows].any():
             values.fill(0.0)
             yield rows, values
             continue
@@ -119,6 +118,7 @@ def _wigner_blocks(
                 values[:, cols] = even.real
             else:
                 np.multiply(scale, even, out=values[:, cols])
+        values[~live[rows]] = 0.0
         yield rows, values
     if real and peak > 0.0 and imag_peak > 1e-10 * peak:
         raise CheckError(

@@ -133,9 +133,9 @@ def test_operator_refusals_name_their_cause(hadamard_pair_512):
     with pytest.raises(ValueError, match="operator dimensions differ: 16 vs 8") as bad:
         find_partial_isometry(a, build_A(e2, 8))
     assert bad.type is ValueError
-    # The Hadamard pair factors with a residual near 2e-16, not 0.
-    with pytest.raises(CheckError, match=r"factorization residual \S+ exceeds 0.0e\+00"):
-        find_partial_isometry(a, a_prime, factor_tol=0.0)
+    # Every residual, 0 included, exceeds a negative tolerance.
+    with pytest.raises(CheckError, match=r"factorization residual \S+ exceeds -1.0e\+00"):
+        find_partial_isometry(a, a_prime, factor_tol=-1.0)
 
 
 def test_partial_isometry_defect_guard():

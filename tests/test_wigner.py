@@ -133,15 +133,14 @@ def compact_field_calls(draw):
     kind = draw(st.sampled_from(["cross_wigner", "wigner", "mixed_wigner"]))
     if kind == "cross_wigner":
         psi, phi = state(), state()
-        return (lambda: cross_wigner(psi, phi, grid)), ((1.0, psi, phi),), False
+        return (lambda: cross_wigner(psi, phi, grid)), ((1.0, psi, phi),)
     if kind == "wigner":
         psi = state()
-        return (lambda: wigner(psi)), ((1.0, psi, psi),), True
+        return (lambda: wigner(psi)), ((1.0, psi, psi),)
     raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=3)))
-    members = tuple((state(), float(w)) for w in raw / raw.sum())
-    ensemble = Ensemble(members, "compact")
+    ensemble = Ensemble(tuple((state(), float(w)) for w in raw / raw.sum()), "compact")
     pairs = tuple((w, member, member) for member, w in ensemble.members)
-    return (lambda: mixed_wigner(ensemble)), pairs, True
+    return (lambda: mixed_wigner(ensemble)), pairs
 
 
 def row_blocks_of(block_rows):
@@ -496,13 +495,10 @@ def test_streamed_blocks_skip_only_rows_outside_the_support(case, block_rows):
     transformed = 0
     for rows, values in streamed:
         if live[rows].any():
-            # A block that meets a pair's support rows is transformed.  Its
-            # support rows are the field's, byte for byte, -0 included; its
-            # other rows are 0, with the sign that the field's blocking gives.
+            # A block that meets a pair's support rows is the field's, byte
+            # for byte, -0 included.
             transformed += 1
-            inside = live[rows]
-            assert values[inside].tobytes() == field[rows][inside].tobytes()
-            assert np.all(values[~inside] == 0)
+            assert values.tobytes() == field[rows].tobytes()
         else:
             # A block outside every pair's support rows is +0, with no FFT.
             assert values.tobytes() == bytes(values.nbytes)
@@ -512,19 +508,13 @@ def test_streamed_blocks_skip_only_rows_outside_the_support(case, block_rows):
 @settings(max_examples=60, deadline=None)
 @given(compact_field_calls(), st.sampled_from([1, 2, 3, 32]))
 def test_built_fields_are_plus_zero_outside_the_support_rows(case, block_rows):
-    # A built field is the kernel's stream copied row block by row block,
-    # so a block that meets no pair's support rows is +0 in the field too,
-    # whatever the signs of the zero samples.
-    call, pairs, real = case
+    # Every row that meets no pair's support rows is +0 in a built field,
+    # whatever the signs of the zero samples and the row blocking.
+    call, pairs = case
     n = pairs[0][1].grid.n_points
     live = np.zeros(n, dtype=bool)
     for _, psi, phi in pairs:
         live |= np.convolve(psi.values != 0, phi.values != 0)[::2] > 0
     with row_blocks_of(block_rows):
-        field = call().values
-        stream = b"".join(values.tobytes() for _, values in _wigner_blocks(pairs, real))
-        blocks = grid_module._row_blocks(n)
-    assert field.tobytes() == stream
-    for rows in blocks:
-        if not live[rows].any():
-            assert field[rows].tobytes() == bytes(field[rows].nbytes)
+        outside = call().values[~live]
+    assert outside.tobytes() == bytes(outside.nbytes)
